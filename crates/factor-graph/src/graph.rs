@@ -17,8 +17,10 @@ use crate::kernel::CompiledGraph;
 /// The message-update schedule used by loopy belief propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BpSchedule {
-    /// Synchronous two-phase sweeps over all messages. The historical
-    /// behavior; deterministic and bit-for-bit stable across releases.
+    /// Synchronous two-phase sweeps over all messages, in a fixed order.
+    /// Deterministic: the same graph and options give the same bits on
+    /// every run, thread count and machine. Bits can move when the kernel's
+    /// arithmetic changes; the golden fixtures pin them per release.
     #[default]
     Sweep,
     /// Residual belief propagation: update the factor→variable message with
@@ -51,13 +53,13 @@ impl std::fmt::Display for BpSchedule {
 ///
 /// Arithmetic (products, normalization, damping) always runs in `f64`
 /// regardless of this setting; the precision only controls what the
-/// message *stores*, i.e. where rounding happens. `F64` is bit-for-bit
-/// identical to the historical solver and is the default; `F32` halves
+/// message *stores*, i.e. where rounding happens. `F64` is the default
+/// and the precision every golden fixture pins; `F32` halves
 /// message memory traffic at the cost of ~1e-7 relative rounding per
 /// stored message, and is opt-in (`--bp-precision f32`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BpPrecision {
-    /// Full-width message storage — the historical, byte-stable behavior.
+    /// Full-width message storage.
     #[default]
     F64,
     /// Compact `f32` message storage with `f64` accumulation.
@@ -103,8 +105,8 @@ pub struct BpOptions {
     /// update on every run. `None` (the default) leaves `max_iterations`
     /// as the only bound.
     pub update_budget: Option<usize>,
-    /// Stored message representation (see [`BpPrecision`]). `F64` (the
-    /// default) keeps results bit-identical to previous releases.
+    /// Stored message representation (see [`BpPrecision`]); `F64` by
+    /// default.
     pub precision: BpPrecision,
     /// Optional wall-clock deadline. The kernel polls it at sweep/batch
     /// granularity and stops early with [`Marginals::deadline_expired`]
