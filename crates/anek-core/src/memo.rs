@@ -51,8 +51,10 @@ use std::sync::Arc;
 /// Version of the key-derivation scheme. Bumped whenever the hashed input
 /// set, the hash function, or the meaning of any hashed field changes —
 /// stale stores then miss cleanly instead of replaying records produced
-/// under different semantics.
-pub const KEY_SCHEME_VERSION: u32 = 3;
+/// under different semantics. Also bumped when the BP kernel's arithmetic
+/// changes the bits a solve produces (v4: factor messages by per-dimension
+/// contraction), so records from the old kernel are never replayed.
+pub const KEY_SCHEME_VERSION: u32 = 4;
 
 /// A 128-bit content hash addressing one cached artifact.
 pub type CacheKey = u128;

@@ -1,16 +1,15 @@
 //! Golden regression: the Figure 3 per-method models must produce marginals
-//! that are **bit-for-bit** identical to the fixture captured from the
-//! pre-kernel (nested `Vec<Vec<f64>>`) sweep solver. This pins the flat-arena
-//! `CompiledGraph` kernel, the static/dynamic model split and the stamped
-//! extras path to the historical numerics exactly — any deviation, down to
-//! the last ulp, fails the diff.
+//! that are **bit-for-bit** identical to a checked-in fixture. This pins the
+//! flat-arena `CompiledGraph` kernel (its factor-table contraction order
+//! included), the static/dynamic model split and the stamped extras path —
+//! any deviation, down to the last ulp, fails the diff.
 //!
 //! A second fixture pins the **Residual** schedule the same way: the
 //! bucketed batch queue commits in a deterministic order (coarse
 //! log-spaced buckets, FIFO within a bucket, whole-bucket batches), so its
 //! marginals are just as reproducible — any change to bucket boundaries,
-//! batch application order, or the sparse two-valued message path moves
-//! these bits and must regenerate the fixture deliberately.
+//! batch application order, or the message arithmetic moves these bits and
+//! must regenerate the fixture deliberately.
 //!
 //! Regenerate (only after an *intentional* numeric change) with:
 //! `cargo run --release -p bench --bin golden_dump > crates/anek-core/tests/golden/figure3_sweep.txt`

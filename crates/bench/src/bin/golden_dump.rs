@@ -9,9 +9,9 @@
 //!     > crates/anek-core/tests/golden/figure3_residual.txt
 //! ```
 //!
-//! The sweep fixture pins the historical (pre-arena) numerics bit-for-bit;
-//! the residual fixture pins the bucketed batch schedule's deterministic
-//! commit ordering — same graphs, same bits on every run and machine.
+//! The sweep fixture pins the kernel's numerics bit-for-bit; the residual
+//! fixture also pins the bucketed batch schedule's deterministic commit
+//! ordering — same graphs, same bits on every run and machine.
 
 use anek::analysis::{Pfg, ProgramIndex};
 use anek::anek_core::{merged_states, InferConfig, MethodModel, ModelCtx};
