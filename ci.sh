@@ -180,7 +180,7 @@ EOF
   fi
   echo "bench smoke ok: BENCH_infer.json written"
 
-  step "bench regression gate (residual updates <= sweep, wall within 20% of baseline)"
+  step "bench regression gate (residual updates <= sweep, counts exact, wall within 20% of baseline)"
   # This doubles as the trace zero-cost gate: BENCH_infer.json above was
   # produced with tracing OFF (the default), so its wall-clock passing the
   # 20% regression threshold proves the disabled trace path costs nothing.

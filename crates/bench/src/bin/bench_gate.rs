@@ -9,7 +9,11 @@
 //!    schedule's whole point is to converge in fewer updates, and a
 //!    scheduling bug (e.g. requeue churn) shows up here before it shows up
 //!    in wall-clock.
-//! 2. Per (threads=1, schedule) row, `wall_ms` must be within 20% of the
+//! 2. Per (threads=1, schedule) row, the deterministic counters — `solves`,
+//!    `message_updates` and `annotations` — must equal the baseline row
+//!    exactly: inference is deterministic, so any difference is a changed
+//!    result, not noise.
+//! 3. Per (threads=1, schedule) row, `wall_ms` must be within 20% of the
 //!    baseline row recorded on the reference machine.
 //!
 //! Run: `bench_gate <current BENCH_infer.json> <baseline json>` (wired into
@@ -23,7 +27,9 @@ struct Run {
     threads: u64,
     schedule: String,
     wall_ms: f64,
+    solves: u64,
     message_updates: u64,
+    annotations: u64,
 }
 
 /// Extracts the raw token following `"key": ` in `chunk` (up to the next
@@ -39,6 +45,10 @@ fn raw_field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
 
 fn num_field(chunk: &str, key: &str) -> Option<f64> {
     raw_field(chunk, key)?.parse().ok()
+}
+
+fn count_field(chunk: &str, key: &str, what: &str) -> Result<u64, String> {
+    raw_field(chunk, key).and_then(|raw| raw.parse().ok()).ok_or(format!("{what}: bad {key} field"))
 }
 
 fn str_field(chunk: &str, key: &str) -> Option<String> {
@@ -57,9 +67,9 @@ fn parse_runs(doc: &str, what: &str) -> Result<Vec<Run>, String> {
                 as u64,
             schedule: str_field(chunk, "schedule").ok_or(format!("{what}: bad schedule field"))?,
             wall_ms: num_field(chunk, "wall_ms").ok_or(format!("{what}: bad wall_ms field"))?,
-            message_updates: num_field(chunk, "message_updates")
-                .ok_or(format!("{what}: bad message_updates field"))?
-                as u64,
+            solves: count_field(chunk, "solves", what)?,
+            message_updates: count_field(chunk, "message_updates", what)?,
+            annotations: count_field(chunk, "annotations", what)?,
         };
         runs.push(run);
     }
@@ -93,6 +103,16 @@ fn gate(current: &[Run], baseline: &[Run]) -> Result<(), String> {
         let Some(base) = find(baseline, 1, &run.schedule) else {
             return Err(format!("baseline: missing threads=1 {} run", run.schedule));
         };
+        let counts = |r: &Run| [r.solves, r.message_updates, r.annotations];
+        if counts(run) != counts(base) {
+            return Err(format!(
+                "{} counts changed: solves/message_updates/annotations {:?} != baseline {:?}",
+                run.schedule,
+                counts(run),
+                counts(base)
+            ));
+        }
+        println!("counts ok: {} {:?} equal the baseline", run.schedule, counts(run));
         let limit = base.wall_ms * 1.2;
         if run.wall_ms > limit {
             return Err(format!(
@@ -140,8 +160,8 @@ mod tests {
   "bench": "infer",
   "scale": "small",
   "runs": [
-    {"threads": 1, "schedule": "sweep", "wall_ms": 5000.0, "message_updates": 1611888, "annotations": 47},
-    {"threads": 1, "schedule": "residual", "wall_ms": 3500.0, "message_updates": 419176, "annotations": 47}
+    {"threads": 1, "schedule": "sweep", "wall_ms": 190.0, "solves": 134, "message_updates": 1611888, "annotations": 47},
+    {"threads": 1, "schedule": "residual", "wall_ms": 350.0, "solves": 130, "message_updates": 419176, "annotations": 47}
   ]
 }"#;
 
@@ -164,9 +184,24 @@ mod tests {
 
     #[test]
     fn fails_on_wall_clock_regression() {
-        let slow = DOC.replace("3500.0", "9500.0");
+        let slow = DOC.replace("350.0", "950.0");
         let runs = parse_runs(&slow, "t").unwrap();
         let base = parse_runs(DOC, "t").unwrap();
         assert!(gate(&runs, &base).unwrap_err().contains("regressed"));
+    }
+
+    #[test]
+    fn fails_on_any_count_difference() {
+        for (from, to) in [("\"solves\": 130", "\"solves\": 131"), ("47}", "46}")] {
+            let changed = DOC.replacen(from, to, 1);
+            let runs = parse_runs(&changed, "t").unwrap();
+            let base = parse_runs(DOC, "t").unwrap();
+            assert!(gate(&runs, &base).unwrap_err().contains("counts changed"), "{from}");
+        }
+        // Fewer updates is a change too, not an improvement to wave through.
+        let fewer = DOC.replace("1611888", "1611887");
+        let runs = parse_runs(&fewer, "t").unwrap();
+        let base = parse_runs(DOC, "t").unwrap();
+        assert!(gate(&runs, &base).unwrap_err().contains("counts changed"));
     }
 }
