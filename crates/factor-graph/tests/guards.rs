@@ -47,6 +47,28 @@ fn nan_factor_table_is_clamped_and_counted() {
 }
 
 #[test]
+fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
+    // The contraction kernel folds wide tables through a buffer and unary
+    // and pairwise ones straight from the table; both must clamp.
+    for n in 1..=12 {
+        for (what, cell) in [("all-zero", 0.0), ("NaN", f64::NAN)] {
+            let mut g = FactorGraph::new();
+            let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("x{i}"))).collect();
+            g.add_factor(Factor::from_raw_parts(scope.clone(), vec![cell; 1 << n]));
+            g.add_factor(Factor::unary(scope[0], 0.8));
+            for schedule in schedules() {
+                let opts = BpOptions { schedule, ..BpOptions::default() };
+                for m in [g.solve(&opts), g.solve_map(&opts)] {
+                    assert!(m.as_slice().iter().all(|p| p.is_finite()), "{what} n={n} {schedule}");
+                    let counted = if cell == 0.0 { m.guards.zero_sum } else { m.guards.non_finite };
+                    assert!(counted > 0, "{what} n={n} {schedule}: clamp not counted");
+                }
+            }
+        }
+    }
+}
+
+#[test]
 fn healthy_graph_reports_zero_guard_events() {
     for schedule in schedules() {
         let mut g = FactorGraph::new();
