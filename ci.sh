@@ -180,18 +180,18 @@ EOF
   fi
   echo "bench smoke ok: BENCH_infer.json written"
 
-  step "bench regression gate (residual updates <= sweep, counts exact, wall within 20% of baseline)"
+  step "bench regression gate (threads=1 counts exact, wall within 20% of baseline)"
   # This doubles as the trace zero-cost gate: BENCH_infer.json above was
   # produced with tracing OFF (the default), so its wall-clock passing the
   # 20% regression threshold proves the disabled trace path costs nothing.
   ./target/release/bench_gate "$tmp/BENCH_infer.json" tests/golden/bench_baseline_small.json
   echo "trace zero-cost ok: traced-off wall-clock within the regression threshold"
 
-  step "trace determinism gate (--trace-json: threads 1 vs 4, sweep vs residual)"
+  step "trace determinism gate (--trace-json: threads 1 vs 4)"
   # The execution section is the only thread-dependent line; strip it and
   # the rest of the artifact must byte-match across thread counts.
   ./target/release/anek infer --threads 1 --trace-json "$tmp/trace.t1.json" \
-    "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.specs.sweep"
+    "$tmp"/det/*.java 2>/dev/null >/dev/null
   ./target/release/anek infer --threads 4 --trace-json "$tmp/trace.t4.json" \
     "$tmp"/det/*.java 2>/dev/null >/dev/null
   grep -v '"section":"execution"' "$tmp/trace.t1.json" >"$tmp/trace.t1.det"
@@ -200,23 +200,7 @@ EOF
     echo "trace gate failed: deterministic trace sections differ between threads 1 and 4" >&2
     exit 1
   fi
-  # Sweep vs Residual: the spec section (line 1) is the schedule-independent
-  # class — whenever the schedules agree on the printed specs it must
-  # byte-match; the deterministic section legitimately differs (update
-  # counts are schedule-shaped).
-  ./target/release/anek infer --threads 1 --bp-schedule residual \
-    --trace-json "$tmp/trace.res.json" "$tmp"/det/*.java 2>/dev/null >"$tmp/trace.specs.res"
-  if cmp -s "$tmp/trace.specs.sweep" "$tmp/trace.specs.res"; then
-    if ! diff -u <(head -1 "$tmp/trace.t1.json") <(head -1 "$tmp/trace.res.json"); then
-      echo "trace gate failed: schedules agree on specs but trace spec sections differ" >&2
-      exit 1
-    fi
-    echo "trace gate ok: deterministic sections byte-identical across threads," \
-      "spec section byte-identical across schedules"
-  else
-    echo "trace gate ok: deterministic sections byte-identical across threads" \
-      "(schedules disagree on specs; cross-schedule comparison skipped)"
-  fi
+  echo "trace gate ok: deterministic sections byte-identical across threads"
 
   step "check-engine bench smoke (check_bench --small + BENCH_check.json)"
   (cd "$tmp" && "$OLDPWD/target/release/check_bench" --small >/dev/null)

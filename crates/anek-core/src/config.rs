@@ -4,7 +4,7 @@
 //! `corpus::faults` drives).
 
 use analysis::types::MethodId;
-use factor_graph::{BpOptions, BpPrecision, BpSchedule};
+use factor_graph::BpOptions;
 
 /// Deterministic fault-injection switches, normally all empty.
 ///
@@ -205,11 +205,8 @@ impl Default for InferConfig {
                 max_iterations: 40,
                 tolerance: 1e-4,
                 damping: 0.1,
-                schedule: BpSchedule::Sweep,
                 update_budget: None,
-                precision: BpPrecision::F64,
                 deadline: None,
-                bucket_stats: false,
             },
             threads: 1,
             max_model_vars: 1 << 20,

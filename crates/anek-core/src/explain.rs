@@ -46,8 +46,7 @@
 //! between converged fixpoints. Contributions are aggregated per label,
 //! *rounded to one decimal* in log-odds, and sorted by (rounded magnitude,
 //! label, detail), so the rendered explanation is byte-identical across
-//! `--threads N` (the final summaries are byte-identical by construction)
-//! and across schedules.
+//! `--threads N` (the final summaries are byte-identical by construction).
 
 use crate::config::InferConfig;
 use crate::infer::{merged_states, InferResult};
@@ -188,14 +187,12 @@ pub fn explain_method(
         own_store.map(|s| s.keys().map(|(c, _)| c.clone()).collect()).unwrap_or_default();
     let (extras, origins) = skeleton.stamp_labeled(ctx, &result.summaries, &own_evidence);
     // The diagnostic re-solve runs under a *canonical* BP configuration —
-    // fixed sweep schedule, tight tolerance, no budget or deadline — so the
-    // schedule that produced `result` cannot show through in the reported
-    // message terms. Both schedules converge to the same fixpoint; driving
-    // the re-solve well past either run's stopping residual puts its
-    // messages inside the explanation's rounding quantum of that fixpoint.
+    // tight tolerance, no budget or deadline — so where the run behind
+    // `result` happened to stop cannot show through in the reported message
+    // terms: driving the re-solve well past its stopping residual puts the
+    // messages inside the explanation's rounding quantum of the fixpoint.
     let canon = InferConfig {
         bp: factor_graph::BpOptions {
-            schedule: factor_graph::BpSchedule::Sweep,
             tolerance: cfg.bp.tolerance.min(1e-9),
             max_iterations: cfg.bp.max_iterations.max(200),
             update_budget: None,
@@ -211,7 +208,7 @@ pub fn explain_method(
     // Aggregates the signed source terms reachable from one variable by
     // provenance label (see `walk_sources`).
     let explain_var = |root: factor_graph::VarId| -> Vec<Contributor> {
-        let by_label = walk_sources(&skeleton, &origins, &caller_of, cfg, &scratch, root);
+        let by_label = walk_sources(&skeleton, &origins, &caller_of, &scratch, root);
         let mut out: Vec<Contributor> = by_label
             .into_iter()
             .map(|((label, detail), lo)| Contributor {
@@ -311,7 +308,6 @@ fn walk_sources(
     skeleton: &MethodSkeleton,
     origins: &[crate::model::ExtraOrigin],
     caller_of: &[MethodId],
-    cfg: &InferConfig,
     scratch: &Scratch,
     root: factor_graph::VarId,
 ) -> BTreeMap<(String, String), f64> {
@@ -323,7 +319,7 @@ fn walk_sources(
     queue.push_back(root);
     while let Some(v) = queue.pop_front() {
         let s = sign[&v.0];
-        let terms = compiled.belief_terms(v, cfg.bp.precision, scratch);
+        let terms = compiled.belief_terms(v, scratch);
         // Claim neighbours: one-hot (sign-flipping) couplings first, so a
         // sibling's parity comes from its own slot rather than from a
         // cross-kind path through a split factor.
@@ -379,7 +375,6 @@ fn walk_sources(
 mod tests {
     use super::*;
     use crate::infer::infer;
-    use factor_graph::{BpOptions, BpSchedule};
     use java_syntax::parse;
     use spec_lang::standard_api;
 
@@ -413,27 +408,21 @@ mod tests {
     }
 
     #[test]
-    fn explanation_is_identical_across_schedules_and_threads() {
+    fn explanation_is_identical_across_threads() {
         let unit = parse(DRAIN).unwrap();
         let api = standard_api();
         let id = MethodId::new("App", "drain");
-        let mut renders = Vec::new();
-        for schedule in [BpSchedule::Sweep, BpSchedule::Residual] {
-            for threads in [1usize, 4] {
-                let cfg = InferConfig {
-                    threads,
-                    bp: BpOptions { schedule, ..InferConfig::default().bp },
-                    ..InferConfig::default()
-                };
+        let renders: Vec<String> = [1usize, 4]
+            .into_iter()
+            .map(|threads| {
+                let cfg = InferConfig { threads, ..InferConfig::default() };
                 let result = infer(std::slice::from_ref(&unit), &api, &cfg);
                 let ex =
                     explain_method(std::slice::from_ref(&unit), &api, &cfg, &result, &id).unwrap();
-                renders.push(ex.render_text());
-            }
-        }
-        for r in &renders[1..] {
-            assert_eq!(r, &renders[0], "explain must be schedule- and thread-independent");
-        }
+                ex.render_text()
+            })
+            .collect();
+        assert_eq!(renders[0], renders[1], "explain must be thread-independent");
     }
 
     #[test]

@@ -37,8 +37,8 @@
 //! blocked on its workers in [`InferResult::commit_stall`].
 //!
 //! Every worker owns one long-lived BP [`Scratch`] (as does the merge
-//! thread), so message arrays and scheduler state are recycled across all
-//! the solves of a run instead of reallocated per solve.
+//! thread), so message arrays are recycled across all the solves of a run
+//! instead of reallocated per solve.
 //!
 //! Each method's static model skeleton (variables, L1–L3, heuristics,
 //! own-spec and API priors) is built and compiled once, lazily at its first
@@ -78,12 +78,6 @@ struct Solved {
     /// commit loop clears `cache` for it), and the store codec stays
     /// unchanged.
     deadline_expired: bool,
-    /// Per-bucket residual-scheduler batch counts, collected only when
-    /// tracing requested them (`BpOptions::bucket_stats`). Also kept
-    /// outside [`SolvedRecord`]: purely observational, so the store codec
-    /// stays unchanged and cache hits simply replay without them (a warm
-    /// run's trace legitimately shows fewer batches than a cold one).
-    bucket_batches: Vec<u32>,
 }
 
 /// Health of a method's last *committed* solve, feeding outcome
@@ -118,7 +112,7 @@ pub struct InferResult {
     /// Methods that had a hand-written spec already (their atoms acted as
     /// priors).
     pub pre_annotated: BTreeSet<MethodId>,
-    /// Total BP sweeps (or sweep-equivalents) across all solves.
+    /// Total BP sweeps across all solves.
     pub bp_iterations: usize,
     /// Total BP message updates across all solves.
     pub message_updates: usize,
@@ -399,20 +393,6 @@ pub fn infer_with_store(
     cache: Option<&dyn InferCache>,
 ) -> InferResult {
     cfg.validate();
-    // Tracing asks the kernel for per-bucket residual scheduler stats;
-    // everything else about the solve is untouched (`bucket_stats` is
-    // observational, and both flags are excluded from the config
-    // fingerprint, so traced and untraced runs share a cache).
-    let traced_cfg;
-    let cfg = if cfg.trace && !cfg.bp.bucket_stats {
-        traced_cfg = InferConfig {
-            bp: factor_graph::BpOptions { bucket_stats: true, ..cfg.bp },
-            ..cfg.clone()
-        };
-        &traced_cfg
-    } else {
-        cfg
-    };
     let start = Instant::now();
     let index = ProgramIndex::build(units.iter());
     let states = merged_states(units, api);
@@ -592,11 +572,10 @@ pub fn infer_with_store(
     let mut trace_spans: Vec<observe::SolveSpan> = Vec::new();
     let mut trace_speculative_spans: Vec<u64> = Vec::new();
     let mut trace_discarded_spans: Vec<u64> = Vec::new();
-    let mut trace_bucket_batches: Vec<u64> = Vec::new();
     let empty_deps = BTreeSet::new();
     // One long-lived BP scratch per worker (index 0 is the merge thread's):
-    // message arrays and scheduler state are recycled across every solve of
-    // the run instead of reallocated per method.
+    // message arrays are recycled across every solve of the run instead of
+    // reallocated per method.
     let mut scratch_pool: Vec<Scratch> = (0..threads.max(1)).map(|_| Scratch::new()).collect();
     // Solves one method against the *current* summary/evidence state.
     // Panics anywhere inside — injected or organic — are caught here, at
@@ -648,12 +627,7 @@ pub fn infer_with_store(
         });
         if let (Some(c), Some(key)) = (cache, key) {
             if let Some(record) = c.solve_lookup(key) {
-                return Ok(Solved {
-                    record,
-                    cache: Some((key, true)),
-                    deadline_expired: false,
-                    bucket_batches: Vec::new(),
-                });
+                return Ok(Solved { record, cache: Some((key, true)), deadline_expired: false });
             }
         }
         catch_unwind(AssertUnwindSafe(|| -> SolveResult {
@@ -684,7 +658,6 @@ pub fn infer_with_store(
                 },
                 cache,
                 deadline_expired: marginals.deadline_expired,
-                bucket_batches: marginals.bucket_batches,
             })
         }))
         .unwrap_or_else(|p| Err(InferError::SolvePanicked { message: panic_message(p.as_ref()) }))
@@ -783,7 +756,6 @@ pub fn infer_with_store(
                 if deadline_expired {
                     deadline_truncated_solves += 1;
                 }
-                let bucket_batches = s.bucket_batches;
                 let s = s.record;
                 bp_iterations += s.iterations;
                 message_updates += s.updates;
@@ -818,12 +790,6 @@ pub fn infer_with_store(
                         guards_zero_sum: s.guards.zero_sum as u64,
                         cache_hit,
                     });
-                    for (i, &b) in bucket_batches.iter().enumerate() {
-                        if trace_bucket_batches.len() <= i {
-                            trace_bucket_batches.resize(i + 1, 0);
-                        }
-                        trace_bucket_batches[i] += u64::from(b);
-                    }
                 }
                 let mut to_queue: Vec<MethodId> = Vec::new();
                 // Publish evidence about callees observed at this method's sites.
@@ -945,7 +911,6 @@ pub fn infer_with_store(
                 })
                 .collect(),
             screened: screened.iter().map(ToString::to_string).collect(),
-            schedule: format!("{:?}", cfg.bp.schedule),
             counters: observe::TraceCounters {
                 solves: solves as u64,
                 bp_iterations: bp_iterations as u64,
@@ -955,7 +920,6 @@ pub fn infer_with_store(
                 screened_methods: screened.len() as u64,
                 nonconverged_solves: nonconverged_solves as u64,
                 numeric_guard_events: numeric_guard_events as u64,
-                bucket_batches: trace_bucket_batches,
             },
             spans: trace_spans,
             execution: observe::TraceExecution {

@@ -53,8 +53,10 @@ use std::sync::Arc;
 /// stale stores then miss cleanly instead of replaying records produced
 /// under different semantics. Also bumped when the BP kernel's arithmetic
 /// changes the bits a solve produces (v4: factor messages by per-dimension
-/// contraction), so records from the old kernel are never replayed.
-pub const KEY_SCHEME_VERSION: u32 = 4;
+/// contraction), so records from the old kernel are never replayed. v5:
+/// the BP schedule and message precision are no longer options, so the
+/// config fingerprint stops hashing them.
+pub const KEY_SCHEME_VERSION: u32 = 5;
 
 /// A 128-bit content hash addressing one cached artifact.
 pub type CacheKey = u128;
@@ -141,8 +143,8 @@ pub fn hash_bytes(bytes: &[u8]) -> CacheKey {
 /// worklist's determinism contract, so the cache is shared across thread
 /// counts), `faults` (injected faults are per-method and folded into
 /// each method's static key by [`method_fault_token`]), and the purely
-/// observational switches `trace` / `bp.bucket_stats` (tracing never
-/// changes a solve's result, so traced and untraced runs share the cache).
+/// observational `trace` switch (tracing never changes a solve's result,
+/// so traced and untraced runs share the cache).
 pub fn config_fingerprint(cfg: &InferConfig) -> CacheKey {
     let mut h = KeyHasher::new();
     h.write_u32(KEY_SCHEME_VERSION);
@@ -172,8 +174,6 @@ pub fn config_fingerprint(cfg: &InferConfig) -> CacheKey {
     h.write_u64(cfg.bp.max_iterations as u64);
     h.write_f64(cfg.bp.tolerance);
     h.write_f64(cfg.bp.damping);
-    h.write_str(&format!("{:?}", cfg.bp.schedule));
-    h.write_str(&format!("{:?}", cfg.bp.precision));
     match cfg.bp.update_budget {
         Some(b) => {
             h.write_bool(true);
@@ -297,7 +297,7 @@ pub struct SolvedRecord {
     pub summary: MethodSummary,
     /// Observed marginals per callee per call site.
     pub call_evidence: BTreeMap<MethodId, BTreeMap<ExprId, CallerEvidence>>,
-    /// BP sweeps (or sweep-equivalents) the solve performed.
+    /// BP sweeps the solve performed.
     pub iterations: usize,
     /// BP message updates the solve performed.
     pub updates: usize,
@@ -352,7 +352,6 @@ mod tests {
         faulted.faults.panic_methods.push("App.copy".into());
         let mut traced = base.clone();
         traced.trace = true;
-        traced.bp.bucket_stats = true;
         assert_eq!(config_fingerprint(&base), config_fingerprint(&threaded));
         assert_eq!(config_fingerprint(&base), config_fingerprint(&faulted));
         assert_eq!(

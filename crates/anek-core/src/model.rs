@@ -399,9 +399,8 @@ impl MethodSkeleton {
 
     /// Solves the compiled skeleton with the stamped priors overlaid.
     ///
-    /// Equivalent (bit-for-bit under the sweep schedule) to rebuilding the
-    /// full [`MethodModel`] with the same summaries/evidence and solving its
-    /// graph.
+    /// Equivalent, bit for bit, to rebuilding the full [`MethodModel`] with
+    /// the same summaries/evidence and solving its graph.
     pub fn solve(&self, extras: &[(VarId, f64)], cfg: &InferConfig) -> Marginals {
         self.compiled.solve_stamped(extras, &cfg.bp)
     }

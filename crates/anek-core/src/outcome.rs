@@ -32,7 +32,7 @@ pub enum DegradeReason {
     /// The final solve hit the iteration cap (or the update budget) before
     /// reaching the convergence tolerance.
     BpNonConverged {
-        /// Sweeps (or sweep-equivalents) the final solve performed.
+        /// Sweeps the final solve performed.
         iterations: usize,
     },
     /// The kernel clamped degenerate normalizations during the final solve

@@ -4,38 +4,27 @@
 //! included), the static/dynamic model split and the stamped extras path —
 //! any deviation, down to the last ulp, fails the diff.
 //!
-//! A second fixture pins the **Residual** schedule the same way: the
-//! bucketed batch queue commits in a deterministic order (coarse
-//! log-spaced buckets, FIFO within a bucket, whole-bucket batches), so its
-//! marginals are just as reproducible — any change to bucket boundaries,
-//! batch application order, or the message arithmetic moves these bits and
-//! must regenerate the fixture deliberately.
-//!
 //! Regenerate (only after an *intentional* numeric change) with:
 //! `cargo run --release -p bench --bin golden_dump > crates/anek-core/tests/golden/figure3_sweep.txt`
-//! `cargo run --release -p bench --bin golden_dump -- residual > crates/anek-core/tests/golden/figure3_residual.txt`
 
 use analysis::pfg::Pfg;
 use analysis::types::ProgramIndex;
 use anek_core::{merged_states, InferConfig, MethodModel, ModelCtx};
-use factor_graph::BpSchedule;
 use spec_lang::{spec_of_method, standard_api};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 const GOLDEN: &str = include_str!("golden/figure3_sweep.txt");
-const GOLDEN_RESIDUAL: &str = include_str!("golden/figure3_residual.txt");
 
-/// Dumps per-method marginal and MAP bits for every Figure 3 model under
-/// the given schedule, in the `golden_dump` fixture format.
-fn dump_figure3(schedule: BpSchedule) -> String {
+/// Dumps per-method marginal and MAP bits for every Figure 3 model, in the
+/// `golden_dump` fixture format.
+fn dump_figure3() -> String {
     let unit = java_syntax::parse(corpus::FIGURE3).unwrap();
     let index = ProgramIndex::build([&unit]);
     let api = standard_api();
     let states = merged_states(std::slice::from_ref(&unit), &api);
     let ctx = ModelCtx { index: &index, api: &api, states: &states };
-    let mut cfg = InferConfig::default();
-    cfg.bp.schedule = schedule;
+    let cfg = InferConfig::default();
     let empty = BTreeMap::new();
 
     let mut dump = String::new();
@@ -58,23 +47,15 @@ fn dump_figure3(schedule: BpSchedule) -> String {
     dump
 }
 
-fn assert_matches_golden(dump: &str, golden: &str) {
-    for (ln, (got, want)) in dump.lines().zip(golden.lines()).enumerate() {
+#[test]
+fn figure3_sweep_marginals_match_pre_kernel_golden_dump() {
+    let dump = dump_figure3();
+    for (ln, (got, want)) in dump.lines().zip(GOLDEN.lines()).enumerate() {
         assert_eq!(got, want, "golden mismatch at line {}", ln + 1);
     }
     assert_eq!(
         dump.lines().count(),
-        golden.lines().count(),
+        GOLDEN.lines().count(),
         "dump and golden fixture have different lengths"
     );
-}
-
-#[test]
-fn figure3_sweep_marginals_match_pre_kernel_golden_dump() {
-    assert_matches_golden(&dump_figure3(BpSchedule::Sweep), GOLDEN);
-}
-
-#[test]
-fn figure3_residual_marginals_match_golden_dump() {
-    assert_matches_golden(&dump_figure3(BpSchedule::Residual), GOLDEN_RESIDUAL);
 }

@@ -2,8 +2,7 @@
 //! paper's Eclipse plugin pipeline (Figure 10).
 //!
 //! ```text
-//! anek infer [--threads N] [--bp-schedule sweep|residual]
-//!            [--bp-precision f64|f32] [--inject PLAN] [--outcomes]
+//! anek infer [--threads N] [--inject PLAN] [--outcomes]
 //!            [--screen] [--max-iters N] <file.java>...
 //!                               infer specs, print them; --inject replays a
 //!                               fault plan (corpus::faults format) and
@@ -31,9 +30,7 @@
 //!                               run the deterministic dataflow lints
 //!                               (DF/PROT/SPEC rules) and optionally the IR
 //!                               verifier; exit non-zero on errors
-//! anek pipeline [--out DIR] [--verify-ir] [--threads N]
-//!               [--bp-schedule sweep|residual] [--bp-precision f64|f32]
-//!               <file.java>...
+//! anek pipeline [--out DIR] [--verify-ir] [--threads N] <file.java>...
 //!                               infer, apply, re-check; print the annotated
 //!                               program (or write one file per input into
 //!                               DIR) and report both warning counts
@@ -46,11 +43,8 @@
 //!                               contributing factor families (PROT, WEAKEN,
 //!                               neighbor evidence/summaries) as signed
 //!                               log-odds notes; caret snippet or --json.
-//!                               The diagnostic inference always runs under
-//!                               the canonical Sweep schedule (a passed
-//!                               --bp-schedule is overridden), so the report
-//!                               is byte-identical for any thread count or
-//!                               schedule flag
+//!                               The report is byte-identical for any
+//!                               thread count
 //! anek corpus <dir> [--small]   materialize the PMD-shaped synthetic corpus
 //!                               as .java files under <dir>; --mixed
 //!                               generates the registry-driven
@@ -83,7 +77,6 @@
 
 use anek::analysis::{MethodId, Pfg, ProgramIndex};
 use anek::bitstate;
-use anek::factor_graph::{BpPrecision, BpSchedule};
 use anek::plural::SpecTable;
 use anek::spec_lang::{api_with_protocols, standard_api};
 use anek::{Pipeline, Server, ServerOptions};
@@ -94,16 +87,14 @@ use std::sync::Arc;
 const USAGE: &str = "\
 usage: anek <infer|check|lint|pipeline|pfg|corpus|serve> [flags] <file.java>...
 
-  infer    [--threads N] [--bp-schedule sweep|residual]
-           [--bp-precision f64|f32] [--inject PLAN] [--outcomes]
-           [--screen] [--max-iters N] [--store DIR]
-           [--trace-json PATH] [--protocols LIST] <file.java>...
+  infer    [--threads N] [--inject PLAN] [--outcomes] [--screen]
+           [--max-iters N] [--store DIR] [--trace-json PATH]
+           [--protocols LIST] <file.java>...
   check    [--engine bitstate|plural] [--infer] [--branch-sensitive]
            [--json] [--cross-validate] [infer flags] <file.java>...
   lint     [--json] [--verify-ir] <file.java>...
-  pipeline [--out DIR] [--verify-ir] [--threads N] [--bp-schedule S]
-           [--bp-precision P] [--store DIR] [--trace-json PATH]
-           <file.java>...
+  pipeline [--out DIR] [--verify-ir] [--threads N] [--store DIR]
+           [--trace-json PATH] <file.java>...
   pfg      <file.java>... <Class.method>
   explain  [--json] [infer flags] <file.java>... <Class.method>
   corpus   <dir> [--small | --mixed [--profile small|aliasing|callback]
@@ -174,8 +165,6 @@ fn main() -> ExitCode {
 #[derive(Default)]
 struct InferFlags {
     threads: Option<usize>,
-    schedule: Option<BpSchedule>,
-    precision: Option<BpPrecision>,
     inject: Option<corpus::FaultPlan>,
     outcomes: bool,
     store: Option<String>,
@@ -186,10 +175,10 @@ struct InferFlags {
 }
 
 impl InferFlags {
-    /// Consumes `--threads N` / `--bp-schedule S` / `--bp-precision P` /
-    /// `--inject PLAN` / `--outcomes` / `--store DIR` / `--screen` /
-    /// `--max-iters N` from `args`, returning the flags and the remaining
-    /// arguments.
+    /// Consumes `--threads N` / `--inject PLAN` / `--outcomes` /
+    /// `--store DIR` / `--screen` / `--max-iters N` / `--trace-json PATH` /
+    /// `--protocols LIST` from `args`, returning the flags and the
+    /// remaining arguments.
     fn parse(args: &[String]) -> Result<(InferFlags, Vec<String>), Box<dyn std::error::Error>> {
         let mut flags = InferFlags::default();
         let mut rest = Vec::new();
@@ -201,23 +190,6 @@ impl InferFlags {
                     .ok_or_else(|| usage_err("--threads needs a count (0 = one per core)"))?;
                 flags.threads =
                     Some(n.parse().map_err(|_| usage_err(format!("--threads: bad count `{n}`")))?);
-            } else if a == "--bp-schedule" {
-                let s = it
-                    .next()
-                    .ok_or_else(|| usage_err("--bp-schedule needs `sweep` or `residual`"))?;
-                flags.schedule =
-                    Some(BpSchedule::parse(s).ok_or_else(|| {
-                        usage_err(format!("--bp-schedule: unknown schedule `{s}`"))
-                    })?);
-            } else if a == "--bp-precision" {
-                // f32 halves BP message storage (accumulation stays f64);
-                // marginals may differ from f64 in the last ulps, so the
-                // default f64 keeps historical byte-exact output.
-                let p =
-                    it.next().ok_or_else(|| usage_err("--bp-precision needs `f64` or `f32`"))?;
-                flags.precision = Some(BpPrecision::parse(p).ok_or_else(|| {
-                    usage_err(format!("--bp-precision: unknown precision `{p}`"))
-                })?);
             } else if a == "--inject" {
                 let path =
                     it.next().ok_or_else(|| usage_err("--inject needs a fault-plan file"))?;
@@ -265,12 +237,6 @@ impl InferFlags {
         }
         if let Some(t) = self.threads {
             pipeline = pipeline.with_threads(t);
-        }
-        if let Some(s) = self.schedule {
-            pipeline = pipeline.with_bp_schedule(s);
-        }
-        if let Some(p) = self.precision {
-            pipeline = pipeline.with_bp_precision(p);
         }
         if let Some(plan) = &self.inject {
             plan.apply_config(&mut pipeline.config);
@@ -669,15 +635,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             let (class, method) =
                 target.split_once('.').ok_or_else(|| usage_err("target must be Class.method"))?;
             let sources = read_sources(&files)?;
-            // Provenance is a *canonical* diagnostic: the inference behind it
-            // always runs under the Sweep schedule (`--bp-schedule` is
-            // accepted but overridden), so the same sources yield a
-            // byte-identical explanation under any thread count or schedule
-            // flag. Saturated one-hot ties can otherwise resolve differently
-            // across schedules, and an explanation must not depend on which
-            // fixpoint a particular run happened to reach.
-            let pipeline =
-                flags.apply(Pipeline::from_sources(&sources)?)?.with_bp_schedule(BpSchedule::Sweep);
+            let pipeline = flags.apply(Pipeline::from_sources(&sources)?)?;
             let result = pipeline.infer();
             flags.write_trace(&result)?;
             let id = MethodId::new(class, method);

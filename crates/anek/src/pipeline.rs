@@ -209,20 +209,6 @@ impl Pipeline {
         self
     }
 
-    /// Selects the BP message schedule used by every model solve.
-    pub fn with_bp_schedule(mut self, schedule: factor_graph::BpSchedule) -> Pipeline {
-        self.config.bp.schedule = schedule;
-        self
-    }
-
-    /// Selects the BP message storage precision. `F32` halves message
-    /// memory (accumulation stays f64); `F64` (the default) keeps the
-    /// historical byte-exact behavior.
-    pub fn with_bp_precision(mut self, precision: factor_graph::BpPrecision) -> Pipeline {
-        self.config.bp.precision = precision;
-        self
-    }
-
     /// Enables the bit-vector screening pre-pass: provably-clean,
     /// call-graph-isolated methods skip BP model construction entirely (see
     /// `anek_core::InferConfig::screen`).

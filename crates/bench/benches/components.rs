@@ -4,7 +4,7 @@
 //! offline build).
 
 use anek::analysis::{Pfg, ProgramIndex};
-use anek::factor_graph::{BpOptions, BpSchedule, CompiledGraph, Factor, FactorGraph};
+use anek::factor_graph::{BpOptions, CompiledGraph, Factor, FactorGraph};
 use anek::plural::{check, local_infer_pfg, SpecTable};
 use anek::spec_lang::standard_api;
 use bench::microbench::Bench;
@@ -46,14 +46,11 @@ fn bench_bp(b: &mut Bench) {
     }
     b.bench_function("bp_30var_cycle", || black_box(&g).solve(&BpOptions::default()));
     // The same graph through the flat-arena kernel, amortizing compilation
-    // (the incremental-reuse path of the worklist), and under the
-    // residual schedule.
+    // (the incremental-reuse path of the worklist).
     let compiled = CompiledGraph::compile(&g);
     b.bench_function("bp_30var_cycle_precompiled", || {
         black_box(&compiled).solve(&BpOptions::default())
     });
-    let residual_opts = BpOptions { schedule: BpSchedule::Residual, ..BpOptions::default() };
-    b.bench_function("bp_30var_cycle_residual", || black_box(&compiled).solve(&residual_opts));
 
     let mut g = FactorGraph::new();
     let vars: Vec<_> = (0..16).map(|i| g.add_var(format!("v{i}"))).collect();

@@ -20,7 +20,7 @@ fn bench_infer_small_corpus(b: &mut Bench) {
         Pipeline::new(black_box(&corpus.units).clone()).with_config(cfg).infer()
     });
     // The parallel worklist at several thread counts (byte-identical
-    // results; only wall-clock changes) and the residual BP schedule.
+    // results; only wall-clock changes).
     for threads in [2usize, 4] {
         b.bench_function(&format!("small_corpus_threads{threads}"), || {
             let cfg = InferConfig {
@@ -31,11 +31,6 @@ fn bench_infer_small_corpus(b: &mut Bench) {
             Pipeline::new(black_box(&corpus.units).clone()).with_config(cfg).infer()
         });
     }
-    b.bench_function("small_corpus_residual", || {
-        let mut cfg = InferConfig { max_iters: 2 * corpus.stats.methods, ..InferConfig::default() };
-        cfg.bp.schedule = factor_graph::BpSchedule::Residual;
-        Pipeline::new(black_box(&corpus.units).clone()).with_config(cfg).infer()
-    });
 }
 
 fn bench_logical_budget(b: &mut Bench) {

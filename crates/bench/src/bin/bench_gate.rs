@@ -1,20 +1,15 @@
 //! Bench regression gate: compares a freshly written `BENCH_infer.json`
-//! against a checked-in baseline and fails (exit 1) when the fast paths
-//! stopped paying.
+//! against a checked-in baseline and fails (exit 1) when the inference
+//! changed its result or slowed down.
 //!
-//! Checks, on the `threads == 1` rows (single-thread runs are deterministic,
+//! Checks, on the `threads == 1` row (single-thread runs are deterministic,
 //! so their wall-clock is the least noisy signal available):
 //!
-//! 1. Residual's `message_updates` must not exceed Sweep's — the residual
-//!    schedule's whole point is to converge in fewer updates, and a
-//!    scheduling bug (e.g. requeue churn) shows up here before it shows up
-//!    in wall-clock.
-//! 2. Per (threads=1, schedule) row, the deterministic counters — `solves`,
-//!    `message_updates` and `annotations` — must equal the baseline row
-//!    exactly: inference is deterministic, so any difference is a changed
-//!    result, not noise.
-//! 3. Per (threads=1, schedule) row, `wall_ms` must be within 20% of the
-//!    baseline row recorded on the reference machine.
+//! 1. The deterministic counters — `solves`, `message_updates` and
+//!    `annotations` — must equal the baseline row exactly: inference is
+//!    deterministic, so any difference is a changed result, not noise.
+//! 2. `wall_ms` must be within 20% of the baseline row recorded on the
+//!    reference machine.
 //!
 //! Run: `bench_gate <current BENCH_infer.json> <baseline json>` (wired into
 //! `ci.sh` right after the `table2 --small` smoke).
@@ -25,7 +20,6 @@ use std::process::ExitCode;
 #[derive(Debug)]
 struct Run {
     threads: u64,
-    schedule: String,
     wall_ms: f64,
     solves: u64,
     message_updates: u64,
@@ -51,10 +45,6 @@ fn count_field(chunk: &str, key: &str, what: &str) -> Result<u64, String> {
     raw_field(chunk, key).and_then(|raw| raw.parse().ok()).ok_or(format!("{what}: bad {key} field"))
 }
 
-fn str_field(chunk: &str, key: &str) -> Option<String> {
-    Some(raw_field(chunk, key)?.trim_matches('"').to_string())
-}
-
 /// Parses every `{"threads": ...}` row of a BENCH_infer.json document.
 fn parse_runs(doc: &str, what: &str) -> Result<Vec<Run>, String> {
     let mut runs = Vec::new();
@@ -65,7 +55,6 @@ fn parse_runs(doc: &str, what: &str) -> Result<Vec<Run>, String> {
         let run = Run {
             threads: num_field(chunk, "threads").ok_or(format!("{what}: bad threads field"))?
                 as u64,
-            schedule: str_field(chunk, "schedule").ok_or(format!("{what}: bad schedule field"))?,
             wall_ms: num_field(chunk, "wall_ms").ok_or(format!("{what}: bad wall_ms field"))?,
             solves: count_field(chunk, "solves", what)?,
             message_updates: count_field(chunk, "message_updates", what)?,
@@ -79,52 +68,29 @@ fn parse_runs(doc: &str, what: &str) -> Result<Vec<Run>, String> {
     Ok(runs)
 }
 
-fn find<'a>(runs: &'a [Run], threads: u64, schedule: &str) -> Option<&'a Run> {
-    runs.iter().find(|r| r.threads == threads && r.schedule == schedule)
+fn single_thread<'a>(runs: &'a [Run], what: &str) -> Result<&'a Run, String> {
+    runs.iter().find(|r| r.threads == 1).ok_or(format!("{what}: missing threads=1 run"))
 }
 
 fn gate(current: &[Run], baseline: &[Run]) -> Result<(), String> {
-    let sweep = find(current, 1, "sweep").ok_or("current: missing threads=1 sweep run")?;
-    let residual = find(current, 1, "residual").ok_or("current: missing threads=1 residual run")?;
-
-    if residual.message_updates > sweep.message_updates {
+    let run = single_thread(current, "current")?;
+    let base = single_thread(baseline, "baseline")?;
+    let counts = |r: &Run| [r.solves, r.message_updates, r.annotations];
+    if counts(run) != counts(base) {
         return Err(format!(
-            "residual performed MORE message updates than sweep ({} > {}) — \
-             the prioritized schedule has stopped paying for itself",
-            residual.message_updates, sweep.message_updates
+            "counts changed: solves/message_updates/annotations {:?} != baseline {:?}",
+            counts(run),
+            counts(base)
         ));
     }
-    println!(
-        "updates ok: residual {} <= sweep {}",
-        residual.message_updates, sweep.message_updates
-    );
-
-    for run in [sweep, residual] {
-        let Some(base) = find(baseline, 1, &run.schedule) else {
-            return Err(format!("baseline: missing threads=1 {} run", run.schedule));
-        };
-        let counts = |r: &Run| [r.solves, r.message_updates, r.annotations];
-        if counts(run) != counts(base) {
-            return Err(format!(
-                "{} counts changed: solves/message_updates/annotations {:?} != baseline {:?}",
-                run.schedule,
-                counts(run),
-                counts(base)
-            ));
-        }
-        println!("counts ok: {} {:?} equal the baseline", run.schedule, counts(run));
-        let limit = base.wall_ms * 1.2;
-        if run.wall_ms > limit {
-            return Err(format!(
-                "{} wall-clock regressed: {:.0}ms > 120% of baseline {:.0}ms",
-                run.schedule, run.wall_ms, base.wall_ms
-            ));
-        }
-        println!(
-            "wall ok: {} {:.0}ms within 20% of baseline {:.0}ms",
-            run.schedule, run.wall_ms, base.wall_ms
-        );
+    println!("counts ok: {:?} equal the baseline", counts(run));
+    if run.wall_ms > base.wall_ms * 1.2 {
+        return Err(format!(
+            "wall-clock regressed: {:.0}ms > 120% of baseline {:.0}ms",
+            run.wall_ms, base.wall_ms
+        ));
     }
+    println!("wall ok: {:.0}ms within 20% of baseline {:.0}ms", run.wall_ms, base.wall_ms);
     Ok(())
 }
 
@@ -160,8 +126,8 @@ mod tests {
   "bench": "infer",
   "scale": "small",
   "runs": [
-    {"threads": 1, "schedule": "sweep", "wall_ms": 190.0, "solves": 134, "message_updates": 1611888, "annotations": 47},
-    {"threads": 1, "schedule": "residual", "wall_ms": 350.0, "solves": 130, "message_updates": 419176, "annotations": 47}
+    {"threads": 1, "wall_ms": 190.0, "solves": 134, "message_updates": 1611888, "annotations": 47},
+    {"threads": 2, "wall_ms": 150.0, "solves": 134, "message_updates": 1611888, "annotations": 47}
   ]
 }"#;
 
@@ -169,22 +135,14 @@ mod tests {
     fn parses_rows_and_passes_against_itself() {
         let runs = parse_runs(DOC, "t").unwrap();
         assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].schedule, "sweep");
-        assert_eq!(runs[1].message_updates, 419176);
+        assert_eq!(runs[1].threads, 2);
+        assert_eq!(runs[0].message_updates, 1611888);
         gate(&runs, &parse_runs(DOC, "t").unwrap()).unwrap();
     }
 
     #[test]
-    fn fails_when_residual_updates_exceed_sweep() {
-        let flipped = DOC.replace("419176", "9999999");
-        let runs = parse_runs(&flipped, "t").unwrap();
-        let base = parse_runs(DOC, "t").unwrap();
-        assert!(gate(&runs, &base).unwrap_err().contains("MORE message updates"));
-    }
-
-    #[test]
     fn fails_on_wall_clock_regression() {
-        let slow = DOC.replace("350.0", "950.0");
+        let slow = DOC.replace("190.0", "950.0");
         let runs = parse_runs(&slow, "t").unwrap();
         let base = parse_runs(DOC, "t").unwrap();
         assert!(gate(&runs, &base).unwrap_err().contains("regressed"));
@@ -192,7 +150,7 @@ mod tests {
 
     #[test]
     fn fails_on_any_count_difference() {
-        for (from, to) in [("\"solves\": 130", "\"solves\": 131"), ("47}", "46}")] {
+        for (from, to) in [("\"solves\": 134", "\"solves\": 135"), ("47}", "46}")] {
             let changed = DOC.replacen(from, to, 1);
             let runs = parse_runs(&changed, "t").unwrap();
             let base = parse_runs(DOC, "t").unwrap();

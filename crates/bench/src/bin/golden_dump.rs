@@ -1,40 +1,27 @@
 //! One-off: dump bit-exact per-method marginals of the Figure 3 models.
 //!
-//! Regenerate the fixtures with:
+//! Regenerate the fixture with:
 //!
 //! ```console
 //! cargo run --release -p bench --bin golden_dump \
 //!     > crates/anek-core/tests/golden/figure3_sweep.txt
-//! cargo run --release -p bench --bin golden_dump -- residual \
-//!     > crates/anek-core/tests/golden/figure3_residual.txt
 //! ```
 //!
-//! The sweep fixture pins the kernel's numerics bit-for-bit; the residual
-//! fixture also pins the bucketed batch schedule's deterministic commit
-//! ordering — same graphs, same bits on every run and machine.
+//! The fixture pins the kernel's numerics bit-for-bit — same graphs, same
+//! bits on every run and machine.
 
 use anek::analysis::{Pfg, ProgramIndex};
 use anek::anek_core::{merged_states, InferConfig, MethodModel, ModelCtx};
-use anek::factor_graph::BpSchedule;
 use anek::spec_lang::{spec_of_method, standard_api};
 use std::collections::BTreeMap;
 
 fn main() {
-    let schedule = match std::env::args().nth(1).as_deref() {
-        Some("residual") => BpSchedule::Residual,
-        Some("sweep") | None => BpSchedule::Sweep,
-        Some(other) => {
-            eprintln!("usage: golden_dump [sweep|residual] (got `{other}`)");
-            std::process::exit(2);
-        }
-    };
     let unit = java_syntax::parse(corpus::FIGURE3).unwrap();
     let index = ProgramIndex::build([&unit]);
     let api = standard_api();
     let states = merged_states(std::slice::from_ref(&unit), &api);
     let ctx = ModelCtx { index: &index, api: &api, states: &states };
-    let mut cfg = InferConfig::default();
-    cfg.bp.schedule = schedule;
+    let cfg = InferConfig::default();
     let empty = BTreeMap::new();
     for t in &unit.types {
         for m in t.methods() {

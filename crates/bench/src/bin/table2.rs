@@ -14,10 +14,10 @@
 //!
 //! Besides the human-readable table, writes `BENCH_infer.json`: wall time,
 //! model solves, BP iterations and message updates for the inference at
-//! threads {1, 8} under both BP schedules.
+//! threads 1 and 8 (each row records the worker count the run actually
+//! used).
 
 use anek::anek_core::{solve_logical, InferConfig, InferResult, LogicalOutcome};
-use anek::factor_graph::BpSchedule;
 use anek::plural::{check, SpecTable};
 use anek::spec_lang::standard_api;
 use anek::Pipeline;
@@ -44,25 +44,19 @@ fn main() {
     }
     let gold = check(&corpus.units, &api, &gold_table);
 
-    // ---- Anek: infer with the modular probabilistic algorithm, across
-    //      the thread/schedule matrix (sweep @ 1 thread is the paper
-    //      configuration and fills the table) ----
-    let matrix = [
-        (1usize, BpSchedule::Sweep),
-        (8, BpSchedule::Sweep),
-        (1, BpSchedule::Residual),
-        (8, BpSchedule::Residual),
-    ];
-    let mut runs: Vec<(usize, BpSchedule, InferResult)> = Vec::new();
-    for (threads, schedule) in matrix {
-        let mut cfg = InferConfig { threads, ..InferConfig::default() };
-        cfg.max_iters = 3 * corpus.stats.methods;
-        cfg.bp.schedule = schedule;
+    // ---- Anek: infer with the modular probabilistic algorithm at 1 and 8
+    //      threads (1 thread is the paper configuration and fills the
+    //      table) ----
+    let mut runs: Vec<InferResult> = Vec::new();
+    for threads in [1usize, 8] {
+        let cfg =
+            InferConfig { threads, max_iters: 3 * corpus.stats.methods, ..InferConfig::default() };
         let result = Pipeline::new(corpus.units.clone()).with_config(cfg).infer();
         eprintln!(
-            "anek infer [threads={threads} schedule={schedule}]: {} in {:?} \
+            "anek infer [threads={threads} → {}]: {} in {:?} \
              ({} solves, {} BP iterations, {} message updates, \
              {} speculative / {} discarded, merge stalled {:?})",
+            result.threads,
             result.annotation_count(),
             result.elapsed,
             result.solves,
@@ -72,9 +66,9 @@ fn main() {
             result.discarded_solves,
             result.commit_stall
         );
-        runs.push((threads, schedule, result));
+        runs.push(result);
     }
-    let inference = runs[0].2.clone();
+    let inference = &runs[0];
     let anek_table = SpecTable::unannotated(&corpus.units).overlay_inferred(&inference.specs);
     let anek = check(&corpus.units, &api, &anek_table);
     // Count protocol-relevant annotations: non-empty inferred specs on the
@@ -168,7 +162,7 @@ fn main() {
 fn write_bench_json(
     scale: Scale,
     stats: &corpus::CorpusStats,
-    runs: &[(usize, BpSchedule, InferResult)],
+    runs: &[InferResult],
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str(&format!(
@@ -177,7 +171,7 @@ fn write_bench_json(
         stats.classes,
         stats.methods
     ));
-    for (i, (threads, schedule, r)) in runs.iter().enumerate() {
+    for (i, r) in runs.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
@@ -185,12 +179,12 @@ fn write_bench_json(
         // are bench-only. The deterministic counterparts (speculated /
         // stalled chunk counts) are what the trace artifact carries.
         s.push_str(&format!(
-            "\n    {{\"threads\": {threads}, \"schedule\": {}, \"wall_ms\": {:.3}, \
+            "\n    {{\"threads\": {}, \"wall_ms\": {:.3}, \
              \"solves\": {}, \"bp_iterations\": {}, \"message_updates\": {}, \
              \"speculative_solves\": {}, \"discarded_solves\": {}, \
              \"speculated_chunks\": {}, \"stalled_chunks\": {}, \
              \"commit_stall_ms\": {:.3}, \"annotations\": {}}}",
-            json_str(&schedule.to_string()),
+            r.threads,
             r.elapsed.as_secs_f64() * 1e3,
             r.solves,
             r.bp_iterations,

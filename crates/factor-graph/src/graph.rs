@@ -5,8 +5,8 @@
 //! * [`FactorGraph::solve`] — the sum-product algorithm on the factor graph
 //!   (loopy belief propagation), the approximate marginal computation the
 //!   paper relies on (§3.4, citing Kschischang et al. \[14\]). Message
-//!   passing runs on the flat-arena kernel in [`crate::kernel`]; see
-//!   [`BpSchedule`] for the available message schedules.
+//!   passing runs as synchronous sweeps on the flat-arena kernel in
+//!   [`crate::kernel`].
 //! * [`FactorGraph::solve_exact`] — brute-force enumeration of the joint,
 //!   used to validate BP on small graphs and by the "Logical"-style exact
 //!   baselines.
@@ -14,112 +14,27 @@
 use crate::factor::{Factor, VarId};
 use crate::kernel::CompiledGraph;
 
-/// The message-update schedule used by loopy belief propagation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BpSchedule {
-    /// Synchronous two-phase sweeps over all messages, in a fixed order.
-    /// Deterministic: the same graph and options give the same bits on
-    /// every run, thread count and machine. Bits can move when the kernel's
-    /// arithmetic changes; the golden fixtures pin them per release.
-    #[default]
-    Sweep,
-    /// Residual belief propagation: update the factor→variable message with
-    /// the largest pending change first. Typically converges in far fewer
-    /// message updates on large loopy graphs; same fixed points as `Sweep`.
-    Residual,
-}
-
-impl BpSchedule {
-    /// Parses a schedule name as accepted by the `--bp-schedule` CLI flag.
-    pub fn parse(s: &str) -> Option<BpSchedule> {
-        match s {
-            "sweep" => Some(BpSchedule::Sweep),
-            "residual" => Some(BpSchedule::Residual),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BpSchedule {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BpSchedule::Sweep => "sweep",
-            BpSchedule::Residual => "residual",
-        })
-    }
-}
-
-/// The stored representation of belief-propagation messages.
-///
-/// Arithmetic (products, normalization, damping) always runs in `f64`
-/// regardless of this setting; the precision only controls what the
-/// message *stores*, i.e. where rounding happens. `F64` is the default
-/// and the precision every golden fixture pins; `F32` halves
-/// message memory traffic at the cost of ~1e-7 relative rounding per
-/// stored message, and is opt-in (`--bp-precision f32`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BpPrecision {
-    /// Full-width message storage.
-    #[default]
-    F64,
-    /// Compact `f32` message storage with `f64` accumulation.
-    F32,
-}
-
-impl BpPrecision {
-    /// Parses a precision name as accepted by the `--bp-precision` CLI
-    /// flag.
-    pub fn parse(s: &str) -> Option<BpPrecision> {
-        match s {
-            "f64" => Some(BpPrecision::F64),
-            "f32" => Some(BpPrecision::F32),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for BpPrecision {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            BpPrecision::F64 => "f64",
-            BpPrecision::F32 => "f32",
-        })
-    }
-}
-
 /// Options controlling loopy belief propagation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BpOptions {
-    /// Maximum message-passing sweeps (under [`BpSchedule::Residual`], the
-    /// equivalent update budget: `max_iterations * num_edges`).
+    /// Maximum message-passing sweeps.
     pub max_iterations: usize,
     /// Convergence threshold on the max-change of any marginal.
     pub tolerance: f64,
     /// Damping in `[0, 1)`: new message = (1-d)*computed + d*old.
     pub damping: f64,
-    /// Message-update schedule.
-    pub schedule: BpSchedule,
     /// Optional hard per-solve budget on message updates, counted in the
     /// same unit as [`Marginals::updates`]. Unlike a wall-clock deadline
     /// this is deterministic: the same graph and options stop at the same
     /// update on every run. `None` (the default) leaves `max_iterations`
     /// as the only bound.
     pub update_budget: Option<usize>,
-    /// Stored message representation (see [`BpPrecision`]); `F64` by
-    /// default.
-    pub precision: BpPrecision,
-    /// Optional wall-clock deadline. The kernel polls it at sweep/batch
-    /// granularity and stops early with [`Marginals::deadline_expired`]
+    /// Optional wall-clock deadline. The kernel polls it once per sweep
+    /// and stops early with [`Marginals::deadline_expired`]
     /// set. Inherently non-deterministic — callers that promise
     /// byte-identical replays must never cache a deadline-truncated
     /// result (the inference layer keeps such solves out of the store).
     pub deadline: Option<std::time::Instant>,
-    /// Collect per-bucket batch counts from the residual scheduler into
-    /// [`Marginals::bucket_batches`]. Off by default: the disabled path
-    /// does no counting and leaves the vector empty, so tracing costs
-    /// nothing unless asked for. Purely observational — the schedule
-    /// itself is unchanged either way.
-    pub bucket_stats: bool,
 }
 
 impl Default for BpOptions {
@@ -128,11 +43,8 @@ impl Default for BpOptions {
             max_iterations: 50,
             tolerance: 1e-6,
             damping: 0.0,
-            schedule: BpSchedule::Sweep,
             update_budget: None,
-            precision: BpPrecision::F64,
             deadline: None,
-            bucket_stats: false,
         }
     }
 }
@@ -165,23 +77,18 @@ impl GuardEvents {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Marginals {
     pub(crate) probs: Vec<f64>,
-    /// Number of sweeps actually performed (under the residual schedule,
-    /// the sweep-equivalent count `ceil(updates / num_edges)`).
+    /// Number of sweeps actually performed.
     pub iterations: usize,
     /// Whether the tolerance was reached before the iteration cap.
     pub converged: bool,
-    /// Total factor→variable message updates applied. The unit both
-    /// schedules share: one sweep costs `num_edges` updates.
+    /// Total factor→variable message updates applied: one per edge and
+    /// per stamped extra in every sweep.
     pub updates: usize,
     /// Numeric anomalies clamped during the solve (see [`GuardEvents`]).
     pub guards: GuardEvents,
     /// True when [`BpOptions::deadline`] expired before convergence; the
-    /// marginals are whatever the schedule had produced so far.
+    /// marginals are whatever the sweeps had produced so far.
     pub deadline_expired: bool,
-    /// Per-bucket batch counts from the residual scheduler, populated only
-    /// when [`BpOptions::bucket_stats`] is set (and the schedule is
-    /// residual); empty otherwise.
-    pub bucket_batches: Vec<u32>,
 }
 
 impl Marginals {
@@ -363,7 +270,6 @@ impl FactorGraph {
             updates: 0,
             guards: GuardEvents::default(),
             deadline_expired: false,
-            bucket_batches: Vec::new(),
         }
     }
 }

@@ -28,5 +28,5 @@ pub mod graph;
 pub mod kernel;
 
 pub use factor::{Factor, VarId, MAX_SCOPE};
-pub use graph::{BpOptions, BpPrecision, BpSchedule, FactorGraph, GuardEvents, Marginals};
+pub use graph::{BpOptions, FactorGraph, GuardEvents, Marginals};
 pub use kernel::{BeliefTerm, CompiledGraph, Scratch};

@@ -7,43 +7,35 @@
 //! here by comparing against an unguarded-era fixture: the guard branch
 //! preserves `p_t / z` bit-for-bit when `z` is finite and positive).
 
-use factor_graph::{BpOptions, BpSchedule, Factor, FactorGraph};
-
-fn schedules() -> [BpSchedule; 2] {
-    [BpSchedule::Sweep, BpSchedule::Residual]
-}
+use factor_graph::{BpOptions, Factor, FactorGraph};
 
 #[test]
 fn all_zero_factor_table_yields_uniform_marginals() {
-    for schedule in schedules() {
-        let mut g = FactorGraph::new();
-        let a = g.add_var("a");
-        let b = g.add_var("b");
-        // A pairwise factor with zero mass everywhere: every message it
-        // emits sums to zero and must be clamped, not divided by.
-        g.add_factor(Factor::from_raw_parts(vec![a, b], vec![0.0, 0.0, 0.0, 0.0]));
-        g.add_factor(Factor::unary(a, 0.9));
-        let m = g.solve(&BpOptions { schedule, ..BpOptions::default() });
-        for v in [a, b] {
-            let p = m.prob(v);
-            assert!(p.is_finite(), "{schedule:?}: NaN leaked: {p}");
-            assert!((0.0..=1.0).contains(&p), "{schedule:?}: out of range: {p}");
-        }
-        assert!(m.guards.zero_sum > 0, "{schedule:?}: zero-sum clamps must be counted");
+    let mut g = FactorGraph::new();
+    let a = g.add_var("a");
+    let b = g.add_var("b");
+    // A pairwise factor with zero mass everywhere: every message it emits
+    // sums to zero and must be clamped, not divided by.
+    g.add_factor(Factor::from_raw_parts(vec![a, b], vec![0.0, 0.0, 0.0, 0.0]));
+    g.add_factor(Factor::unary(a, 0.9));
+    let m = g.solve(&BpOptions::default());
+    for v in [a, b] {
+        let p = m.prob(v);
+        assert!(p.is_finite(), "NaN leaked: {p}");
+        assert!((0.0..=1.0).contains(&p), "out of range: {p}");
     }
+    assert!(m.guards.zero_sum > 0, "zero-sum clamps must be counted");
 }
 
 #[test]
 fn nan_factor_table_is_clamped_and_counted() {
-    for schedule in schedules() {
-        let mut g = FactorGraph::new();
-        let a = g.add_var("a");
-        g.add_factor(Factor::from_raw_parts(vec![a], vec![f64::NAN, f64::NAN]));
-        g.add_factor(Factor::unary(a, 0.8));
-        let m = g.solve(&BpOptions { schedule, ..BpOptions::default() });
-        assert!(m.prob(a).is_finite(), "{schedule:?}: NaN marginal leaked");
-        assert!(m.guards.non_finite > 0, "{schedule:?}: non-finite clamps must be counted");
-    }
+    let mut g = FactorGraph::new();
+    let a = g.add_var("a");
+    g.add_factor(Factor::from_raw_parts(vec![a], vec![f64::NAN, f64::NAN]));
+    g.add_factor(Factor::unary(a, 0.8));
+    let m = g.solve(&BpOptions::default());
+    assert!(m.prob(a).is_finite(), "NaN marginal leaked");
+    assert!(m.guards.non_finite > 0, "non-finite clamps must be counted");
 }
 
 #[test]
@@ -56,13 +48,11 @@ fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
             let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("x{i}"))).collect();
             g.add_factor(Factor::from_raw_parts(scope.clone(), vec![cell; 1 << n]));
             g.add_factor(Factor::unary(scope[0], 0.8));
-            for schedule in schedules() {
-                let opts = BpOptions { schedule, ..BpOptions::default() };
-                for m in [g.solve(&opts), g.solve_map(&opts)] {
-                    assert!(m.as_slice().iter().all(|p| p.is_finite()), "{what} n={n} {schedule}");
-                    let counted = if cell == 0.0 { m.guards.zero_sum } else { m.guards.non_finite };
-                    assert!(counted > 0, "{what} n={n} {schedule}: clamp not counted");
-                }
+            let opts = BpOptions::default();
+            for m in [g.solve(&opts), g.solve_map(&opts)] {
+                assert!(m.as_slice().iter().all(|p| p.is_finite()), "{what} n={n}");
+                let counted = if cell == 0.0 { m.guards.zero_sum } else { m.guards.non_finite };
+                assert!(counted > 0, "{what} n={n}: clamp not counted");
             }
         }
     }
@@ -70,19 +60,14 @@ fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
 
 #[test]
 fn healthy_graph_reports_zero_guard_events() {
-    for schedule in schedules() {
-        let mut g = FactorGraph::new();
-        let a = g.add_var("a");
-        let b = g.add_var("b");
-        g.add_factor(Factor::unary(a, 0.9));
-        g.add_factor(Factor::from_fn(
-            vec![a, b],
-            |bits| if bits[0] == bits[1] { 0.9 } else { 0.1 },
-        ));
-        let m = g.solve(&BpOptions { schedule, ..BpOptions::default() });
-        assert!(m.converged, "{schedule:?}: tree graph converges");
-        assert!(!m.guards.any(), "{schedule:?}: healthy solve must count no clamps");
-    }
+    let mut g = FactorGraph::new();
+    let a = g.add_var("a");
+    let b = g.add_var("b");
+    g.add_factor(Factor::unary(a, 0.9));
+    g.add_factor(Factor::from_fn(vec![a, b], |bits| if bits[0] == bits[1] { 0.9 } else { 0.1 }));
+    let m = g.solve(&BpOptions::default());
+    assert!(m.converged, "tree graph converges");
+    assert!(!m.guards.any(), "healthy solve must count no clamps");
 }
 
 #[test]
@@ -112,41 +97,31 @@ fn guards_do_not_change_healthy_marginals() {
 
 #[test]
 fn update_budget_caps_work_deterministically() {
-    for schedule in schedules() {
-        // A frustrated loop that needs many sweeps to settle.
-        let mut g = FactorGraph::new();
-        let vars: Vec<_> = (0..6).map(|i| g.add_var(format!("v{i}"))).collect();
-        for i in 0..6 {
-            let (x, y) = (vars[i], vars[(i + 1) % 6]);
-            g.add_factor(Factor::from_fn(
-                vec![x, y],
-                |bits| {
-                    if bits[0] != bits[1] {
-                        0.9
-                    } else {
-                        0.1
-                    }
-                },
-            ));
-        }
-        g.add_factor(Factor::unary(vars[0], 0.95));
-        let free = g.solve(&BpOptions { schedule, ..BpOptions::default() });
-        let capped =
-            g.solve(&BpOptions { schedule, update_budget: Some(10), ..BpOptions::default() });
-        assert!(capped.updates <= free.updates, "{schedule:?}");
-        assert!(
-            capped.updates <= 10 + 2 * 6 * 2,
-            "{schedule:?}: budget respected within one sweep's slack: {}",
-            capped.updates
-        );
-        assert!(!capped.converged, "{schedule:?}: starved solve reports non-convergence");
-        // Same budget, same result — the cap is a deterministic counter,
-        // not a wall-clock race.
-        let again =
-            g.solve(&BpOptions { schedule, update_budget: Some(10), ..BpOptions::default() });
-        for &v in &vars {
-            assert_eq!(capped.prob(v).to_bits(), again.prob(v).to_bits(), "{schedule:?}");
-        }
+    // A frustrated loop that needs many sweeps to settle.
+    let mut g = FactorGraph::new();
+    let vars: Vec<_> = (0..6).map(|i| g.add_var(format!("v{i}"))).collect();
+    for i in 0..6 {
+        let (x, y) = (vars[i], vars[(i + 1) % 6]);
+        g.add_factor(Factor::from_fn(
+            vec![x, y],
+            |bits| if bits[0] != bits[1] { 0.9 } else { 0.1 },
+        ));
+    }
+    g.add_factor(Factor::unary(vars[0], 0.95));
+    let free = g.solve(&BpOptions::default());
+    let capped = g.solve(&BpOptions { update_budget: Some(10), ..BpOptions::default() });
+    assert!(capped.updates <= free.updates);
+    assert!(
+        capped.updates <= 10 + 2 * 6 * 2,
+        "budget respected within one sweep's slack: {}",
+        capped.updates
+    );
+    assert!(!capped.converged, "starved solve reports non-convergence");
+    // Same budget, same result — the cap is a deterministic counter, not a
+    // wall-clock race.
+    let again = g.solve(&BpOptions { update_budget: Some(10), ..BpOptions::default() });
+    for &v in &vars {
+        assert_eq!(capped.prob(v).to_bits(), again.prob(v).to_bits());
     }
 }
 

@@ -1,18 +1,17 @@
 //! Parity tests for the flat-arena kernel.
 //!
 //! The kernel may change *how fast* sum/max BP runs, never *what it
-//! computes*: under [`BpSchedule::Sweep`] it must reproduce the historical
-//! nested-`Vec` solver. This file keeps a verbatim copy of that solver
+//! computes*: it must reproduce the historical nested-`Vec` solver. This file keeps a verbatim copy of that solver
 //! (`reference` module below) as the oracle and drives both
 //! implementations over randomized graphs. The kernel contracts factor
 //! tables one dimension at a time, so it sums in a different order than
 //! the reference's cell-by-cell walk: marginals must agree within `1e-12`,
 //! and iteration counts and convergence flags must be identical. It also
-//! checks the two semantic properties of the kernel's machinery: stamped
-//! extras are exactly appended unary factors, and the residual schedule
-//! reaches the same fixed points with fewer updates.
+//! checks that stamped extras are exactly appended unary factors, and that
+//! on trees the sweeps converge to the exact marginals `solve_exact`
+//! enumerates.
 
-use factor_graph::{BpOptions, BpSchedule, CompiledGraph, Factor, FactorGraph, VarId};
+use factor_graph::{BpOptions, CompiledGraph, Factor, FactorGraph, VarId};
 use prng::Rng;
 
 /// The pre-arena solver, kept as the numeric oracle.
@@ -259,76 +258,23 @@ fn random_tree(rng: &mut Rng, n_vars: usize) -> FactorGraph {
 }
 
 #[test]
-fn residual_matches_exact_on_trees() {
-    prng::forall("residual-trees", 30, |rng| {
+fn sweep_matches_exact_on_trees() {
+    prng::forall("sweep-trees", 30, |rng| {
         let n_vars = rng.gen_index(2..12);
         let g = random_tree(rng, n_vars);
         let opts = BpOptions {
             max_iterations: 500,
             tolerance: 1e-9,
             damping: 0.0,
-            schedule: BpSchedule::Residual,
             ..BpOptions::default()
         };
-        let residual = g.solve(&opts);
-        assert!(residual.converged, "residual BP must converge on trees");
+        let bp = g.solve(&opts);
+        assert!(bp.converged, "BP must converge on trees");
         let exact = g.solve_exact();
         for i in 0..n_vars {
             let v = VarId(i as u32);
-            let (r, e) = (residual.prob(v), exact.prob(v));
-            assert!((r - e).abs() < 1e-6, "var {i}: residual={r} exact={e}");
+            let (b, e) = (bp.prob(v), exact.prob(v));
+            assert!((b - e).abs() < 1e-6, "var {i}: bp={b} exact={e}");
         }
     });
-}
-
-#[test]
-fn residual_stays_in_loopy_tolerance_band() {
-    // The same 4-cycle the sweep solver is tested on: loopy BP is allowed to
-    // be overconfident but must stay in the right direction and within 0.1.
-    let mut g = FactorGraph::new();
-    let xs: Vec<_> = (0..4).map(|i| g.add_var(format!("x{i}"))).collect();
-    g.add_factor(Factor::unary(xs[0], 0.9));
-    for i in 0..4 {
-        let (a, b) = (xs[i], xs[(i + 1) % 4]);
-        g.add_factor(Factor::soft(vec![a, b], 0.85, |v| v[0] == v[1]));
-    }
-    let exact = g.solve_exact();
-    let residual = g.solve(&BpOptions {
-        max_iterations: 200,
-        schedule: BpSchedule::Residual,
-        ..BpOptions::default()
-    });
-    for &x in &xs {
-        let (pr, pe) = (residual.prob(x), exact.prob(x));
-        assert!((pr - pe).abs() < 0.1, "{x}: residual={pr} exact={pe}");
-        assert!(pr > 0.5, "{x} leans true");
-    }
-}
-
-#[test]
-fn residual_uses_fewer_updates_than_sweep_on_loopy_graphs() {
-    // A long cycle with sparse evidence: the sweep schedule keeps touching
-    // every message each round while information crawls around the loop.
-    let mut g = FactorGraph::new();
-    let n = 40;
-    let xs: Vec<_> = (0..n).map(|i| g.add_var(format!("c{i}"))).collect();
-    g.add_factor(Factor::unary(xs[0], 0.95));
-    for i in 0..n {
-        let (a, b) = (xs[i], xs[(i + 1) % n]);
-        g.add_factor(Factor::soft(vec![a, b], 0.9, |v| v[0] == v[1]));
-    }
-    let opts =
-        BpOptions { max_iterations: 400, tolerance: 1e-6, damping: 0.0, ..Default::default() };
-    let sweep = g.solve(&opts);
-    let residual = g.solve(&BpOptions { schedule: BpSchedule::Residual, ..opts });
-    assert!(sweep.converged && residual.converged);
-    assert!(
-        residual.updates < sweep.updates,
-        "residual should need fewer updates: {} vs {}",
-        residual.updates,
-        sweep.updates
-    );
-    for &x in &xs {
-        assert!((residual.prob(x) - sweep.prob(x)).abs() < 1e-4, "{x}");
-    }
 }

@@ -8,20 +8,18 @@
 //! contains a wall-clock reading**. Logical clocks — solve sequence
 //! numbers, BP iteration counts, message-update counts — are the only
 //! notion of time. This is what lets CI byte-diff a `--trace-json` file
-//! across `--threads 1` vs `4` (and, for the schedule-independent section,
-//! across BP schedules): the worklist commits the same solve sequence
-//! regardless of the thread count, so the same spans come out in the same
-//! order with the same numbers.
+//! across `--threads 1` vs `4`: the worklist commits the same solve
+//! sequence regardless of the thread count, so the same spans come out in
+//! the same order with the same numbers.
 //!
 //! A [`Trace`] renders as exactly three JSON lines, one per determinism
 //! class:
 //!
-//! 1. `"section":"spec"` — inferred specs and screened methods. Thread-
-//!    *and* schedule-independent (whenever the schedules agree on specs).
+//! 1. `"section":"spec"` — inferred specs and screened methods.
+//!    Thread-independent.
 //! 2. `"section":"deterministic"` — hierarchical counters plus one
-//!    [`SolveSpan`] per committed solve, in commit order. Thread-
-//!    independent, schedule-*dependent* (update counts differ by
-//!    schedule).
+//!    [`SolveSpan`] per committed solve, in commit order.
+//!    Thread-independent.
 //! 3. `"section":"execution"` — the parallel execution shape (speculative
 //!    and discarded solves, chunk stalls). Deterministic *per thread
 //!    count* but not across thread counts, which is why it lives on its
@@ -155,9 +153,6 @@ pub struct TraceCounters {
     pub nonconverged_solves: u64,
     /// Total numeric normalization guard events.
     pub numeric_guard_events: u64,
-    /// Per-bucket batch counts of the residual scheduler, summed over
-    /// committed (non-cache-hit) solves. Empty under the sweep schedule.
-    pub bucket_batches: Vec<u64>,
 }
 
 /// The parallel execution shape. Deterministic for a fixed thread count
@@ -189,8 +184,6 @@ pub struct Trace {
     pub specs: Vec<SpecEntry>,
     /// Methods the screening pre-pass skipped, in deterministic order.
     pub screened: Vec<String>,
-    /// BP schedule label (`sweep` / `residual`).
-    pub schedule: String,
     /// Deterministic counters.
     pub counters: TraceCounters,
     /// Per-solve spans in commit order.
@@ -240,12 +233,10 @@ impl Trace {
     fn render_deterministic_line(&self, out: &mut String) {
         let c = &self.counters;
         out.push_str(&format!(
-            "{{\"section\":\"deterministic\",\"schedule\":\"{}\",\"counters\":{{\
+            "{{\"section\":\"deterministic\",\"counters\":{{\
              \"solves\":{},\"bp_iterations\":{},\"message_updates\":{},\
              \"memo_hits\":{},\"memo_misses\":{},\"screened_methods\":{},\
-             \"nonconverged_solves\":{},\"numeric_guard_events\":{},\
-             \"bucket_batches\":[",
-            escape(&self.schedule),
+             \"nonconverged_solves\":{},\"numeric_guard_events\":{}}},\"spans\":[",
             c.solves,
             c.bp_iterations,
             c.message_updates,
@@ -255,8 +246,6 @@ impl Trace {
             c.nonconverged_solves,
             c.numeric_guard_events,
         ));
-        push_u64s(out, &c.bucket_batches);
-        out.push_str("]},\"spans\":[");
         for (i, s) in self.spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -334,7 +323,6 @@ mod tests {
                 ensures: "full(it)".into(),
             }],
             screened: vec!["App.idle".into()],
-            schedule: "sweep".into(),
             counters: TraceCounters {
                 solves: 3,
                 bp_iterations: 40,

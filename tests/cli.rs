@@ -53,6 +53,13 @@ fn exit_two_on_usage_errors() {
     // Unknown flag.
     let out = anek().args(["infer", "--frobnicate", "x.java"]).output().expect("run");
     assert_eq!(code(&out), 2);
+    // The removed BP schedule/precision flags are unknown flags too, caught
+    // before any input file is read.
+    for flag in [["--bp-schedule", "residual"], ["--bp-precision", "f32"]] {
+        let out = anek().arg("infer").args(flag).arg("x.java").output().expect("run");
+        assert_eq!(code(&out), 2, "{flag:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"), "{flag:?}");
+    }
     // Flag missing its argument.
     let out = anek().args(["infer", "--threads"]).output().expect("run");
     assert_eq!(code(&out), 2);
