@@ -164,8 +164,7 @@ pub struct InferResult {
     /// the "methods actually re-analyzed" metric the tests assert shrinks.
     pub memo_misses: usize,
     /// The program call graph over analyzable methods: callee → callers.
-    /// This is the dependency index a persistent store saves for dirty-cone
-    /// reporting.
+    /// `anek serve` closes an edit's dirty cone over it.
     pub callers: BTreeMap<MethodId, BTreeSet<MethodId>>,
     /// Methods skipped by the bit-vector screening pre-pass
     /// (`InferConfig::screen`): provably protocol-conformant and isolated

@@ -45,7 +45,7 @@ pub struct Pipeline {
     /// strict constructors.
     pub skipped_sources: Vec<SkippedSource>,
     /// Persistent artifact store. When attached, [`Pipeline::infer`] runs
-    /// through it (memoized solves) and records the run's artifacts into it.
+    /// through it: solves and PFGs are memoized in it.
     pub store: Option<Arc<Store>>,
 }
 
@@ -80,53 +80,6 @@ impl PipelineReport {
     /// Whether every source parsed and every method's solve ended `Ok`.
     pub fn fully_ok(&self) -> bool {
         self.skipped_sources.is_empty() && self.inference.fully_ok()
-    }
-
-    /// Speculative solves the parallel worklist discarded (redone against
-    /// fresher summaries); 0 on single-threaded runs.
-    pub fn discarded_solves(&self) -> usize {
-        self.inference.discarded_solves
-    }
-
-    /// Solves the parallel worklist attempted speculatively; 0 on
-    /// single-threaded runs. `speculative_solves - discarded_solves` is the
-    /// work the merge loop got off the critical path.
-    pub fn speculative_solves(&self) -> usize {
-        self.inference.speculative_solves
-    }
-
-    /// Time the merge thread spent blocked on speculation workers (zero
-    /// single-threaded) — the measured cost of commit serialization. This
-    /// is wall clock: bench-only, never part of a deterministic artifact
-    /// (the deterministic counterparts are [`PipelineReport::stalled_chunks`]
-    /// and [`PipelineReport::speculated_chunks`]).
-    pub fn commit_stall(&self) -> std::time::Duration {
-        self.inference.commit_stall
-    }
-
-    /// Chunks the parallel worklist handed to speculation workers
-    /// (deterministic for a fixed thread count; 0 single-threaded).
-    pub fn speculated_chunks(&self) -> usize {
-        self.inference.speculated_chunks
-    }
-
-    /// Speculated chunks whose results were not ready when the merge loop
-    /// reached them — the *count* of commit stalls, deterministic for a
-    /// fixed thread count (unlike the stall's wall-clock duration).
-    pub fn stalled_chunks(&self) -> usize {
-        self.inference.stalled_chunks
-    }
-
-    /// The deterministic trace of the inference stage, when the pipeline
-    /// ran with [`Pipeline::with_trace`].
-    pub fn trace(&self) -> Option<&observe::Trace> {
-        self.inference.trace.as_ref()
-    }
-
-    /// Methods the bit-vector screening pre-pass proved clean and skipped
-    /// (0 unless the pipeline ran with [`Pipeline::with_screen`]).
-    pub fn screened_methods(&self) -> usize {
-        self.inference.screened_methods
     }
 }
 
@@ -234,8 +187,8 @@ impl Pipeline {
     }
 
     /// Attaches a persistent artifact store: inference memoizes per-method
-    /// solves through it (warm runs are byte-identical to cold ones, see
-    /// `anek_core::memo`) and records ASTs, summaries and specs into it.
+    /// solves and PFGs through it (warm runs are byte-identical to cold
+    /// ones, see `anek_core::memo`).
     pub fn with_store(mut self, store: Arc<Store>) -> Pipeline {
         self.store = Some(store);
         self
@@ -286,17 +239,7 @@ impl Pipeline {
     /// Runs inference only (through the attached store, when present).
     pub fn infer(&self) -> InferResult {
         let cache = self.store.as_deref().map(|s| s as &dyn InferCache);
-        let result = infer_with_store(&self.units, &self.api, &self.config, cache);
-        if let Some(store) = &self.store {
-            // Recording is best-effort: a full store disk is a cold next
-            // run, not a failed analysis.
-            if let Ok(run) = store.record_run(&self.units, &self.api, &self.config, &result) {
-                if let Some(trace) = &result.trace {
-                    store.record_trace(run, &trace.render());
-                }
-            }
-        }
-        result
+        infer_with_store(&self.units, &self.api, &self.config, cache)
     }
 
     /// Runs PLURAL with the given spec table.

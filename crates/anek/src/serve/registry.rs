@@ -4,8 +4,8 @@
 //! Each session owns its sources, configuration and last inference result;
 //! all sessions share the `Arc<Store>`, so a solve paid for by one tenant
 //! warms every other tenant with the same code. Under a configurable
-//! memory budget the registry evicts the *heavyweight* state (last result +
-//! dependency index) of least-recently-used sessions — sources and
+//! memory budget the registry evicts the *heavyweight* state (the last
+//! result) of least-recently-used sessions — sources and
 //! configuration are kept, so the next query transparently re-solves, and
 //! because every re-solve replays warm store records the rebuilt state is
 //! byte-identical to the evicted one.

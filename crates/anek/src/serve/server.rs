@@ -55,7 +55,6 @@ impl Default for ServerOptions {
 struct ServerInner {
     registry: SessionRegistry,
     sched: Scheduler,
-    store: Option<Arc<Store>>,
     opts: ServerOptions,
     clients: Mutex<Vec<Arc<Outbox>>>,
 }
@@ -88,9 +87,8 @@ impl Server {
     /// Starts the worker pool over a fresh registry.
     pub fn start(config: InferConfig, store: Option<Arc<Store>>, opts: ServerOptions) -> Server {
         let inner = Arc::new(ServerInner {
-            registry: SessionRegistry::new(config, store.clone(), opts.memory_budget_bytes),
+            registry: SessionRegistry::new(config, store, opts.memory_budget_bytes),
             sched: Scheduler::new(opts.policy),
-            store,
             opts: opts.clone(),
             clients: Mutex::new(Vec::new()),
         });
@@ -270,9 +268,6 @@ fn execute(inner: &ServerInner, meta: RequestMeta, tier: ShedTier) -> String {
             Json::Obj(vec![("id".into(), meta.id), ("result".into(), result)]).to_string()
         }
         "shutdown" => {
-            if let Some(store) = &inner.store {
-                let _ = store.flush();
-            }
             inner.sched.begin_drain();
             let result = Json::Obj(vec![("ok".into(), Json::Bool(true))]);
             Json::Obj(vec![("id".into(), meta.id), ("result".into(), result)]).to_string()

@@ -27,13 +27,14 @@
 
 use super::error_response;
 use crate::json::{self, Json};
+use analysis::types::MethodId;
 use anek_core::{infer_with_store, InferCache, InferConfig, InferResult};
 use java_syntax::ast::CompilationUnit;
 use spec_lang::{api_with_protocols, standard_api, ApiRegistry};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Instant;
-use store::{DepIndex, Store, StoreStats};
+use store::{Store, StoreStats};
 
 /// Per-request execution context the scheduler hands a session: an
 /// absolute deadline and whether the load shedder degraded this request to
@@ -41,8 +42,8 @@ use store::{DepIndex, Store, StoreStats};
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RequestCtx {
     /// Absolute wall-clock deadline for solves run by this request. A
-    /// deadline-truncated run reports `Degraded{deadline-expired}` outcomes
-    /// and is never recorded to the store.
+    /// deadline-truncated run reports `Degraded{deadline-expired}` outcomes;
+    /// its truncated solves are never written to the store.
     pub deadline: Option<Instant>,
     /// Force the bit-vector screening pre-pass on for this request's solve
     /// (shed tier 2). The session remembers it owes a full catch-up solve;
@@ -62,10 +63,9 @@ pub struct ServeSession {
     sources: BTreeMap<String, String>,
     /// Names that failed to parse in the last run.
     skipped: Vec<String>,
+    /// The last inference result. Its summary keys and reverse call graph
+    /// also give the dirty cone an update reports.
     result: Option<InferResult>,
-    /// Reverse-call dependency index from the last run, used to report the
-    /// dirty cone of an update.
-    dep: DepIndex,
     /// Monotonic count of inference runs this session has performed. The
     /// registry mirrors it per slot for `server_stats`.
     pub generation: u64,
@@ -97,7 +97,6 @@ impl ServeSession {
             sources: BTreeMap::new(),
             skipped: Vec::new(),
             result: None,
-            dep: DepIndex::default(),
             generation: 0,
             needs_full: false,
         }
@@ -145,9 +144,6 @@ impl ServeSession {
             "stats" => Ok(self.stats()),
             "shutdown" => {
                 shutdown = true;
-                if let Some(store) = &self.store {
-                    let _ = store.flush();
-                }
                 Ok(Json::Obj(vec![("ok".into(), Json::Bool(true))]))
             }
             "" => Err("request has no method".to_string()),
@@ -191,27 +187,12 @@ impl ServeSession {
         self.config.screen = saved_screen;
         self.config.bp.deadline = None;
         self.generation += 1;
-        // A degraded run (shed to screening, or truncated by its deadline)
-        // never records to the store — partial results must not poison the
-        // shared cache — and a shed run marks the session as owing a full
-        // catch-up before the next query answers.
-        let degraded_run = ctx.shed_screen || result.deadline_hit;
-        if let Some(store) = &self.store {
-            if !degraded_run {
-                let _ = store.record_run(&units, &self.api, &self.config, &result);
-            }
-        }
+        // A shed run marks the session as owing a full catch-up before the
+        // next query answers.
         if ctx.shed_screen {
             self.needs_full = true;
         } else if !result.deadline_hit {
             self.needs_full = false;
-        }
-        self.dep = DepIndex::default();
-        for id in result.summaries.keys() {
-            self.dep.class_methods.entry(id.class.clone()).or_default().insert(id.method.clone());
-        }
-        for (callee, callers) in &result.callers {
-            self.dep.callers.insert(callee.clone(), callers.clone());
         }
         let counters = Json::Obj(vec![
             ("methods".into(), Json::num(result.summaries.len())),
@@ -267,21 +248,11 @@ impl ServeSession {
         if !self.sources.contains_key(&name) {
             return Err(format!("unknown source `{name}` (load_sources first)"));
         }
-        // The dirty cone: methods declared in the old or new version of
-        // this file, closed transitively over the previous run's reverse
-        // call graph. Reported before re-running so the peer can see what
-        // the edit *can* invalidate.
-        let mut roots = Vec::new();
-        for version in [self.sources.get(&name), Some(&text)].into_iter().flatten() {
-            if let Ok(unit) = java_syntax::parse(version) {
-                for t in &unit.types {
-                    for m in self.dep.class_methods.get(&t.name).into_iter().flatten() {
-                        roots.push(analysis::types::MethodId::new(&t.name, m));
-                    }
-                }
-            }
-        }
-        let cone = self.dep.dirty_cone(roots);
+        // Reported before re-running so the peer can see what the edit
+        // *can* invalidate.
+        let cone = self.result.as_ref().map_or_else(BTreeSet::new, |last| {
+            dirty_cone(last, [self.sources.get(&name), Some(&text)].into_iter().flatten())
+        });
         self.sources.insert(name, text);
         let counters = self.run_infer(ctx);
         let mut fields = vec![(
@@ -300,7 +271,7 @@ impl ServeSession {
             params.get("method").and_then(Json::as_str).ok_or("query_spec needs params.method")?;
         let (class, method) =
             target.split_once('.').ok_or("params.method must be `Class.method`")?;
-        let id = analysis::types::MethodId::new(class, method);
+        let id = MethodId::new(class, method);
         let result = self.result.as_ref().ok_or("no sources loaded")?;
         let spec = result.specs.get(&id).ok_or_else(|| format!("unknown method `{target}`"))?;
         let confidence = result.confidence.get(&id).copied().unwrap_or(1.0);
@@ -357,7 +328,7 @@ impl ServeSession {
             params.get("method").and_then(Json::as_str).ok_or("explain needs params.method")?;
         let (class, method) =
             target.split_once('.').ok_or("params.method must be `Class.method`")?;
-        let id = analysis::types::MethodId::new(class, method);
+        let id = MethodId::new(class, method);
         let result = self.result.as_ref().ok_or("no sources loaded")?;
         let mut units: Vec<CompilationUnit> = Vec::new();
         for text in self.sources.values() {
@@ -420,12 +391,11 @@ impl ServeSession {
             .map_or((0, 0, 0, 0), |r| (r.solves, r.memo_hits, r.memo_misses, r.screened_methods))
     }
 
-    /// Drops the heavyweight state (last result + dependency index),
-    /// keeping sources and configuration. The next query transparently
-    /// rebuilds it via [`ServeSession::ensure_full`].
+    /// Drops the heavyweight state (the last result), keeping sources and
+    /// configuration. The next query transparently rebuilds it via
+    /// [`ServeSession::ensure_full`].
     pub fn evict_heavy(&mut self) {
         self.result = None;
-        self.dep = DepIndex::default();
     }
 
     /// Coarse, deterministic estimate of this session's *evictable*
@@ -528,6 +498,31 @@ impl ServeSession {
         fields.push(("store".into(), store_field));
         Json::Obj(fields)
     }
+}
+
+/// The dirty cone of an edit to one source file: the methods `last`
+/// inferred for every class that any of `versions` (the file's old and new
+/// text) declares, closed transitively over `last`'s reverse call graph.
+fn dirty_cone<'a>(
+    last: &InferResult,
+    versions: impl IntoIterator<Item = &'a String>,
+) -> BTreeSet<MethodId> {
+    let mut cone = BTreeSet::new();
+    for version in versions {
+        let Ok(unit) = java_syntax::parse(version) else { continue };
+        for t in &unit.types {
+            cone.extend(last.summaries.keys().filter(|id| id.class == t.name).cloned());
+        }
+    }
+    let mut frontier: Vec<MethodId> = cone.iter().cloned().collect();
+    while let Some(id) = frontier.pop() {
+        for caller in last.callers.get(&id).into_iter().flatten() {
+            if cone.insert(caller.clone()) {
+                frontier.push(caller.clone());
+            }
+        }
+    }
+    cone
 }
 
 #[cfg(test)]

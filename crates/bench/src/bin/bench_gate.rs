@@ -11,9 +11,10 @@
 //! 2. `wall_ms` must be within 20% of the baseline row recorded on the
 //!    reference machine.
 //!
-//! Run: `bench_gate <current BENCH_infer.json> <baseline json>` (wired into
-//! `ci.sh` right after the `table2 --small` smoke).
+//! Run: `bench_gate <current BENCH_infer.json> <baseline json>` (`ci.sh`
+//! runs it on the file `table2 --small` writes).
 
+use anek::json::{self, Json};
 use std::process::ExitCode;
 
 /// One parsed run row.
@@ -26,42 +27,29 @@ struct Run {
     annotations: u64,
 }
 
-/// Extracts the raw token following `"key": ` in `chunk` (up to the next
-/// `,` or `}`), without any JSON library: the bench files are written by
-/// `table2`'s fixed formatter, so the shape is stable.
-fn raw_field<'a>(chunk: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = chunk.find(&pat)? + pat.len();
-    let rest = chunk[at..].trim_start();
-    let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
-    Some(rest[..end].trim())
-}
-
-fn num_field(chunk: &str, key: &str) -> Option<f64> {
-    raw_field(chunk, key)?.parse().ok()
-}
-
-fn count_field(chunk: &str, key: &str, what: &str) -> Result<u64, String> {
-    raw_field(chunk, key).and_then(|raw| raw.parse().ok()).ok_or(format!("{what}: bad {key} field"))
-}
-
-/// Parses every `{"threads": ...}` row of a BENCH_infer.json document.
+/// Parses every row of a BENCH_infer.json document's `runs` array.
 fn parse_runs(doc: &str, what: &str) -> Result<Vec<Run>, String> {
-    let mut runs = Vec::new();
-    for chunk in doc.split('{').skip(1) {
-        if !chunk.trim_start().starts_with("\"threads\"") {
-            continue;
-        }
-        let run = Run {
-            threads: num_field(chunk, "threads").ok_or(format!("{what}: bad threads field"))?
-                as u64,
-            wall_ms: num_field(chunk, "wall_ms").ok_or(format!("{what}: bad wall_ms field"))?,
-            solves: count_field(chunk, "solves", what)?,
-            message_updates: count_field(chunk, "message_updates", what)?,
-            annotations: count_field(chunk, "annotations", what)?,
-        };
-        runs.push(run);
-    }
+    let doc = json::parse(doc).map_err(|e| format!("{what}: {e}"))?;
+    let rows = doc.get("runs").and_then(Json::as_arr).unwrap_or_default();
+    let runs = rows
+        .iter()
+        .map(|row| {
+            let num = |key: &str| {
+                row.get(key).and_then(Json::as_num).ok_or(format!("{what}: bad {key} field"))
+            };
+            let count = |key: &str| match num(key)? {
+                n if n >= 0.0 && n.fract() == 0.0 => Ok(n as u64),
+                _ => Err(format!("{what}: bad {key} field")),
+            };
+            Ok(Run {
+                threads: count("threads")?,
+                wall_ms: num("wall_ms")?,
+                solves: count("solves")?,
+                message_updates: count("message_updates")?,
+                annotations: count("annotations")?,
+            })
+        })
+        .collect::<Result<Vec<Run>, String>>()?;
     if runs.is_empty() {
         return Err(format!("{what}: no runs found"));
     }

@@ -34,6 +34,7 @@
 use anek::analysis::MethodId;
 use anek::anek_core::InferResult;
 use anek::bitstate;
+use anek::json::{self, Json, JsonError};
 use anek::plural::SpecTable;
 use anek::spec_lang::{standard_api, ApiRegistry, MethodSpec, PermAtom, ProtocolRegistry, ALIVE};
 use anek::Pipeline;
@@ -174,27 +175,18 @@ fn measure_family(family: &str, scale: Scale) -> FamilyQuality {
     }
 }
 
-/// Baseline F1 per family, parsed from the checked-in
-/// `quality_baseline.json` without a JSON library (the file is written by
-/// this binary's own fixed formatter).
-fn parse_baseline(doc: &str) -> BTreeMap<String, f64> {
-    let mut out = BTreeMap::new();
-    for chunk in doc.split('{').skip(1) {
-        let family = chunk
-            .split("\"family\":")
-            .nth(1)
-            .and_then(|rest| rest.split('"').nth(1))
-            .map(str::to_string);
-        let f1 = chunk
-            .split("\"f1\":")
-            .nth(1)
-            .and_then(|rest| rest.split([',', '}', '\n']).next())
-            .and_then(|v| v.trim().parse::<f64>().ok());
-        if let (Some(family), Some(f1)) = (family, f1) {
-            out.insert(family, f1);
-        }
-    }
-    out
+/// Baseline F1 per family, read from the checked-in
+/// `quality_baseline.json`; rows without a family name or F1 are skipped.
+fn parse_baseline(doc: &str) -> Result<BTreeMap<String, f64>, JsonError> {
+    let doc = json::parse(doc)?;
+    let rows = doc.get("families").and_then(Json::as_arr).unwrap_or_default();
+    Ok(rows
+        .iter()
+        .filter_map(|row| {
+            let family = row.get("family").and_then(Json::as_str)?;
+            Some((family.to_string(), row.get("f1").and_then(Json::as_num)?))
+        })
+        .collect())
 }
 
 fn main() -> ExitCode {
@@ -264,7 +256,7 @@ fn main() -> ExitCode {
     if let Some(path) = baseline_path {
         let doc =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("--baseline {path}: {e}"));
-        let baseline = parse_baseline(&doc);
+        let baseline = parse_baseline(&doc).unwrap_or_else(|e| panic!("--baseline {path}: {e}"));
         for q in &rows {
             match baseline.get(&q.family) {
                 // Inference is deterministic, so any drop below the

@@ -5,7 +5,11 @@
 //! Bierhoff's thesis ch. 5). This module provides that substrate: solving
 //! `A·x = b` over exact [`Fraction`]s with partial pivoting, reporting rank,
 //! consistency and a particular solution (free variables pinned to zero).
+//! It is the dense textbook reference for [`crate::sparse::solve_sparse`],
+//! which production runs use; a differential test below holds the two to
+//! the same answers on random small systems.
 
+use crate::sparse::SignedFrac;
 use spec_lang::Fraction;
 
 /// Outcome of [`solve`].
@@ -69,50 +73,6 @@ impl Matrix {
     }
 }
 
-/// Fractions are non-negative by construction, but elimination needs signed
-/// intermediates; this helper represents a signed fraction as (sign, |v|).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Signed {
-    neg: bool,
-    mag: Fraction,
-}
-
-impl Signed {
-    fn from(f: Fraction) -> Signed {
-        Signed { neg: false, mag: f }
-    }
-
-    fn is_zero(self) -> bool {
-        self.mag.is_zero()
-    }
-
-    fn sub(self, other: Signed) -> Signed {
-        match (self.neg, other.neg) {
-            (false, false) => {
-                if self.mag >= other.mag {
-                    Signed { neg: false, mag: self.mag - other.mag }
-                } else {
-                    Signed { neg: true, mag: other.mag - self.mag }
-                }
-            }
-            // (-a) - (-b) = b - a
-            (true, true) => {
-                Signed { neg: false, mag: other.mag }.sub(Signed { neg: false, mag: self.mag })
-            }
-            (false, true) => Signed { neg: false, mag: self.mag + other.mag },
-            (true, false) => Signed { neg: true, mag: self.mag + other.mag },
-        }
-    }
-
-    fn mul(self, other: Signed) -> Signed {
-        Signed { neg: self.neg != other.neg, mag: self.mag * other.mag }
-    }
-
-    fn div(self, other: Signed) -> Signed {
-        Signed { neg: self.neg != other.neg, mag: self.mag / other.mag }
-    }
-}
-
 /// Solves `A·x = b` by Gaussian elimination with partial (first-nonzero)
 /// pivoting over exact rationals.
 ///
@@ -132,11 +92,13 @@ pub fn solve(a: &Matrix, b: &[Fraction]) -> Solution {
     assert_eq!(b.len(), a.rows(), "rhs length must match row count");
     let rows = a.rows();
     let cols = a.cols();
-    // Augmented signed working copy.
-    let mut m: Vec<Vec<Signed>> = (0..rows)
+    // Augmented signed working copy: fractions are non-negative by
+    // construction, but elimination needs signed intermediates.
+    let mut m: Vec<Vec<SignedFrac>> = (0..rows)
         .map(|r| {
-            let mut row: Vec<Signed> = (0..cols).map(|c| Signed::from(a.get(r, c))).collect();
-            row.push(Signed::from(b[r]));
+            let mut row: Vec<SignedFrac> =
+                (0..cols).map(|c| SignedFrac::from(a.get(r, c))).collect();
+            row.push(SignedFrac::from(b[r]));
             row
         })
         .collect();
@@ -196,6 +158,8 @@ pub fn solve(a: &Matrix, b: &[Fraction]) -> Solution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sparse::{solve_sparse, SparseRow};
+    use std::cell::Cell;
 
     fn f(n: i64, d: i64) -> Fraction {
         Fraction::new(n, d).unwrap()
@@ -293,5 +257,97 @@ mod tests {
         assert!(s.consistent);
         assert_eq!(s.rank, 0);
         assert_eq!(s.free.len(), 3);
+    }
+
+    /// A random small system over small non-negative integers. Some rows
+    /// are `k·row_i + row_j` of earlier rows (rank deficiency), and the
+    /// right-hand side is either `A·x` for a random non-negative `x`,
+    /// possibly with one entry bumped (which makes a system with dependent
+    /// rows inconsistent), or fully random.
+    fn random_system(rng: &mut prng::Rng) -> (Matrix, Vec<Fraction>) {
+        let (rows, cols) = (rng.gen_index(1..5), rng.gen_index(1..5));
+        let mut a = Matrix::zeros(rows, cols);
+        for r in 0..rows {
+            if r >= 2 && rng.gen_bool(0.35) {
+                let (i, j) = (rng.gen_index(0..r), rng.gen_index(0..r));
+                let k = Fraction::from(rng.gen_index(1..3) as u32);
+                for c in 0..cols {
+                    a.set(r, c, k * a.get(i, c) + a.get(j, c));
+                }
+            } else {
+                for c in 0..cols {
+                    let v = if rng.gen_bool(0.4) { 0 } else { rng.gen_index(1..4) };
+                    a.set(r, c, Fraction::from(v as u32));
+                }
+            }
+        }
+        let mut b: Vec<Fraction> = if rng.gen_bool(0.2) {
+            (0..rows).map(|_| Fraction::from(rng.gen_index(0..4) as u32)).collect()
+        } else {
+            let x: Vec<Fraction> =
+                (0..cols).map(|_| f(rng.gen_range(0..4), rng.gen_range(1..4))).collect();
+            (0..rows)
+                .map(|r| (0..cols).fold(Fraction::ZERO, |acc, c| acc + a.get(r, c) * x[c]))
+                .collect()
+        };
+        if rng.gen_bool(0.3) {
+            let r = rng.gen_index(0..rows);
+            b[r] = b[r] + Fraction::ONE;
+        }
+        (a, b)
+    }
+
+    #[test]
+    fn dense_and_sparse_solvers_agree_on_random_systems() {
+        let (deficient, inconsistent, negative) = (Cell::new(0), Cell::new(0), Cell::new(0));
+        prng::forall("dense vs sparse elimination", 600, |rng| {
+            let (a, b) = random_system(rng);
+            let rows: Vec<SparseRow> = (0..a.rows())
+                .map(|r| {
+                    let mut row = SparseRow::new();
+                    for c in 0..a.cols() {
+                        row.add_coeff(c, SignedFrac::from(a.get(r, c)));
+                    }
+                    row.rhs = SignedFrac::from(b[r]);
+                    row
+                })
+                .collect();
+            let dense = solve(&a, &b);
+            let sparse = solve_sparse(rows, a.cols());
+
+            assert_eq!(dense.rank, sparse.rank, "rank of {a:?}");
+            // The dense solver also rejects a solution with a negative
+            // component; everywhere else the two agree on consistency.
+            let nonnegative = sparse.values.iter().all(|v| !v.neg);
+            if sparse.consistent && !nonnegative {
+                negative.set(negative.get() + 1);
+                assert!(!dense.consistent, "negative solution accepted for {a:?}, {b:?}");
+            } else {
+                assert_eq!(dense.consistent, sparse.consistent, "{a:?}, {b:?}");
+            }
+            deficient.set(deficient.get() + usize::from(dense.rank < a.rows().min(a.cols())));
+            inconsistent.set(inconsistent.get() + usize::from(!sparse.consistent));
+
+            // Each particular solution satisfies A·x = b.
+            for (r, &rhs) in b.iter().enumerate() {
+                if sparse.consistent {
+                    let lhs = (0..a.cols()).fold(SignedFrac::ZERO, |acc, c| {
+                        acc.add(SignedFrac::from(a.get(r, c)).mul(sparse.values[c]))
+                    });
+                    assert_eq!(lhs, SignedFrac::from(rhs), "sparse row {r} of {a:?}");
+                }
+                if dense.consistent {
+                    let lhs = (0..a.cols())
+                        .fold(Fraction::ZERO, |acc, c| acc + a.get(r, c) * dense.values[c]);
+                    assert_eq!(lhs, rhs, "dense row {r} of {a:?}");
+                }
+            }
+        });
+        // The generator reaches every case the comparison distinguishes.
+        for (what, n) in
+            [("rank-deficient", deficient), ("inconsistent", inconsistent), ("negative", negative)]
+        {
+            assert!(n.get() > 0, "no {what} system generated");
+        }
     }
 }

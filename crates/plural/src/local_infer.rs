@@ -9,7 +9,9 @@
 //!
 //! We reproduce that computation: every PFG edge gets a fraction variable;
 //! flow conservation at every node plus unit supply at each parameter yields
-//! a linear system over exact rationals, solved by [`crate::linalg::solve`].
+//! a linear system over exact rationals, solved by sparse elimination
+//! ([`crate::sparse::solve_sparse`]; the dense [`crate::linalg::solve`] is
+//! its test oracle).
 //! The Table 3 experiment compares this (on a fully inlined method) against
 //! ANEK's probabilistic inference on the modular form.
 

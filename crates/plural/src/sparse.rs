@@ -43,7 +43,7 @@ impl SignedFrac {
         SignedFrac { neg: !self.neg && !self.is_zero(), mag: self.mag }
     }
 
-    fn add(self, other: SignedFrac) -> SignedFrac {
+    pub(crate) fn add(self, other: SignedFrac) -> SignedFrac {
         match (self.neg, other.neg) {
             (false, false) => SignedFrac { neg: false, mag: self.mag + other.mag },
             (true, true) => SignedFrac { neg: true, mag: self.mag + other.mag },
@@ -58,16 +58,16 @@ impl SignedFrac {
         }
     }
 
-    fn sub(self, other: SignedFrac) -> SignedFrac {
+    pub(crate) fn sub(self, other: SignedFrac) -> SignedFrac {
         self.add(other.neg())
     }
 
-    fn mul(self, other: SignedFrac) -> SignedFrac {
+    pub(crate) fn mul(self, other: SignedFrac) -> SignedFrac {
         let mag = self.mag * other.mag;
         SignedFrac { neg: self.neg != other.neg && !mag.is_zero(), mag }
     }
 
-    fn div(self, other: SignedFrac) -> SignedFrac {
+    pub(crate) fn div(self, other: SignedFrac) -> SignedFrac {
         let mag = self.mag / other.mag;
         SignedFrac { neg: self.neg != other.neg && !mag.is_zero(), mag }
     }
@@ -168,7 +168,9 @@ pub fn solve_sparse(mut rows: Vec<SparseRow>, n_vars: usize) -> SparseSolution {
                 rows[pivot_row].coeffs.iter().map(|(&c, &v)| (c, v)).collect();
             let pivot_rhs = rows[pivot_row].rhs;
             for ri in touching {
-                let factor = rows[ri].coeffs[&col];
+                // A row that lost `col` to cancellation and later regained
+                // it is listed twice; its first visit already eliminated it.
+                let Some(&factor) = rows[ri].coeffs.get(&col) else { continue };
                 for &(c, v) in &pivot_coeffs {
                     let cur = rows[ri].coeffs.get(&c).copied().unwrap_or(SignedFrac::ZERO);
                     let new = cur.sub(factor.mul(v));

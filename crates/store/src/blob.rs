@@ -1,4 +1,4 @@
-//! On-disk framing for individual artifacts and the store manifest.
+//! On-disk framing for individual artifacts.
 //!
 //! Every artifact lives in its own blob file:
 //!
@@ -20,41 +20,24 @@ use std::fmt;
 
 /// Magic prefix of every artifact blob.
 pub const BLOB_MAGIC: &[u8; 8] = b"ANEKBLOB";
-/// Magic prefix of the store manifest.
-pub const MANIFEST_MAGIC: &[u8; 8] = b"ANEKMANI";
-/// On-disk format version. Bumping it makes every existing blob and
-/// manifest a clean miss.
+/// On-disk format version. Bumping it makes every existing blob a clean
+/// miss.
 pub const FORMAT_VERSION: u32 = 1;
 
 /// Which artifact class a blob holds. The tag is part of the frame, so a
-/// blob can never be decoded as the wrong class even if keys collide.
+/// blob can never be decoded as the wrong class even if keys collide. The
+/// tags are on-disk values: retired tags (1, 3, 4 and 6) are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArtifactKind {
-    /// A parsed compilation unit, persisted as its canonical printed source.
-    Ast = 1,
     /// A permissions flow graph.
     Pfg = 2,
-    /// A probabilistic method summary.
-    Summary = 3,
-    /// An extracted access-permission specification.
-    Spec = 4,
     /// A committed per-method solve record (the memoization unit).
     Solve = 5,
-    /// A deterministic trace artifact: the rendered line-JSON trace of one
-    /// whole inference run, keyed by the run key.
-    Trace = 6,
 }
 
 impl ArtifactKind {
     /// All kinds, for iteration in stats and tests.
-    pub const ALL: [ArtifactKind; 6] = [
-        ArtifactKind::Ast,
-        ArtifactKind::Pfg,
-        ArtifactKind::Summary,
-        ArtifactKind::Spec,
-        ArtifactKind::Solve,
-        ArtifactKind::Trace,
-    ];
+    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Pfg, ArtifactKind::Solve];
 
     fn from_u8(b: u8) -> Option<ArtifactKind> {
         ArtifactKind::ALL.into_iter().find(|k| *k as u8 == b)
@@ -63,17 +46,13 @@ impl ArtifactKind {
     /// Short lower-case label used in file names and stats.
     pub fn label(self) -> &'static str {
         match self {
-            ArtifactKind::Ast => "ast",
             ArtifactKind::Pfg => "pfg",
-            ArtifactKind::Summary => "summary",
-            ArtifactKind::Spec => "spec",
             ArtifactKind::Solve => "solve",
-            ArtifactKind::Trace => "trace",
         }
     }
 }
 
-/// Why a blob or manifest failed to decode.
+/// Why a blob failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BlobError {
     /// The file is shorter than its fixed header.
@@ -157,49 +136,6 @@ pub fn unframe_blob(data: &[u8], kind: ArtifactKind, key: CacheKey) -> Result<&[
     }
     let len = u64::from_le_bytes(data[29..37].try_into().expect("8 bytes"));
     // Checked: a hostile length field must not overflow the comparison.
-    let expected = usize::try_from(len)
-        .ok()
-        .and_then(|l| l.checked_add(HEADER + 16))
-        .ok_or(BlobError::BadLength)?;
-    if data.len() != expected {
-        return Err(BlobError::BadLength);
-    }
-    let len = expected - HEADER - 16;
-    let body = &data[..HEADER + len];
-    let stored = u128::from_le_bytes(data[HEADER + len..].try_into().expect("16 bytes"));
-    if checksum(body) != stored {
-        return Err(BlobError::BadChecksum);
-    }
-    Ok(&data[HEADER..HEADER + len])
-}
-
-/// Frames a manifest payload (dep index etc.) with magic, version, length
-/// and trailing checksum.
-pub fn frame_manifest(payload: &[u8]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + 4 + 8 + payload.len() + 16);
-    buf.extend_from_slice(MANIFEST_MAGIC);
-    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    buf.extend_from_slice(payload);
-    let sum = checksum(&buf);
-    buf.extend_from_slice(&sum.to_le_bytes());
-    buf
-}
-
-/// Unframes the manifest, verifying its frame checks.
-pub fn unframe_manifest(data: &[u8]) -> Result<&[u8], BlobError> {
-    const HEADER: usize = 8 + 4 + 8;
-    if data.len() < HEADER + 16 {
-        return Err(BlobError::Truncated);
-    }
-    if &data[0..8] != MANIFEST_MAGIC {
-        return Err(BlobError::BadMagic);
-    }
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(BlobError::VersionSkew { found: version });
-    }
-    let len = u64::from_le_bytes(data[12..20].try_into().expect("8 bytes"));
     let expected = usize::try_from(len)
         .ok()
         .and_then(|l| l.checked_add(HEADER + 16))

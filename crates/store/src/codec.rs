@@ -1,4 +1,5 @@
-//! Hand-rolled binary codecs for every persisted artifact class.
+//! Hand-rolled binary codecs for the persisted artifact classes: solve
+//! records (with the summaries and caller evidence inside them) and PFGs.
 //!
 //! The format is deliberately boring: little-endian fixed-width integers,
 //! `f64`s by exact bit pattern (round-trips are bit-identical, which the
@@ -15,7 +16,6 @@ use anek_core::{CallerEvidence, MethodSummary, SlotProbs};
 use factor_graph::GuardEvents;
 use java_syntax::ast::ExprId;
 use java_syntax::span::{Pos, Span};
-use spec_lang::{MethodSpec, PermAtom, PermClause, PermissionKind, SpecTarget};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -328,42 +328,7 @@ pub fn dec_solved(d: &mut Dec<'_>) -> Result<SolvedRecord, CodecError> {
     Ok(SolvedRecord { summary, call_evidence, iterations, updates, converged, guards })
 }
 
-// ---- Specifications ----
-
-fn kind_index(kind: PermissionKind) -> u8 {
-    PermissionKind::ALL.iter().position(|k| *k == kind).expect("all kinds indexed") as u8
-}
-
-fn kind_from_index(idx: u8) -> Result<PermissionKind, CodecError> {
-    PermissionKind::ALL
-        .get(usize::from(idx))
-        .copied()
-        .ok_or_else(|| CodecError::new(format!("invalid permission-kind tag {idx}")))
-}
-
-fn enc_atom(e: &mut Enc, atom: &PermAtom) {
-    e.u8(kind_index(atom.kind));
-    match &atom.target {
-        SpecTarget::This => e.u8(0),
-        SpecTarget::Result => e.u8(1),
-        SpecTarget::Param(name) => {
-            e.u8(2);
-            e.str(name);
-        }
-    }
-    enc_opt_str(e, &atom.state);
-}
-
-fn dec_atom(d: &mut Dec<'_>) -> Result<PermAtom, CodecError> {
-    let kind = kind_from_index(d.u8()?)?;
-    let target = match d.u8()? {
-        0 => SpecTarget::This,
-        1 => SpecTarget::Result,
-        2 => SpecTarget::Param(d.str()?),
-        t => return Err(CodecError::new(format!("invalid spec-target tag {t}"))),
-    };
-    Ok(PermAtom { kind, target, state: dec_opt_str(d)? })
-}
+// ---- Permissions Flow Graphs ----
 
 fn enc_opt_str(e: &mut Enc, s: &Option<String>) {
     match s {
@@ -378,38 +343,6 @@ fn enc_opt_str(e: &mut Enc, s: &Option<String>) {
 fn dec_opt_str(d: &mut Dec<'_>) -> Result<Option<String>, CodecError> {
     Ok(if d.bool()? { Some(d.str()?) } else { None })
 }
-
-/// Encodes an extracted method specification.
-pub fn enc_spec(e: &mut Enc, spec: &MethodSpec) {
-    for clause in [&spec.requires, &spec.ensures] {
-        e.usize(clause.atoms.len());
-        for atom in &clause.atoms {
-            enc_atom(e, atom);
-        }
-    }
-    enc_opt_str(e, &spec.true_indicates);
-    enc_opt_str(e, &spec.false_indicates);
-}
-
-/// Decodes an extracted method specification.
-pub fn dec_spec(d: &mut Dec<'_>) -> Result<MethodSpec, CodecError> {
-    let mut clauses = [PermClause::empty(), PermClause::empty()];
-    for clause in &mut clauses {
-        let n = d.len()?;
-        for _ in 0..n {
-            clause.atoms.push(dec_atom(d)?);
-        }
-    }
-    let [requires, ensures] = clauses;
-    Ok(MethodSpec {
-        requires,
-        ensures,
-        true_indicates: dec_opt_str(d)?,
-        false_indicates: dec_opt_str(d)?,
-    })
-}
-
-// ---- Permissions Flow Graphs ----
 
 fn enc_pos(e: &mut Enc, p: Pos) {
     e.usize(p.offset);

@@ -1,8 +1,9 @@
 //! # store
 //!
-//! Persistent, versioned, content-addressed storage for ANEK analysis
-//! artifacts — parsed ASTs (as canonical source), permissions flow graphs,
-//! per-method solve records, probabilistic summaries and extracted specs.
+//! Persistent, versioned, content-addressed storage for the two ANEK
+//! analysis artifacts a later run reads back: per-method solve records
+//! (each carrying the method's probabilistic summary, from which its spec
+//! is extracted) and permissions flow graphs.
 //!
 //! The store implements [`anek_core::InferCache`], so attaching it to
 //! [`anek_core::infer_with_store`] turns a cold full run into a warm
@@ -22,6 +23,6 @@ pub mod blob;
 pub mod codec;
 mod store;
 
-pub use blob::{ArtifactKind, BlobError, BLOB_MAGIC, FORMAT_VERSION, MANIFEST_MAGIC};
+pub use blob::{ArtifactKind, BlobError, BLOB_MAGIC, FORMAT_VERSION};
 pub use codec::{CodecError, Dec, Enc};
-pub use store::{DepIndex, Store, StoreStats};
+pub use store::{Store, StoreStats};

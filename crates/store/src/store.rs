@@ -3,31 +3,29 @@
 //! Layout on disk:
 //!
 //! ```text
-//! <root>/manifest.bin                 framed dep index + latest run key
 //! <root>/objects/<kind>-<key>.blob    one framed artifact per file
 //! ```
 //!
+//! The store holds exactly what a later run reads back through
+//! [`InferCache`]: per-method solve records and permissions flow graphs.
 //! Artifacts are addressed purely by their 128-bit content key — a lookup
-//! probes the file derived from `(kind, key)`, so the manifest never gates
-//! artifact visibility. Any structural problem with a file (truncation,
-//! bit flips, version skew, checksum or payload failure) is counted in
-//! [`StoreStats::corrupt_entries`], the offending file is removed, and the
-//! lookup reports a miss; the store never panics on hostile bytes.
+//! probes the file derived from `(kind, key)`. Any structural problem with
+//! a file (truncation, bit flips, version skew, checksum or payload
+//! failure) is counted in [`StoreStats::corrupt_entries`], the offending
+//! file is removed, and the lookup reports a miss; the store never panics
+//! on hostile bytes.
 
-use crate::blob::{
-    decode_payload, frame_blob, frame_manifest, unframe_blob, unframe_manifest, ArtifactKind,
-};
-use crate::codec::{self, Dec, Enc};
+use crate::blob::{decode_payload, frame_blob, unframe_blob, ArtifactKind};
+use crate::codec::{self, Dec};
 use analysis::pfg::Pfg;
-use analysis::types::MethodId;
-use anek_core::memo::{self, CacheKey, InferCache, KeyHasher, SolvedRecord, KEY_SCHEME_VERSION};
-use anek_core::{InferConfig, InferResult, MethodSummary};
+use anek_core::memo::{CacheKey, InferCache, SolvedRecord};
+use anek_core::{InferConfig, InferResult};
 use java_syntax::ast::CompilationUnit;
-use spec_lang::{ApiRegistry, MethodSpec};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use spec_lang::ApiRegistry;
+use std::collections::HashMap;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 /// Counters describing one store's session activity plus its persistent
@@ -53,39 +51,8 @@ pub struct StoreStats {
     pub inserted: usize,
 }
 
-/// The dependency index persisted in the manifest: which methods each
-/// class declares, and the reverse call graph (callee → callers) needed to
-/// report a source edit's transitive dirty cone.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DepIndex {
-    /// Class name → method names it declares.
-    pub class_methods: BTreeMap<String, BTreeSet<String>>,
-    /// Callee → the program methods that call it.
-    pub callers: BTreeMap<MethodId, BTreeSet<MethodId>>,
-}
-
-impl DepIndex {
-    /// The transitive set of methods whose solves can change when any of
-    /// `roots` changes: the roots plus everything reachable through the
-    /// reverse call graph (the *dirty cone*).
-    pub fn dirty_cone(&self, roots: impl IntoIterator<Item = MethodId>) -> BTreeSet<MethodId> {
-        let mut cone: BTreeSet<MethodId> = roots.into_iter().collect();
-        let mut frontier: Vec<MethodId> = cone.iter().cloned().collect();
-        while let Some(id) = frontier.pop() {
-            for caller in self.callers.get(&id).into_iter().flatten() {
-                if cone.insert(caller.clone()) {
-                    frontier.push(caller.clone());
-                }
-            }
-        }
-        cone
-    }
-}
-
 struct Inner {
     stats: StoreStats,
-    dep: DepIndex,
-    latest_run: Option<CacheKey>,
     solve_mem: HashMap<CacheKey, SolvedRecord>,
     pfg_mem: HashMap<CacheKey, Arc<Pfg>>,
 }
@@ -104,58 +71,25 @@ impl std::fmt::Debug for Store {
 }
 
 impl Store {
-    /// Opens (creating if needed) the store rooted at `root`. A corrupt or
-    /// version-skewed manifest is counted and replaced by an empty one —
-    /// artifacts remain individually addressable either way.
+    /// Opens (creating if needed) the store rooted at `root`.
     pub fn open(root: impl Into<PathBuf>) -> io::Result<Store> {
         let root = root.into();
         fs::create_dir_all(root.join("objects"))?;
-        let mut inner = Inner {
-            stats: StoreStats::default(),
-            dep: DepIndex::default(),
-            latest_run: None,
-            solve_mem: HashMap::new(),
-            pfg_mem: HashMap::new(),
-        };
-        match fs::read(root.join("manifest.bin")) {
-            Ok(bytes) => match unframe_manifest(&bytes)
-                .map_err(|e| e.to_string())
-                .and_then(|p| decode_manifest(p).map_err(|e| e.to_string()))
-            {
-                Ok((dep, latest_run)) => {
-                    inner.dep = dep;
-                    inner.latest_run = latest_run;
-                }
-                Err(_) => inner.stats.corrupt_entries += 1,
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        inner.stats.entries = fs::read_dir(root.join("objects"))?
+        let entries = fs::read_dir(root.join("objects"))?
             .filter_map(Result::ok)
             .filter(|e| e.path().extension().is_some_and(|x| x == "blob"))
             .count();
+        let inner = Inner {
+            stats: StoreStats { entries, ..StoreStats::default() },
+            solve_mem: HashMap::new(),
+            pfg_mem: HashMap::new(),
+        };
         Ok(Store { root, inner: Mutex::new(inner) })
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// A snapshot of the store's counters.
     pub fn stats(&self) -> StoreStats {
         self.lock().stats
-    }
-
-    /// A snapshot of the persistent dependency index.
-    pub fn dep_index(&self) -> DepIndex {
-        self.lock().dep.clone()
-    }
-
-    /// The run key of the most recently recorded inference run.
-    pub fn latest_run(&self) -> Option<CacheKey> {
-        self.lock().latest_run
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
@@ -212,146 +146,20 @@ impl Store {
         }
     }
 
-    /// Persists the manifest (dep index + latest run key) atomically.
-    pub fn flush(&self) -> io::Result<()> {
-        let inner = self.lock();
-        let payload = encode_manifest(&inner.dep, inner.latest_run);
-        drop(inner);
-        let framed = frame_manifest(&payload);
-        let tmp = self.root.join("manifest.tmp");
-        fs::write(&tmp, &framed)?;
-        fs::rename(&tmp, self.root.join("manifest.bin"))
-    }
-
-    /// The content key addressing one whole inference run: scheme version,
-    /// configuration, program interface, and every unit's canonical source.
-    pub fn run_key(units: &[CompilationUnit], api: &ApiRegistry, cfg: &InferConfig) -> CacheKey {
-        let mut h = KeyHasher::new();
-        h.write_str("run");
-        h.write_u32(KEY_SCHEME_VERSION);
-        let config_fp = memo::config_fingerprint(cfg);
-        h.write_u64((config_fp >> 64) as u64);
-        h.write_u64(config_fp as u64);
-        let interface_fp = memo::interface_fingerprint(units, api);
-        h.write_u64((interface_fp >> 64) as u64);
-        h.write_u64(interface_fp as u64);
-        h.write_u64(units.len() as u64);
-        for unit in units {
-            let fp = memo::unit_fingerprint(unit);
-            h.write_u64((fp >> 64) as u64);
-            h.write_u64(fp as u64);
-        }
-        h.finish()
-    }
-
-    fn method_key(run: CacheKey, kind: ArtifactKind, id: &MethodId) -> CacheKey {
-        let mut h = KeyHasher::new();
-        h.write_str(kind.label());
-        h.write_u64((run >> 64) as u64);
-        h.write_u64(run as u64);
-        h.write_str(&id.class);
-        h.write_str(&id.method);
-        h.finish()
-    }
-
-    /// Records a completed inference run: canonical ASTs, every method's
-    /// summary and extracted spec (keyed under the run key), the refreshed
-    /// dependency index, and the manifest.
+    /// Writes nothing and returns `Ok(())`. The store keeps only what a
+    /// later run reads back: solve records, which carry each method's
+    /// summary, and PFGs, both written during inference through
+    /// [`InferCache`]. This method survives, with its old parameters, only
+    /// because the repository benchmark (`benchmark/src/layers.rs`) still
+    /// calls it; no product code does.
     pub fn record_run(
         &self,
-        units: &[CompilationUnit],
-        api: &ApiRegistry,
-        cfg: &InferConfig,
-        result: &InferResult,
-    ) -> io::Result<CacheKey> {
-        let run = Store::run_key(units, api, cfg);
-        {
-            let mut inner = self.lock();
-            for unit in units {
-                let key = memo::unit_fingerprint(unit);
-                let text = java_syntax::print_unit(unit);
-                let payload = codec::to_bytes(|e| e.str(&text));
-                self.write_artifact(&mut inner, ArtifactKind::Ast, key, &payload);
-            }
-            for (id, summary) in &result.summaries {
-                let key = Store::method_key(run, ArtifactKind::Summary, id);
-                let payload = codec::to_bytes(|e| codec::enc_summary(e, summary));
-                self.write_artifact(&mut inner, ArtifactKind::Summary, key, &payload);
-            }
-            for (id, spec) in &result.specs {
-                let key = Store::method_key(run, ArtifactKind::Spec, id);
-                let payload = codec::to_bytes(|e| codec::enc_spec(e, spec));
-                self.write_artifact(&mut inner, ArtifactKind::Spec, key, &payload);
-            }
-            for id in result.summaries.keys() {
-                inner
-                    .dep
-                    .class_methods
-                    .entry(id.class.clone())
-                    .or_default()
-                    .insert(id.method.clone());
-            }
-            for (callee, callers) in &result.callers {
-                inner
-                    .dep
-                    .callers
-                    .entry(callee.clone())
-                    .or_default()
-                    .extend(callers.iter().cloned());
-            }
-            inner.latest_run = Some(run);
-        }
-        self.flush()?;
-        Ok(run)
-    }
-
-    /// Loads the spec recorded for `id` under run `run`, if intact.
-    pub fn load_spec(&self, run: CacheKey, id: &MethodId) -> Option<MethodSpec> {
-        let mut inner = self.lock();
-        let key = Store::method_key(run, ArtifactKind::Spec, id);
-        self.read_artifact(&mut inner, ArtifactKind::Spec, key, codec::dec_spec)
-    }
-
-    /// Loads the summary recorded for `id` under run `run`, if intact.
-    pub fn load_summary(&self, run: CacheKey, id: &MethodId) -> Option<MethodSummary> {
-        let mut inner = self.lock();
-        let key = Store::method_key(run, ArtifactKind::Summary, id);
-        self.read_artifact(&mut inner, ArtifactKind::Summary, key, codec::dec_summary)
-    }
-
-    /// Records the rendered deterministic trace of the run keyed `run`.
-    /// Traces are derived artifacts: like every other insert, a write
-    /// failure only costs a future miss.
-    pub fn record_trace(&self, run: CacheKey, rendered: &str) {
-        let mut inner = self.lock();
-        let key = Store::trace_key(run);
-        let payload = codec::to_bytes(|e| e.str(rendered));
-        self.write_artifact(&mut inner, ArtifactKind::Trace, key, &payload);
-    }
-
-    /// Loads the trace recorded for run `run`, if intact.
-    pub fn load_trace(&self, run: CacheKey) -> Option<String> {
-        let mut inner = self.lock();
-        let key = Store::trace_key(run);
-        // `Dec::str` as a method path is not lifetime-general enough here.
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        self.read_artifact(&mut inner, ArtifactKind::Trace, key, |d| d.str())
-    }
-
-    fn trace_key(run: CacheKey) -> CacheKey {
-        let mut h = KeyHasher::new();
-        h.write_str(ArtifactKind::Trace.label());
-        h.write_u64((run >> 64) as u64);
-        h.write_u64(run as u64);
-        h.finish()
-    }
-
-    /// Loads the canonical printed source of the unit fingerprinted `key`.
-    pub fn load_ast_text(&self, key: CacheKey) -> Option<String> {
-        let mut inner = self.lock();
-        // `Dec::str` as a method path is not lifetime-general enough here.
-        #[allow(clippy::redundant_closure_for_method_calls)]
-        self.read_artifact(&mut inner, ArtifactKind::Ast, key, |d| d.str())
+        _units: &[CompilationUnit],
+        _api: &ApiRegistry,
+        _cfg: &InferConfig,
+        _result: &InferResult,
+    ) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -410,69 +218,4 @@ impl InferCache for Store {
         self.write_artifact(&mut inner, ArtifactKind::Pfg, key, &payload);
         inner.pfg_mem.insert(key, Arc::clone(pfg));
     }
-}
-
-fn encode_manifest(dep: &DepIndex, latest_run: Option<CacheKey>) -> Vec<u8> {
-    let mut e = Enc::new();
-    match latest_run {
-        Some(run) => {
-            e.bool(true);
-            e.u64((run >> 64) as u64);
-            e.u64(run as u64);
-        }
-        None => e.bool(false),
-    }
-    e.usize(dep.class_methods.len());
-    for (class, methods) in &dep.class_methods {
-        e.str(class);
-        e.usize(methods.len());
-        for m in methods {
-            e.str(m);
-        }
-    }
-    e.usize(dep.callers.len());
-    for (callee, callers) in &dep.callers {
-        e.str(&callee.class);
-        e.str(&callee.method);
-        e.usize(callers.len());
-        for c in callers {
-            e.str(&c.class);
-            e.str(&c.method);
-        }
-    }
-    e.into_bytes()
-}
-
-fn decode_manifest(payload: &[u8]) -> Result<(DepIndex, Option<CacheKey>), codec::CodecError> {
-    codec::from_bytes(payload, |d| {
-        let latest_run = if d.bool()? {
-            let hi = d.u64()?;
-            let lo = d.u64()?;
-            Some((u128::from(hi) << 64) | u128::from(lo))
-        } else {
-            None
-        };
-        let mut dep = DepIndex::default();
-        let n = d.len()?;
-        for _ in 0..n {
-            let class = d.str()?;
-            let m = d.len()?;
-            let mut methods = BTreeSet::new();
-            for _ in 0..m {
-                methods.insert(d.str()?);
-            }
-            dep.class_methods.insert(class, methods);
-        }
-        let n = d.len()?;
-        for _ in 0..n {
-            let callee = MethodId { class: d.str()?, method: d.str()? };
-            let m = d.len()?;
-            let mut callers = BTreeSet::new();
-            for _ in 0..m {
-                callers.insert(MethodId { class: d.str()?, method: d.str()? });
-            }
-            dep.callers.insert(callee, callers);
-        }
-        Ok((dep, latest_run))
-    })
 }

@@ -1,8 +1,7 @@
 //! Corruption tolerance: a truncated, bit-flipped or version-skewed entry
-//! of *any* artifact class must degrade into a counted cache miss
+//! of either artifact class must degrade into a counted cache miss
 //! (`StoreStats::corrupt_entries`) — never a panic, never a wrong value.
 
-use analysis::types::MethodId;
 use anek_core::memo::{CacheKey, InferCache};
 use anek_core::{infer_with_store, InferConfig};
 use spec_lang::standard_api;
@@ -16,21 +15,16 @@ fn temp_store(name: &str) -> PathBuf {
     dir
 }
 
-/// Builds a populated store (all six artifact classes present) and
-/// returns its root, the run key, and a method id with a spec.
-fn populated(name: &str) -> (PathBuf, CacheKey, MethodId) {
+/// Builds a store populated by a real inference run (both artifact
+/// classes present) and returns its root.
+fn populated(name: &str) -> PathBuf {
     let dir = temp_store(name);
     let unit = java_syntax::parse(
         "class App { void drain(Iterator<Integer> it) { while (it.hasNext()) { it.next(); } } }",
     )
     .expect("parses");
-    let api = standard_api();
-    let cfg = InferConfig::default();
-    let units = vec![unit];
     let store = Store::open(&dir).expect("open");
-    let result = infer_with_store(&units, &api, &cfg, Some(&store));
-    let run = store.record_run(&units, &api, &cfg, &result).expect("record");
-    store.record_trace(run, "{\"section\":\"spec\"}\n{\"section\":\"deterministic\"}\n");
+    infer_with_store(&[unit], &standard_api(), &InferConfig::default(), Some(&store));
     for kind in ArtifactKind::ALL {
         assert!(
             blob_paths(&dir, kind).next().is_some(),
@@ -38,7 +32,7 @@ fn populated(name: &str) -> (PathBuf, CacheKey, MethodId) {
             kind.label()
         );
     }
-    (dir, run, MethodId::new("App", "drain"))
+    dir
 }
 
 fn blob_paths(dir: &Path, kind: ArtifactKind) -> impl Iterator<Item = PathBuf> {
@@ -86,30 +80,14 @@ fn corrupt(path: &Path, how: &Corruption) {
     fs::write(path, bytes).expect("write corrupted blob");
 }
 
-/// Looks one artifact of `kind` up through a *fresh* store (cold memory
-/// cache, so the disk path runs) and returns whether it decoded.
-fn lookup(store: &Store, dir: &Path, kind: ArtifactKind, run: CacheKey, id: &MethodId) -> bool {
+/// Looks the artifact at `path` up through `store` — a *fresh* store has
+/// a cold memory cache, so the disk path runs — and returns whether it
+/// decoded.
+fn lookup(store: &Store, kind: ArtifactKind, path: &Path) -> bool {
+    let key = key_of(path);
     match kind {
-        ArtifactKind::Solve => {
-            let path = blob_paths(dir, kind).next();
-            // The file may already have been removed by a prior corrupt
-            // lookup; derive the key from any remaining file, else miss.
-            match path {
-                Some(p) => store.solve_lookup(key_of(&p)).is_some(),
-                None => false,
-            }
-        }
-        ArtifactKind::Pfg => match blob_paths(dir, kind).next() {
-            Some(p) => store.pfg_lookup(key_of(&p)).is_some(),
-            None => false,
-        },
-        ArtifactKind::Summary => store.load_summary(run, id).is_some(),
-        ArtifactKind::Spec => store.load_spec(run, id).is_some(),
-        ArtifactKind::Ast => match blob_paths(dir, kind).next() {
-            Some(p) => store.load_ast_text(key_of(&p)).is_some(),
-            None => false,
-        },
-        ArtifactKind::Trace => store.load_trace(run).is_some(),
+        ArtifactKind::Solve => store.solve_lookup(key).is_some(),
+        ArtifactKind::Pfg => store.pfg_lookup(key).is_some(),
     }
 }
 
@@ -121,21 +99,21 @@ fn every_artifact_class_tolerates_every_corruption() {
         ("version", Corruption::VersionBump),
     ] {
         for kind in ArtifactKind::ALL {
-            let (dir, run, id) = populated(&format!("{cname}-{}", kind.label()));
+            let dir = populated(&format!("{cname}-{}", kind.label()));
+            let victim = blob_paths(&dir, kind).next().expect("blob to corrupt");
             let fresh = Store::open(&dir).expect("open");
             assert!(
-                lookup(&fresh, &dir, kind, run, &id),
+                lookup(&fresh, kind, &victim),
                 "{} should load intact before {cname}",
                 kind.label()
             );
-            let victim = blob_paths(&dir, kind).next().expect("blob to corrupt");
             corrupt(&victim, &how);
             // Fresh store again: the previous one has the artifact cached
             // in memory and must not be fooled — but the disk path must
             // detect the damage.
             let damaged = Store::open(&dir).expect("open damaged");
             assert!(
-                !lookup(&damaged, &dir, kind, run, &id),
+                !lookup(&damaged, kind, &victim),
                 "{cname} {} blob must read as a miss",
                 kind.label()
             );
@@ -148,7 +126,7 @@ fn every_artifact_class_tolerates_every_corruption() {
             );
             assert!(!victim.exists(), "corrupt blob is removed after counting");
             // Degraded into a plain miss: the same lookup again is silent.
-            assert!(!lookup(&damaged, &dir, kind, run, &id));
+            assert!(!lookup(&damaged, kind, &victim));
             assert_eq!(damaged.stats().corrupt_entries, 1, "no double counting");
             let _ = fs::remove_dir_all(&dir);
         }
@@ -157,7 +135,7 @@ fn every_artifact_class_tolerates_every_corruption() {
 
 #[test]
 fn wrong_kind_and_wrong_key_are_rejected() {
-    let (dir, _run, _id) = populated("swap");
+    let dir = populated("swap");
     let solve = blob_paths(&dir, ArtifactKind::Solve).next().expect("solve blob");
     let key = key_of(&solve);
     // Serve the solve blob's bytes under a PFG name: the embedded kind tag
@@ -171,21 +149,8 @@ fn wrong_kind_and_wrong_key_are_rejected() {
 }
 
 #[test]
-fn corrupt_manifest_opens_empty_but_counted() {
-    let (dir, run, id) = populated("manifest");
-    fs::write(dir.join("manifest.bin"), b"ANEKMANI garbage").expect("write");
-    let store = Store::open(&dir).expect("open survives");
-    assert_eq!(store.stats().corrupt_entries, 1);
-    assert_eq!(store.latest_run(), None, "manifest state is gone");
-    assert!(store.dep_index().class_methods.is_empty());
-    // Artifacts are addressed by content, not by the manifest: still warm.
-    assert!(store.load_spec(run, &id).is_some());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn truncated_to_zero_and_oversized_length_fields_are_safe() {
-    let (dir, _run, _id) = populated("edge");
+    let dir = populated("edge");
     let victim = blob_paths(&dir, ArtifactKind::Solve).next().expect("blob");
     let key = key_of(&victim);
 
@@ -195,7 +160,7 @@ fn truncated_to_zero_and_oversized_length_fields_are_safe() {
 
     // A length field claiming more bytes than the file holds must not
     // trigger a huge allocation or a panic.
-    let (dir2, _run2, _id2) = populated("edge2");
+    let dir2 = populated("edge2");
     let victim2 = blob_paths(&dir2, ArtifactKind::Solve).next().expect("blob");
     let key2 = key_of(&victim2);
     let mut bytes = fs::read(&victim2).expect("read");

@@ -1,6 +1,7 @@
 //! CLI contract tests for the `anek` binary: the documented exit codes
 //! (0 success, 1 runtime failure, 2 usage error, 3 partial result), the
-//! `--store` flag, and a scripted `serve --stdio` session.
+//! `--store` flag, a scripted `serve --stdio` session, and the golden
+//! serve transcripts.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -25,6 +26,21 @@ fn write(dir: &Path, name: &str, text: &str) -> PathBuf {
 
 fn code(out: &Output) -> i32 {
     out.status.code().expect("no signal")
+}
+
+/// Number of solve records in the store at `store`.
+fn solve_blobs(store: &Path) -> usize {
+    std::fs::read_dir(store.join("objects"))
+        .map(|dir| {
+            dir.filter_map(Result::ok)
+                .filter(|e| {
+                    let name = e.file_name();
+                    let name = name.to_string_lossy();
+                    name.starts_with("solve-") && name.ends_with(".blob")
+                })
+                .count()
+        })
+        .unwrap_or(0)
 }
 
 const DRAIN: &str =
@@ -109,7 +125,7 @@ fn store_flag_makes_second_run_warm_and_identical() {
     };
     let first = run();
     assert_eq!(code(&first), 0, "stderr: {}", String::from_utf8_lossy(&first.stderr));
-    assert!(store.join("manifest.bin").exists(), "store materialized on disk");
+    assert!(solve_blobs(&store) > 0, "solve records materialized on disk");
     let second = run();
     assert_eq!(code(&second), 0);
     assert_eq!(first.stdout, second.stdout, "warm stdout is byte-identical to cold");
@@ -199,6 +215,37 @@ fn serve_stdio_runs_a_full_session() {
         lines[4]
     );
     assert!(lines[5].contains(r#""ok":true"#), "{}", lines[5]);
-    assert!(store.join("manifest.bin").exists(), "shutdown flushed the store");
+    assert!(solve_blobs(&store) > 0, "the session stored its solve records");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Pipes each golden session into `anek serve --stdio` over a fresh store
+/// and byte-compares stdout with its golden transcript.
+#[test]
+fn serve_transcripts_match_their_goldens() {
+    let golden = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden/");
+    for (name, extra) in [("serve", &[][..]), ("serve_overload", &["--admission-cap", "0"][..])] {
+        let dir = temp_dir(&format!("golden-{name}"));
+        let session = std::fs::read(format!("{golden}{name}_session.jsonl")).expect("session");
+        let mut child = anek()
+            .args(["serve", "--stdio", "--store"])
+            .arg(dir.join("store"))
+            .args(extra)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn serve");
+        child.stdin.take().expect("stdin").write_all(&session).expect("write session");
+        let out = child.wait_with_output().expect("wait");
+        assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let expected = std::fs::read_to_string(format!("{golden}{name}_transcript.golden"))
+            .expect("golden transcript");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "{name}: drifted from tests/golden/{name}_transcript.golden"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

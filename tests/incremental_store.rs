@@ -1,8 +1,8 @@
 //! End-to-end incremental-equivalence gate: against a PMD-shaped corpus,
 //! edit one method body, and verify that a warm incremental run through the
 //! persistent store is **byte-identical** to a cold full run on the edited
-//! program — at `--threads 1` and `--threads 4` — while re-solving strictly
-//! fewer methods.
+//! program, with and without a store — at `--threads 1` and `--threads 4` —
+//! while re-solving strictly fewer methods.
 
 use anek::anek_core::InferResult;
 use anek::store::Store;
@@ -59,6 +59,11 @@ fn warm_incremental_is_byte_identical_to_cold_at_both_thread_counts() {
         let cold_store = Arc::new(Store::open(&cold_dir).expect("open cold store"));
         let cold = run(&edited, threads, Some(&cold_store));
         assert_eq!(cold.memo_hits + cold.memo_misses, cold.solves);
+        assert_eq!(
+            rendering(&cold),
+            rendering(&run(&edited, threads, None)),
+            "threads={threads}: a cold run through a store must match a run without one"
+        );
 
         // Warm store: a full run on the *original* program. (A cold run may
         // still record a few memo hits: the worklist can revisit a method
