@@ -5,9 +5,9 @@
 #   ./ci.sh --fast     # skip the release build + corpus self-check
 #
 # Steps: formatting, clippy (warnings are errors), release build, the full
-# test suite, and an `anek lint` self-check that regenerates the seeded
-# PMD-shaped corpus and verifies the linter reports exactly the 3 planted
-# protocol bugs (and nothing else).
+# test suite, the benchmark crate's build and unit tests, and an `anek lint`
+# self-check that regenerates the seeded PMD-shaped corpus and verifies the
+# linter reports exactly the 3 planted protocol bugs (and nothing else).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -40,6 +40,11 @@ step "cargo test"
 cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
+  step "benchmark crate: build and unit tests"
+  # `benchmark/` is a Cargo package outside the workspace, so nothing above
+  # compiles it; an API change in `crates/` that breaks it shows up here.
+  cargo test -q --manifest-path benchmark/Cargo.toml
+
   step "inference determinism gate (threads 1 vs 4)"
   tmp="$(mktemp -d)"
   trap 'rm -rf "$tmp"' EXIT

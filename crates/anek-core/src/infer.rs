@@ -27,13 +27,16 @@
 //! `threads` value, including `1` (which skips speculation entirely and
 //! degenerates to plain sequential Gauss-Seidel with zero wasted work).
 //!
-//! Chunking (rather than speculating a whole generation at once) keeps the
-//! speculation snapshot fresh: a solve can only be invalidated by merges
-//! inside its own small chunk, not by every earlier merge of a long
-//! generation, which cuts the discarded-solve waste that used to make
-//! multithreaded runs slower than sequential ones. Wasted work is surfaced
-//! in [`InferResult::speculative_solves`] /
-//! [`InferResult::discarded_solves`], and the time the merge thread spends
+//! A chunk never holds two methods joined by a call edge: it ends after a
+//! few multiples of the thread count, or just before the first method that
+//! calls, or is called by, a method already in it. A merge changes only
+//! two inputs of other methods — the merged method's own summary, read by
+//! its callers, and its callees' evidence stores — so within such a chunk
+//! no merge can invalidate a later speculation, and none is discarded. The
+//! freshness check stays as the guard: a dependency that bypassed the call
+//! maps would still be re-solved, and counted in
+//! [`InferResult::discarded_solves`]. Speculative work is surfaced in
+//! [`InferResult::speculative_solves`], and the time the merge thread spends
 //! blocked on its workers in [`InferResult::commit_stall`].
 //!
 //! Every worker owns one long-lived BP [`Scratch`] (as does the merge
@@ -666,21 +669,24 @@ pub fn infer_with_store(
         let take = pending.len().min(cfg.max_iters - solves);
         let generation: Vec<MethodId> = pending.drain(..take).collect();
         solves += generation.len();
-        // Commit the generation in chunks of a few thread-counts each.
-        // Each chunk is solved speculatively in parallel against the state
-        // merged so far (frozen for the chunk's duration); the merge below
-        // commits a speculative result only if the merges before it *in the
-        // same chunk* left the method's inputs untouched; otherwise it
-        // re-solves against the merged state — so the committed sequence of
-        // solves is *exactly* the one the sequential worklist performs, for
-        // any thread count. Small chunks keep the snapshot fresh (a solve
-        // can only be invalidated by the handful of merges in its own
-        // chunk), which bounds discarded-solve waste. With one worker the
-        // speculation is skipped and every solve runs lazily at merge time
-        // (plain sequential Gauss-Seidel, no waste).
+        // Commit the generation in chunks. Each chunk is solved
+        // speculatively in parallel against the state merged so far (frozen
+        // for the chunk's duration); the merge below commits a speculative
+        // result only if the merges before it *in the same chunk* left the
+        // method's inputs untouched; otherwise it re-solves against the
+        // merged state — so the committed sequence of solves is *exactly*
+        // the one the sequential worklist performs, for any thread count.
+        // Chunks hold no call edge, so that re-solve is only a guard (see
+        // `speculation_chunks`). With one worker the speculation is skipped
+        // and every solve runs lazily at merge time (plain sequential
+        // Gauss-Seidel, no waste).
         let parallel = threads.min(generation.len()) > 1;
-        let chunk_len = if parallel { threads * 4 } else { generation.len() };
-        for chunk in generation.chunks(chunk_len.max(1)) {
+        let chunks = if parallel {
+            speculation_chunks(&generation, threads * 4, &callees, &callers)
+        } else {
+            vec![&generation[..]]
+        };
+        for chunk in chunks {
             // Deadline polled at chunk granularity: once it passes, the
             // remaining chunks are never scheduled. Their methods stay in
             // `queued`, so they classify as worklist-truncated (with the
@@ -962,6 +968,44 @@ pub fn infer_with_store(
         call_evidence: evidence,
         trace,
     }
+}
+
+/// Splits a generation into speculation chunks. A chunk ends after
+/// `max_len` methods, or just before the first method that calls, or is
+/// called by, a method already in it.
+///
+/// No merge inside such a chunk can change a later member's inputs: a merge
+/// republishes the merged method's summary, which only its callers read,
+/// and its callees' evidence stores. So every speculation is kept.
+///
+/// The cap sizes the unit at which the worklist polls its wall-clock
+/// deadline: chunks after an expired deadline are never scheduled, so a
+/// deadline that passes mid-generation stops the worklist within about four
+/// solves per worker.
+fn speculation_chunks<'a>(
+    generation: &'a [MethodId],
+    max_len: usize,
+    callees: &BTreeMap<MethodId, BTreeSet<MethodId>>,
+    callers: &BTreeMap<MethodId, BTreeSet<MethodId>>,
+) -> Vec<&'a [MethodId]> {
+    let mut chunks = Vec::new();
+    let mut start = 0;
+    let mut members: BTreeSet<&MethodId> = BTreeSet::new();
+    for (i, id) in generation.iter().enumerate() {
+        let linked = |edges: &BTreeMap<MethodId, BTreeSet<MethodId>>| {
+            edges.get(id).is_some_and(|ms| ms.iter().any(|m| members.contains(m)))
+        };
+        if i - start == max_len || linked(callees) || linked(callers) {
+            chunks.push(&generation[start..i]);
+            start = i;
+            members.clear();
+        }
+        members.insert(id);
+    }
+    if start < generation.len() {
+        chunks.push(&generation[start..]);
+    }
+    chunks
 }
 
 /// Whether the run's wall-clock deadline (if any) has passed.

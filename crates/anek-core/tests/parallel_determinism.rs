@@ -1,11 +1,12 @@
 //! Determinism and incremental-reuse guarantees of the parallel worklist.
 //!
 //! * `infer()` must be **byte-identical** for every `--threads N`: the
-//!   worklist speculates a generation in parallel against frozen snapshots,
-//!   merges single-threaded in queue order, and re-solves any member whose
-//!   inputs an earlier merge changed — so every thread count commits the
-//!   exact solve sequence of the sequential algorithm, and thread count may
-//!   change wall-clock time but never a single bit of output.
+//!   worklist speculates chunks of a generation in parallel against frozen
+//!   snapshots, merges single-threaded in queue order, and re-solves any
+//!   member whose inputs an earlier merge changed — so every thread count
+//!   commits the exact solve sequence of the sequential algorithm, and
+//!   thread count may change wall-clock time but never a single bit of
+//!   output. Chunks hold no call edge, so that re-solve never fires.
 //! * Re-solving via the compiled [`MethodSkeleton`] (stamp dynamic priors,
 //!   solve in the flat arena) must be bit-for-bit equal to rebuilding the
 //!   full [`MethodModel`] from scratch with the same summaries/evidence —
@@ -44,7 +45,7 @@ fn infer_is_byte_identical_for_any_thread_count() {
         let units = [unit];
         let base = infer(&units, &api, &InferConfig { threads: 1, ..InferConfig::default() });
         let want = fingerprint(&base);
-        for threads in [2, 8] {
+        for threads in [2, 4, 8] {
             let got = infer(&units, &api, &InferConfig { threads, ..InferConfig::default() });
             assert_eq!(
                 fingerprint(&got),
@@ -52,6 +53,9 @@ fn infer_is_byte_identical_for_any_thread_count() {
                 "case {}: threads={threads} diverged from threads=1",
                 case.name
             );
+            // Speculation chunks hold no call edge, so no merge can make a
+            // speculation stale.
+            assert_eq!(got.discarded_solves, 0, "case {}: threads={threads}", case.name);
         }
     }
 }
@@ -81,14 +85,17 @@ fn speculation_counters_reflect_parallel_commits() {
     assert_eq!(seq.discarded_solves, 0);
     assert_eq!(seq.commit_stall, std::time::Duration::ZERO);
 
-    // Parallel runs speculate whole chunks; discards are the subset whose
-    // inputs an earlier merge changed, so they can never exceed the
-    // speculation that produced them — and none of it may change output.
-    let par = infer(&units, &api, &InferConfig { threads: 4, ..InferConfig::default() });
-    assert!(par.speculative_solves > 0, "threads=4 should speculate at least one chunk");
-    assert!(par.speculative_solves <= par.solves);
-    assert!(par.discarded_solves <= par.speculative_solves);
-    assert_eq!(fingerprint(&par), fingerprint(&seq));
+    // Parallel runs speculate whole chunks. A chunk holds no call edge, so
+    // no merge in it changes a later member's inputs: every speculation is
+    // committed, no chunk stalls, and none of it may change output.
+    for threads in [2, 4, 8] {
+        let par = infer(&units, &api, &InferConfig { threads, ..InferConfig::default() });
+        assert!(par.speculative_solves > 0, "threads={threads} should speculate a chunk");
+        assert!(par.speculative_solves <= par.solves);
+        assert_eq!(par.discarded_solves, 0, "threads={threads}");
+        assert_eq!(par.stalled_chunks, 0, "threads={threads}");
+        assert_eq!(fingerprint(&par), fingerprint(&seq));
+    }
 }
 
 #[test]

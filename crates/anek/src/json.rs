@@ -146,7 +146,7 @@ impl std::error::Error for JsonError {}
 
 /// Parses one JSON document, requiring it to span the whole input.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -157,6 +157,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -309,17 +310,17 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 character (the input is a &str, so
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. All three are ASCII, so the run ends on
+                    // a character boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -386,6 +387,14 @@ mod tests {
         assert_eq!(text, r#""a\"b\\c\nd\te\u0001""#);
         assert_eq!(parse(&text).unwrap(), v);
         assert_eq!(parse(r#""\ud83d\ude00""#).unwrap(), Json::str("\u{1F600}"));
+        // Long runs of multi-byte UTF-8 between escapes and `\u` pairs.
+        let long =
+            "héllo wörld → ✓ 😀 ".repeat(500) + "\"\\\n\u{1}\u{1F600}" + &"ß日本".repeat(500);
+        let v = Json::str(long);
+        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        let paired = format!(r#""{}\ud83d\ude00\u00e9{}""#, "ü".repeat(1000), "x".repeat(1000));
+        let want = format!("{}\u{1F600}\u{e9}{}", "ü".repeat(1000), "x".repeat(1000));
+        assert_eq!(parse(&paired).unwrap(), Json::str(want));
     }
 
     #[test]
@@ -393,6 +402,12 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "\"\\q\"", "1 2", "{\"a\" 1}"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+        // A raw control byte after a long run fails at that byte.
+        let run = "é".repeat(2000);
+        let bad = format!("\"{run}\u{7}tail\"");
+        let err = parse(&bad).unwrap_err();
+        assert_eq!(err.offset, 1 + run.len(), "{err}");
+        assert_eq!(err.message, "raw control character in string");
     }
 
     #[test]
