@@ -5,9 +5,10 @@
 #   ./ci.sh --fast     # skip the release build + corpus self-check
 #
 # Steps: formatting, clippy (warnings are errors), release build, the full
-# test suite, the benchmark crate's build and unit tests, and an `anek lint`
-# self-check that regenerates the seeded PMD-shaped corpus and verifies the
-# linter reports exactly the 3 planted protocol bugs (and nothing else).
+# test suite, the kernel tests in release, the benchmark crate's build and
+# unit tests, and an `anek lint` self-check that regenerates the seeded
+# PMD-shaped corpus and verifies the linter reports exactly the 3 planted
+# protocol bugs (and nothing else).
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -40,6 +41,12 @@ step "cargo test"
 cargo test -q --workspace
 
 if [[ $fast -eq 0 ]]; then
+  step "kernel tests in release (factor-graph + Figure 3 golden bits)"
+  # The kernel's bit-identity claims are about the optimized build users
+  # run, so its tests and the Figure 3 golden fixture also run in release.
+  cargo test -q --release -p factor-graph
+  cargo test -q --release -p anek-core --test golden_figure3
+
   step "benchmark crate: build and unit tests"
   # `benchmark/` is a Cargo package outside the workspace, so nothing above
   # compiles it; an API change in `crates/` that breaks it shows up here.

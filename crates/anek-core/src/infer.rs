@@ -637,7 +637,7 @@ pub fn infer_with_store(
                 panic!("injected fault: scripted panic in solve of {id}");
             }
             let skeleton = mu.skeleton(ctx, cfg)?;
-            let vars = skeleton.graph.num_vars();
+            let vars = skeleton.compiled().num_vars();
             if vars > cfg.max_model_vars {
                 return Err(InferError::ModelTooLarge { vars, limit: cfg.max_model_vars });
             }

@@ -321,19 +321,22 @@ fn read_call_evidence_from(
 /// arena. Re-solving a method is then just [`MethodSkeleton::stamp`] (derive
 /// the current summary/evidence unary priors) + [`MethodSkeleton::solve`],
 /// with no PFG clone, no factor re-tabulation and no graph recompilation.
+///
+/// The skeleton keeps only the compiled form of its factor graph
+/// (variables, L1–L3, heuristics, own-spec and API-callee priors): the
+/// [`FactorGraph`] it was built from, with its variable names and a second
+/// copy of every potential, is dropped once compiled. A [`MethodModel`]
+/// keeps its graph for callers that inspect it.
 #[derive(Debug)]
 pub struct MethodSkeleton {
     /// The underlying PFG, shared with whoever built it.
     pub pfg: Arc<Pfg>,
-    /// The static factor graph (variables, L1–L3, heuristics, own-spec and
-    /// API-callee priors).
-    pub graph: FactorGraph,
     /// Variables per PFG node.
     pub node_vars: Vec<SlotVars>,
     /// Variables per PFG edge (parallel to `pfg.edges`).
     pub edge_vars: Vec<SlotVars>,
-    /// Constraint family per skeleton factor (parallel to the graph's
-    /// factor ids) — the provenance labels `explain` aggregates by.
+    /// Constraint family per skeleton factor (parallel to the compiled
+    /// graph's factor ids) — the provenance labels `explain` aggregates by.
     pub families: Vec<FactorFamily>,
     compiled: CompiledGraph,
 }
@@ -351,11 +354,11 @@ impl MethodSkeleton {
         let (node_vars, edge_vars, families) =
             emit_skeleton(&mut g, ctx, &pfg, own_spec, is_constructor, cfg);
         let compiled = CompiledGraph::compile(&g);
-        MethodSkeleton { pfg, graph: g, node_vars, edge_vars, families, compiled }
+        MethodSkeleton { pfg, node_vars, edge_vars, families, compiled }
     }
 
-    /// The compiled BP arena — exposed for the post-solve belief-term
-    /// read-out (`CompiledGraph::belief_terms`).
+    /// The compiled BP arena — exposed for the model-size check and the
+    /// post-solve belief-term read-out (`CompiledGraph::belief_terms`).
     pub fn compiled(&self) -> &CompiledGraph {
         &self.compiled
     }

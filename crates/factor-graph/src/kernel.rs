@@ -1,9 +1,10 @@
 //! The flat-arena belief-propagation kernel.
 //!
 //! [`CompiledGraph`] lowers a [`FactorGraph`] into contiguous CSR arrays —
-//! one edge per (factor, scope-position) pair, factor tables laid out flat
-//! (each row padded to a 32-byte boundary), and a variable→edge adjacency
-//! index — so the message-passing loops touch only dense scalar slices.
+//! one edge per (factor, scope-position) pair, the rows of the unary and
+//! pairwise factors laid out flat, one fold program per distinct wider
+//! table, and a variable→edge adjacency index — so the message-passing
+//! loops touch only dense scalar slices.
 //!
 //! ## Message layout
 //!
@@ -26,11 +27,19 @@
 //! contracted against the other incoming messages one scope position at a
 //! time, each fold halving the table: the positions above the target fold
 //! from the top down, the positions below it from the bottom up. The
-//! targets share their top folds, so the routine visits them from the top
-//! scope position down along one chain of top folds and runs only each
-//! target's bottom-up folds separately. An arity-`n` factor's messages cost
-//! about `3·2^n` folded cells, independent of how many distinct values the
-//! table holds; unary and pairwise factors fold straight from the table,
+//! targets share their top folds, so the contraction visits them from the
+//! top scope position down along one chain of top folds and runs only each
+//! target's bottom-up folds separately: about `3·2^n` folds for an arity-`n`
+//! factor.
+//!
+//! Factors of arity three or more run that contraction as a fold program
+//! built at compile time. Its leaves are the table's distinct values, and
+//! each fold is hash-consed on its two operands and its scope position, so
+//! a fold over equal operands is computed once: the 1,024-entry L1-split
+//! table of the paper's Eq. 2 needs 247 folds instead of 3,048. A program
+//! depends only on the table's bits, so each distinct table's program is
+//! built once per process and shared by every factor and graph with an
+//! equal table. Unary and pairwise factors fold straight from their rows,
 //! with the same arithmetic. The sum/max semiring is a const parameter, so
 //! one branch-free loop serves both marginal ([`CompiledGraph::solve`]) and
 //! MAP ([`CompiledGraph::solve_map`]) inference.
@@ -55,35 +64,37 @@
 //!
 //! Callers that solve many graphs in a row should reuse a [`Scratch`]
 //! across solves ([`CompiledGraph::solve_stamped_scratch`]): all working
-//! arrays — messages, the extra index, the fold buffer — are then
+//! arrays — messages, the extra index, the fold values — are then
 //! recycled instead of reallocated per solve.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::factor::VarId;
 use crate::graph::{BpOptions, FactorGraph, GuardEvents, Marginals};
 
-/// Factor tables are padded so each row starts on a 32-byte boundary (4
-/// `f64`s). Pad entries are zero potentials, which both semirings already
-/// skip; the message loops additionally slice rows to their exact
-/// `1 << arity` length, so padding is value- and bit-neutral.
-const TABLE_ALIGN: usize = 4;
-
 /// A [`FactorGraph`] compiled into flat arena form.
 ///
-/// Compilation is cheap (one linear pass) but not free; callers that solve
-/// the same graph repeatedly — possibly with different stamped extras —
-/// should compile once and reuse (and hand the solver a recycled
-/// [`Scratch`]).
+/// The compiled graph holds every potential the solver reads, once: the
+/// rows of the unary and pairwise factors, and one shared fold program
+/// per distinct wider table. Compilation is one linear pass plus a lookup
+/// of each wide table's program; callers that solve the same graph
+/// repeatedly — possibly with different stamped extras — should compile
+/// once, drop the [`FactorGraph`], and reuse the compiled graph (and hand
+/// the solver a recycled [`Scratch`]).
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     n_vars: usize,
     /// Per factor: half-open edge range `f_off[fi]..f_off[fi+1]`.
     f_off: Vec<u32>,
-    /// Per factor: offset of its table row in `tables`. Rows start on a
-    /// [`TABLE_ALIGN`] boundary; the live row is the first `1 << arity`
-    /// entries, the rest (up to the next row) is zero padding.
-    t_off: Vec<u32>,
-    /// All factor tables, concatenated (aligned rows, zero padding).
+    /// Per factor: where its potentials live — the offset of its row in
+    /// `tables` for arity 1 and 2, the index of its program in `programs`
+    /// otherwise.
+    f_table: Vec<u32>,
+    /// The rows of the unary and pairwise factors, concatenated.
     tables: Vec<f64>,
+    /// The graph's distinct fold programs, in order of first use.
+    programs: Vec<Arc<FoldProgram>>,
     /// Per edge: the variable it connects.
     edge_var: Vec<u32>,
     /// Per edge: the factor that owns it.
@@ -99,12 +110,127 @@ pub struct CompiledGraph {
     vslot: Vec<u32>,
 }
 
+/// One fold, `c_lo·m(0) ⊕ c_hi·m(1)` for the message at scope position
+/// `pos`: the cells it reads are value slots of its [`FoldProgram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Fold {
+    lo: u32,
+    hi: u32,
+    pos: u32,
+}
+
+/// Every message of one factor table, as straight-line code over value
+/// slots.
+///
+/// Slots `0..leaves.len()` hold the table's distinct values; fold `i`
+/// writes slot `leaves.len() + i` from earlier slots. The folds are the
+/// contraction's own sequence — the shared chain of top folds, then each
+/// target's bottom-up folds — with every repeated (operand, operand,
+/// position) key answered by the slot that first computed it. A repeated
+/// key is the same float operation on the same operands, so each message
+/// keeps its bits; only the work shrinks.
+#[derive(Debug)]
+struct FoldProgram {
+    leaves: Vec<f64>,
+    folds: Vec<Fold>,
+    /// Per target, from the top scope position down: the slots of its
+    /// `(true, false)` mass.
+    targets: Vec<[u32; 2]>,
+}
+
+impl FoldProgram {
+    /// The program of an arity-`n` table (`1 << n` cells, bit `j` of a
+    /// cell index the value of scope position `j`).
+    fn build(table: &[f64], n: usize) -> FoldProgram {
+        let mut leaves = Vec::new();
+        let mut leaf_slot: HashMap<u64, u32> = HashMap::new();
+        // The table folded over every position above the current target.
+        let mut top: Vec<u32> = table
+            .iter()
+            .map(|&c| {
+                *leaf_slot.entry(c.to_bits()).or_insert_with(|| {
+                    leaves.push(c);
+                    leaves.len() as u32 - 1
+                })
+            })
+            .collect();
+        let n_leaves = leaves.len() as u32;
+        let mut folds = Vec::new();
+        let mut fold_slot: HashMap<Fold, u32> = HashMap::new();
+        let mut fold = |lo: u32, hi: u32, pos: usize| {
+            let f = Fold { lo, hi, pos: pos as u32 };
+            *fold_slot.entry(f).or_insert_with(|| {
+                folds.push(f);
+                n_leaves + folds.len() as u32 - 1
+            })
+        };
+        let mut targets = Vec::with_capacity(n);
+        for pos in (0..n).rev() {
+            // Bottom-up: fold positions 0, 1, … pos-1 away by adjacent pairs.
+            let mut cells = top.clone();
+            for p in 0..pos {
+                cells = cells.chunks_exact(2).map(|c| fold(c[0], c[1], p)).collect();
+            }
+            targets.push([cells[1], cells[0]]);
+            if pos > 0 {
+                // Fold position `pos` away, by halves, for the targets below.
+                let (lo, hi) = top.split_at(1 << pos);
+                top = lo.iter().zip(hi).map(|(&c0, &c1)| fold(c0, c1, pos)).collect();
+            }
+        }
+        FoldProgram { leaves, folds, targets }
+    }
+
+    /// The shared program of `table`, built on its first use in this
+    /// process.
+    ///
+    /// Programs are memoized by the table's bits: models draw their wide
+    /// factors from a few (predicate, strength) pairs, so a handful of
+    /// programs serves every graph, and a graph's construction pays a
+    /// lookup instead of a build. The memo only grows.
+    fn shared(table: &[f64], n: usize) -> Arc<FoldProgram> {
+        type Memo = Mutex<HashMap<Box<[u64]>, Arc<FoldProgram>>>;
+        static MEMO: OnceLock<Memo> = OnceLock::new();
+        let bits: Box<[u64]> = table.iter().map(|c| c.to_bits()).collect();
+        // A panic while the lock is held (in `build`) happens before the
+        // insert, so a poisoned memo is still a valid one.
+        let mut memo =
+            MEMO.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(memo.entry(bits).or_insert_with(|| Arc::new(FoldProgram::build(table, n))))
+    }
+
+    /// Runs the program against a factor's incoming message pairs (pair
+    /// `pos` for scope position `pos`), with `vals` as the slot buffer, and
+    /// hands each target's `(true, false)` mass to `emit`, from the top
+    /// scope position down.
+    #[inline]
+    fn run<const MAX: bool>(
+        &self,
+        local: &[f64],
+        vals: &mut Vec<f64>,
+        mut emit: impl FnMut(usize, f64, f64),
+    ) {
+        vals.clear();
+        vals.reserve(self.leaves.len() + self.folds.len());
+        vals.extend_from_slice(&self.leaves);
+        for &Fold { lo, hi, pos } in &self.folds {
+            let (m1, m0) = (local[2 * pos as usize], local[2 * pos as usize + 1]);
+            let v = oplus::<MAX>(vals[lo as usize] * m0, vals[hi as usize] * m1);
+            vals.push(v);
+        }
+        let top = self.targets.len() - 1;
+        for (i, &[t, f]) in self.targets.iter().enumerate() {
+            emit(top - i, vals[t as usize], vals[f as usize]);
+        }
+    }
+}
+
 /// Reusable per-solve working memory: the message pair arrays, the
-/// stamped-extra index and the factor fold buffer.
+/// stamped-extra index and the fold program's value slots.
 ///
 /// A `Scratch` may be reused across solves of *different* graphs — every
 /// message and index buffer is (re)sized and reinitialized at the start of
-/// each solve, and the fold buffer is written before it is read, so a
+/// each solve, and the value slots are written before they are read, so a
 /// fresh `Scratch` and a recycled one produce bit-identical results, and a
 /// solve that panics leaves no state behind that could poison the next
 /// one.
@@ -119,9 +245,8 @@ pub struct Scratch {
     ps: Vec<f64>,
     x_off: Vec<u32>,
     x_idx: Vec<u32>,
-    // Factor fold buffer (see `factor_messages`): the shared chain of top
-    // folds, then two halves the bottom-up folds ping-pong between.
-    cells: Vec<f64>,
+    // The value slots of the fold program running (see `FoldProgram::run`).
+    vals: Vec<f64>,
 }
 
 impl Scratch {
@@ -242,67 +367,46 @@ fn reset_pairs(buf: &mut Vec<f64>, n: usize) {
     buf.resize(2 * n, 0.5);
 }
 
-/// Folds scope positions `0, 1, …` out of `src` from the bottom up, one
-/// per `(m(1), m(0))` pair in `pairs`, alternating between `a` and `b` as
-/// the destination, and returns the `(true, false)` mass of the two cells
-/// left.
-#[inline(always)]
-fn fold_bottom_up<const MAX: bool>(
-    src: &[f64],
-    pairs: &[f64],
-    a: &mut [f64],
-    b: &mut [f64],
-) -> (f64, f64) {
-    let mut pairs = pairs.chunks_exact(2);
-    let Some(first) = pairs.next() else { return (src[1], src[0]) };
-    let mut len = src.len() / 2;
-    fold_pairs::<MAX>(src, &mut a[..len], first);
-    let (mut from, mut to) = (a, b);
-    for m in pairs {
-        len /= 2;
-        fold_pairs::<MAX>(&from[..2 * len], &mut to[..len], m);
-        std::mem::swap(&mut from, &mut to);
-    }
-    (from[1], from[0])
-}
-
-/// One bottom-up fold, `dst[j] = src[2j]·m(0) ⊕ src[2j+1]·m(1)`, for the
-/// message pair `m = (m(1), m(0))`.
-#[inline(always)]
-fn fold_pairs<const MAX: bool>(src: &[f64], dst: &mut [f64], m: &[f64]) {
-    let (m1, m0) = (m[0], m[1]);
-    for (d, c) in dst.iter_mut().zip(src.chunks_exact(2)) {
-        *d = oplus::<MAX>(c[0] * m0, c[1] * m1);
-    }
-}
-
 impl CompiledGraph {
     /// Lowers a graph into arena form.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a factor's table does not hold `2^arity` potentials.
     pub fn compile(g: &FactorGraph) -> CompiledGraph {
         let n_vars = g.num_vars();
         let factors = g.factors();
         let n_edges: usize = factors.iter().map(|f| f.scope().len()).sum();
         let mut f_off = Vec::with_capacity(factors.len() + 1);
-        let mut t_off = Vec::with_capacity(factors.len() + 1);
+        let mut f_table = Vec::with_capacity(factors.len());
         let mut edge_var = Vec::with_capacity(n_edges);
         let mut edge_factor = Vec::with_capacity(n_edges);
         let mut tables = Vec::new();
+        let mut programs: Vec<Arc<FoldProgram>> = Vec::new();
         f_off.push(0u32);
-        t_off.push(0u32);
         for (fi, f) in factors.iter().enumerate() {
             for v in f.scope() {
                 edge_var.push(v.0);
                 edge_factor.push(fi as u32);
             }
-            tables.extend_from_slice(f.table());
-            // Pad the row to the alignment boundary with zero potentials
-            // (sliced off / skipped by every consumer), so the next row
-            // starts aligned.
-            while tables.len() % TABLE_ALIGN != 0 {
-                tables.push(0.0);
-            }
             f_off.push(edge_var.len() as u32);
-            t_off.push(tables.len() as u32);
+            let n = f.scope().len();
+            let table = f.table();
+            assert_eq!(table.len(), 1 << n, "factor {fi}: table size does not match its scope");
+            if n <= 2 {
+                f_table.push(tables.len() as u32);
+                tables.extend_from_slice(table);
+            } else {
+                let program = FoldProgram::shared(table, n);
+                let at = match programs.iter().position(|p| Arc::ptr_eq(p, &program)) {
+                    Some(at) => at,
+                    None => {
+                        programs.push(program);
+                        programs.len() - 1
+                    }
+                };
+                f_table.push(at as u32);
+            }
         }
         // Counting sort: v_edges grouped by variable, ascending edge id —
         // the same order the nested solver's `var_edges` push loop produced.
@@ -322,7 +426,18 @@ impl CompiledGraph {
             vslot[e] = slot;
             cursor[v as usize] += 1;
         }
-        CompiledGraph { n_vars, f_off, t_off, tables, edge_var, edge_factor, v_off, v_edges, vslot }
+        CompiledGraph {
+            n_vars,
+            f_off,
+            f_table,
+            tables,
+            programs,
+            edge_var,
+            edge_factor,
+            v_off,
+            v_edges,
+            vslot,
+        }
     }
 
     /// Number of variables.
@@ -436,7 +551,7 @@ impl CompiledGraph {
         let budget = opts.update_budget.unwrap_or(usize::MAX);
         let mut ev = GuardEvents::default();
 
-        let Scratch { fv, vf, xm, ps, x_off, x_idx, cells } = scratch;
+        let Scratch { fv, vf, xm, ps, x_off, x_idx, vals } = scratch;
         reset_pairs(fv, ne);
         reset_pairs(vf, ne);
         reset_pairs(xm, nx);
@@ -468,7 +583,7 @@ impl CompiledGraph {
                 let e0 = self.f_off[fi] as usize;
                 let e1 = self.f_off[fi + 1] as usize;
                 let local = &vf[2 * e0..2 * e1];
-                self.factor_messages::<MAX>(fi, local, cells, |pos, p_t, p_f| {
+                self.factor_messages::<MAX>(fi, local, vals, |pos, p_t, p_f| {
                     let new = normalize(p_t, p_f, &mut ev);
                     let slot = self.vslot[e0 + pos] as usize;
                     let old = get_t(fv, slot);
@@ -525,72 +640,35 @@ impl CompiledGraph {
     /// for sum-product, `max` for max-product (`MAX`). Positions above `pos`
     /// fold from the top down, then positions below `pos` from the bottom
     /// up; the two cells left are the target's `(false, true)` mass.
-    ///
-    /// The top folds are shared: the message to `pos` needs the table
-    /// folded over positions `n-1` down to `pos+1`, one fold more than the
-    /// message to `pos+1`. So the targets are visited from the top down
-    /// along one chain of top folds (`top`), and at each level only that
-    /// target's bottom-up folds run, into `ping` and `pong` in turn so no
-    /// fold overwrites the cells it reads. Every message is the same
-    /// sequence of float operations as contracting it alone, but a factor
-    /// costs about `3·2^n` folded cells instead of `n·2^(n+1)` copied and
-    /// folded ones. Zero-potential cells need no special case: their
-    /// products are exactly `+0.0`, which neither `+` nor `max` over
-    /// non-negative terms can see.
+    /// Factors of arity three or more run that sequence as their fold
+    /// program (see `FoldProgram`). Zero-potential cells need no special
+    /// case: their products are exactly `+0.0`, which neither `+` nor `max`
+    /// over non-negative terms can see.
     ///
     /// Unary and pairwise factors, most of a model's factors, fold straight
-    /// from the table. That is the same arithmetic, so the same bits, and it
-    /// measured ~11% faster end to end at paper scale.
+    /// from their rows. That is the same arithmetic, so the same bits, and
+    /// it measured ~11% faster end to end at paper scale.
     #[inline]
     fn factor_messages<const MAX: bool>(
         &self,
         fi: usize,
         local: &[f64],
-        cells: &mut Vec<f64>,
+        vals: &mut Vec<f64>,
         mut emit: impl FnMut(usize, f64, f64),
     ) {
-        let n = local.len() / 2;
-        let table = &self.tables[self.t_off[fi] as usize..][..1 << n];
-        let m = |opos: usize| (local[2 * opos], local[2 * opos + 1]);
-        match n {
-            1 => return emit(0, table[1], table[0]),
+        let at = self.f_table[fi] as usize;
+        match local.len() / 2 {
+            1 => emit(0, self.tables[at + 1], self.tables[at]),
             2 => {
+                let table = &self.tables[at..at + 4];
                 for pos in 0..2 {
                     let (o, t) = (1 - pos, 1 << pos);
-                    let (m1, m0) = m(o);
+                    let (m1, m0) = (local[2 * o], local[2 * o + 1]);
                     let fold = |c: usize| oplus::<MAX>(table[c] * m0, table[c + (1 << o)] * m1);
                     emit(pos, fold(t), fold(0));
                 }
-                return;
             }
-            _ => {}
-        }
-        let half = 1 << (n - 1);
-        cells.resize(3 * half, 0.0);
-        let (top, work) = cells.split_at_mut(half);
-        let (ping, pong) = work.split_at_mut(half);
-        for pos in (0..n).rev() {
-            // The table folded over every position above `pos`.
-            let src = if pos == n - 1 { table } else { &top[..2 << pos] };
-            let (p_t, p_f) = fold_bottom_up::<MAX>(src, &local[..2 * pos], ping, pong);
-            emit(pos, p_t, p_f);
-            if pos == 0 {
-                break;
-            }
-            // Fold position `pos` away for the targets below it.
-            let (m1, m0) = m(pos);
-            let len = 1 << pos;
-            if pos == n - 1 {
-                let (lo, hi) = table.split_at(len);
-                for ((c, &c0), &c1) in top.iter_mut().zip(lo).zip(hi) {
-                    *c = oplus::<MAX>(c0 * m0, c1 * m1);
-                }
-            } else {
-                let (lo, hi) = top[..2 * len].split_at_mut(len);
-                for (c0, &c1) in lo.iter_mut().zip(hi.iter()) {
-                    *c0 = oplus::<MAX>(*c0 * m0, c1 * m1);
-                }
-            }
+            _ => self.programs[at].run::<MAX>(local, vals, emit),
         }
     }
 
@@ -715,16 +793,17 @@ mod tests {
         (normalize(lanes[1], lanes[0], &mut ev), ev)
     }
 
-    /// Every message of factor 0, as `factor_messages` emits them,
+    /// Every message of factor `fi`, as `factor_messages` emits them,
     /// normalized one by one so each carries its own guard events; indexed
     /// by scope position.
     fn all_messages<const MAX: bool>(
         compiled: &CompiledGraph,
+        fi: usize,
         local: &[f64],
-        cells: &mut Vec<f64>,
+        vals: &mut Vec<f64>,
     ) -> Vec<(f64, GuardEvents)> {
         let mut got = vec![None; local.len() / 2];
-        compiled.factor_messages::<MAX>(0, local, cells, |pos, p_t, p_f| {
+        compiled.factor_messages::<MAX>(fi, local, vals, |pos, p_t, p_f| {
             let mut ev = GuardEvents::default();
             let m = normalize(p_t, p_f, &mut ev);
             assert!(got[pos].replace((m, ev)).is_none(), "position {pos} emitted twice");
@@ -767,11 +846,11 @@ mod tests {
             for (i, &m) in ms.iter().enumerate() {
                 put(&mut local, i, m);
             }
-            // One fold buffer for both semirings, as a solve reuses it.
-            let mut cells = Vec::new();
+            // One slot buffer for both semirings, as a solve reuses it.
+            let mut vals = Vec::new();
             let got = [
-                all_messages::<false>(&compiled, &local, &mut cells),
-                all_messages::<true>(&compiled, &local, &mut cells),
+                all_messages::<false>(&compiled, 0, &local, &mut vals),
+                all_messages::<true>(&compiled, 0, &local, &mut vals),
             ];
             for pos in 0..n {
                 let want = [
@@ -785,6 +864,57 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The per-edge weakening factor of the paper's Eq. 2 over a node's
+    /// five kind variables and an edge's five (kinds ordered unique, full,
+    /// immutable, share, pure): each kind the node holds must weaken to a
+    /// kind the edge holds, unless the edge holds none.
+    fn l1_split(scope: Vec<VarId>, h: f64) -> Factor {
+        // Per node kind, the edge kinds it may weaken to, as a bit mask.
+        const WEAKENS: [u32; 5] = [0b11111, 0b11110, 0b10100, 0b11000, 0b10000];
+        Factor::soft(scope, h, |a| {
+            let edge = (0..5).filter(|&j| a[5 + j]).fold(0, |m, j| m | 1 << j);
+            edge == 0 || (0..5).all(|i| !a[i] || WEAKENS[i] & edge != 0)
+        })
+    }
+
+    #[test]
+    fn equal_tables_share_one_program() {
+        let mut g = FactorGraph::new();
+        let xs: Vec<_> = (0..15).map(|i| g.add_var(format!("x{i}"))).collect();
+        g.add_factor(l1_split(xs[..10].to_vec(), 0.98));
+        g.add_factor(l1_split(xs[5..].to_vec(), 0.98));
+        g.add_factor(l1_split([&xs[..5], &xs[10..]].concat(), 0.9));
+        let compiled = CompiledGraph::compile(&g);
+        assert_eq!(compiled.programs.len(), 2, "one program per distinct table");
+        assert_eq!(compiled.f_table, [0, 0, 1]);
+        let folds = compiled.programs[0].folds.len();
+        assert!(folds < 300, "the L1-split table takes {folds} folds");
+
+        let mut rng = prng::Rng::new(16);
+        let mut vals = Vec::new();
+        for (fi, f) in g.factors().iter().enumerate() {
+            let ms: Vec<f64> = (0..10).map(|_| 0.25 + 0.5 * rng.gen_f64()).collect();
+            let mut local = vec![0.0; 20];
+            for (i, &m) in ms.iter().enumerate() {
+                put(&mut local, i, m);
+            }
+            let got = [
+                all_messages::<false>(&compiled, fi, &local, &mut vals),
+                all_messages::<true>(&compiled, fi, &local, &mut vals),
+            ];
+            for pos in 0..10 {
+                let want = [
+                    by_definition::<false>(f.table(), pos, &ms),
+                    by_definition::<true>(f.table(), pos, &ms),
+                ];
+                for ((m, ev), (want_m, want_ev)) in got.iter().map(|g| g[pos]).zip(want) {
+                    assert!((m - want_m).abs() <= 1e-12, "factor {fi} pos {pos}: {m} vs {want_m}");
+                    assert_eq!(ev, want_ev, "factor {fi} pos {pos}");
+                }
+            }
+        }
     }
 
     #[test]

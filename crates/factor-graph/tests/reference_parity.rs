@@ -7,9 +7,10 @@
 //! tables one dimension at a time, so it sums in a different order than
 //! the reference's cell-by-cell walk: marginals must agree within `1e-12`,
 //! and iteration counts and convergence flags must be identical. It also
-//! checks that stamped extras are exactly appended unary factors, and that
-//! on trees the sweeps converge to the exact marginals `solve_exact`
-//! enumerates.
+//! checks that stamped extras are exactly appended unary factors, that
+//! factors sharing a table (and so a fold program) match the reference on
+//! factor trees, and that on trees the sweeps converge to the exact
+//! marginals `solve_exact` enumerates.
 
 use factor_graph::{BpOptions, CompiledGraph, Factor, FactorGraph, VarId};
 use prng::Rng;
@@ -237,6 +238,99 @@ fn stamped_extras_equal_appended_unary_factors() {
         let stamped_map = compiled.solve_map_stamped(&extras, &opts);
         let appended_map = extended.solve_map(&opts);
         assert_bit_equal(stamped_map.as_slice(), appended_map.as_slice(), "stamped max");
+    });
+}
+
+type Predicate = fn(&[bool]) -> bool;
+
+/// The wide factors `random_factor_tree` draws from, as (predicate,
+/// strength) pairs. Model builders draw theirs from a few such pairs too,
+/// so several factors of one graph share a table, and the kernel a fold
+/// program.
+const WIDE: [(Predicate, f64); 4] = [
+    (|x| x.iter().filter(|b| **b).count() == 1, 0.9),
+    (|x| x.iter().filter(|b| **b).count() == 1, 0.65),
+    (|x| x.iter().filter(|b| **b).count() <= 1, 0.8),
+    (|x| x.iter().all(|b| *b == x[0]), 0.95),
+];
+
+/// A random factor tree: unary priors, pairwise links and wide factors from
+/// [`WIDE`] at arity 3–6, each link or wide factor joining one variable
+/// already in the tree to fresh ones.
+fn random_factor_tree(rng: &mut Rng, n_factors: usize) -> FactorGraph {
+    let mut g = FactorGraph::new();
+    let mut vars = vec![g.add_var("r")];
+    for _ in 0..n_factors {
+        let anchor = *rng.pick(&vars);
+        match rng.gen_index(0..3) {
+            0 => g.add_factor(Factor::unary(anchor, 0.05 + 0.9 * rng.gen_f64())),
+            1 => {
+                let v = g.add_var(format!("v{}", vars.len()));
+                vars.push(v);
+                let h = 0.55 + 0.44 * rng.gen_f64();
+                g.add_factor(Factor::soft(vec![anchor, v], h, |x| x[0] == x[1]));
+            }
+            _ => {
+                let mut scope = vec![anchor];
+                for _ in 1..rng.gen_index(3..7) {
+                    let v = g.add_var(format!("v{}", vars.len()));
+                    vars.push(v);
+                    scope.push(v);
+                }
+                let (pred, h) = *rng.pick(&WIDE);
+                g.add_factor(Factor::soft(scope, h, pred));
+            }
+        }
+    }
+    g
+}
+
+/// Factors with equal tables share one fold program; on trees with many
+/// such factors the sweeps must still match the reference solver, and
+/// stamped extras must still equal appended unary factors.
+///
+/// Trees, because loopy BP can be chaotic: on a few percent of
+/// `random_graph`'s loopy graphs max-product never converges, and there
+/// the kernel's and the reference's different product orders drift apart
+/// far beyond [`PARITY_TOLERANCE`]. On a tree the drift stays at rounding
+/// level.
+#[test]
+fn shared_tables_match_reference_on_factor_trees() {
+    prng::forall("shared-table-trees", 40, |rng| {
+        let n_factors = rng.gen_index(1..30);
+        let g = random_factor_tree(rng, n_factors);
+        let opts = BpOptions {
+            max_iterations: rng.gen_index(1..60),
+            damping: *rng.pick(&[0.0, 0.1, 0.3]),
+            ..BpOptions::default()
+        };
+        let (ref_sum, ref_it, ref_conv) = reference::solve::<false>(&g, &opts);
+        let sum = g.solve(&opts);
+        assert_close(sum.as_slice(), &ref_sum, "sum");
+        assert_eq!(sum.iterations, ref_it);
+        assert_eq!(sum.converged, ref_conv);
+        let (ref_max, ref_it, ref_conv) = reference::solve::<true>(&g, &opts);
+        let map = g.solve_map(&opts);
+        assert_close(map.as_slice(), &ref_max, "max");
+        assert_eq!(map.iterations, ref_it);
+        assert_eq!(map.converged, ref_conv);
+
+        let extras: Vec<(VarId, f64)> = (0..rng.gen_index(0..8))
+            .map(|_| (VarId(rng.gen_index(0..g.num_vars()) as u32), 0.05 + 0.9 * rng.gen_f64()))
+            .collect();
+        let mut extended = g.clone();
+        for &(v, p) in &extras {
+            extended.add_factor(Factor::unary(v, p));
+        }
+        let compiled = CompiledGraph::compile(&g);
+        let stamped = compiled.solve_stamped(&extras, &opts);
+        assert_bit_equal(stamped.as_slice(), extended.solve(&opts).as_slice(), "stamped sum");
+        let stamped_map = compiled.solve_map_stamped(&extras, &opts);
+        assert_bit_equal(
+            stamped_map.as_slice(),
+            extended.solve_map(&opts).as_slice(),
+            "stamped max",
+        );
     });
 }
 
