@@ -283,15 +283,17 @@ impl MethodUnit {
 }
 
 /// Resolves `InferConfig::threads`: `0` means one per available core, and
-/// explicit counts are clamped to the cores actually present — speculative
-/// solving only pays off when the workers genuinely run concurrently, and
-/// oversubscribing a small machine turns the speculation into pure waste
-/// (every discarded solve burned a core the committed ones needed).
+/// explicit counts are clamped to the cores actually present, so a run
+/// holds one worker and one BP [`Scratch`] per core, not per requested
+/// thread. The clamp is not a speed-up: speculation discards no solve, and
+/// at paper scale on a 2-core host `--threads 8` ran faster unclamped in 16
+/// of 20 alternating pairs, while holding about 2 MB more peak memory
+/// (EXPERIMENTS.md, "Threads").
 ///
 /// Results are byte-identical for any worker count, so the clamp never
 /// changes output, only cost. Setting `ANEK_OVERSUBSCRIBE=1` disables the
-/// clamp, which tests and CI use to exercise the speculative pipeline on
-/// single-core runners.
+/// clamp: tests use it so that multi-thread runs speculate on any machine,
+/// and `ci.sh` so that the benches' threads-8 rows run eight workers.
 fn resolve_threads(threads: usize) -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if threads == 0 {
@@ -303,62 +305,35 @@ fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Maps `items` through `f`, preserving order, fanning work out over up to
-/// `threads` scoped worker threads. With one thread (or one item) the work
-/// runs inline on the caller's stack.
-fn map_parallel<I: Sync, T: Send>(
-    threads: usize,
+/// Maps `items` through `f`, preserving order, on the calling thread plus
+/// one scoped worker thread per further entry of `states` (never more
+/// threads than items). Each thread owns one entry of `states` for the
+/// whole call: a long-lived BP [`Scratch`] for speculation, `()` where the
+/// work needs no state. The time the calling thread spent blocked on its
+/// workers after finishing its own share is returned alongside the
+/// results; for speculation that wait is precisely the commit pipeline's
+/// serialization stall.
+fn map_parallel<I: Sync, T: Send, S: Send>(
     items: &[I],
-    f: impl Fn(&I) -> T + Sync,
-) -> Vec<T> {
-    let workers = threads.min(items.len());
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().unwrap() = Some(f(item));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap().expect("worker filled every slot"))
-        .collect()
-}
-
-/// Like [`map_parallel`], but every worker borrows one long-lived BP
-/// [`Scratch`] from `pool` (the caller's thread takes the first and
-/// participates as a worker), and the time the calling thread spent blocked
-/// on its workers after finishing its own share is returned alongside the
-/// results — that wait is precisely the commit pipeline's serialization
-/// stall.
-fn map_parallel_scratch<I: Sync, T: Send>(
-    items: &[I],
-    pool: &mut [Scratch],
-    f: impl Fn(&I, &mut Scratch) -> T + Sync,
+    states: &mut [S],
+    f: impl Fn(&I, &mut S) -> T + Sync,
 ) -> (Vec<T>, Duration) {
-    let workers = pool.len().min(items.len()).max(1);
+    let workers = states.len().min(items.len()).max(1);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let run = |scratch: &mut Scratch| loop {
+    let run = |state: &mut S| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(item) = items.get(i) else { break };
-        *slots[i].lock().unwrap() = Some(f(item, scratch));
+        *slots[i].lock().unwrap() = Some(f(item, state));
     };
-    let (main_scratch, rest) = pool.split_first_mut().expect("non-empty scratch pool");
+    let (main_state, rest) = states.split_first_mut().expect("at least one worker state");
     let mut idle_from: Option<Instant> = None;
     std::thread::scope(|scope| {
         let run = &run;
         for s in rest.iter_mut().take(workers - 1) {
             scope.spawn(move || run(s));
         }
-        run(main_scratch);
+        run(main_state);
         idle_from = Some(Instant::now());
         // The scope's implicit join is the wait being measured.
     });
@@ -471,7 +446,8 @@ pub fn infer_with_store(
     // PFG construction is independent per method — the one-time setup cost
     // parallelizes trivially (and is skipped entirely for PFGs the cache
     // already holds). Skeletons compile lazily on first solve.
-    let built: Vec<MethodUnit> = map_parallel(threads, &meta, |(id, type_name, m, unit_idx)| {
+    let mut no_state = vec![(); threads];
+    let (built, _) = map_parallel(&meta, &mut no_state, |(id, type_name, m, unit_idx), _| {
         let spec = spec_of_method(m).unwrap_or_default();
         let pfg_key = cache.map(|_| {
             let mut h = KeyHasher::new();
@@ -699,7 +675,7 @@ pub fn infer_with_store(
             }
             let speculated: Option<Vec<SolveResult>> = (parallel && chunk.len() > 1).then(|| {
                 speculative_solves += chunk.len();
-                let (results, stall) = map_parallel_scratch(chunk, &mut scratch_pool, |id, s| {
+                let (results, stall) = map_parallel(chunk, &mut scratch_pool, |id, s| {
                     solve_one(id, &summaries, &evidence, s)
                 });
                 commit_stall += stall;
@@ -1047,26 +1023,25 @@ fn screen_methods(
     let machine = bitstate::Machine::compile(api, &program_specs);
 
     // Per-method: bitstate verdict plus the set of program callees.
-    let scanned: Vec<(bool, BTreeSet<MethodId>)> =
-        map_parallel(threads, meta, |(id, type_name, m, _)| {
-            let mut env = TypeEnv::for_method(index, api, type_name, m);
-            let body = Cfg::build(m, &mut env);
-            let mut prog_callees = BTreeSet::new();
-            for block in &body.blocks {
-                for e in &block.events {
-                    let callee = match &e.kind {
-                        EventKind::New { callee, .. } | EventKind::Call { callee, .. } => callee,
-                        _ => continue,
-                    };
-                    if let Callee::Program(c) = callee {
-                        prog_callees.insert(c.clone());
-                    }
+    let (scanned, _) = map_parallel(meta, &mut vec![(); threads], |(id, type_name, m, _), _| {
+        let mut env = TypeEnv::for_method(index, api, type_name, m);
+        let body = Cfg::build(m, &mut env);
+        let mut prog_callees = BTreeSet::new();
+        for block in &body.blocks {
+            for e in &block.events {
+                let callee = match &e.kind {
+                    EventKind::New { callee, .. } | EventKind::Call { callee, .. } => callee,
+                    _ => continue,
+                };
+                if let Callee::Program(c) = callee {
+                    prog_callees.insert(c.clone());
                 }
             }
-            let params: Vec<String> = m.params.iter().map(|p| p.name.clone()).collect();
-            let report = machine.check_method(id, &body, &params, m.modifiers.is_static);
-            (report.verdict == bitstate::Verdict::ProvablyClean, prog_callees)
-        });
+        }
+        let params: Vec<String> = m.params.iter().map(|p| p.name.clone()).collect();
+        let report = machine.check_method(id, &body, &params, m.modifiers.is_static);
+        (report.verdict == bitstate::Verdict::ProvablyClean, prog_callees)
+    });
 
     let mut called: BTreeSet<MethodId> = BTreeSet::new();
     for (_, callees) in &scanned {

@@ -19,8 +19,7 @@
 //! constraints still give an answer.
 //!
 //! Outcomes render into a deterministic text table ([`render_outcome_table`])
-//! that the CLI prints and the CI fault gate byte-diffs across `--threads`
-//! values.
+//! that the CLI prints and that tests compare across `--threads` values.
 
 use analysis::types::MethodId;
 use std::collections::BTreeMap;
@@ -186,9 +185,9 @@ impl fmt::Display for MethodOutcome {
 /// Renders the per-method outcome table: one `method<TAB>status<TAB>detail`
 /// line per method in `BTreeMap` (i.e. deterministic) order.
 ///
-/// The CLI prints this on stdout and the CI fault-injection gate byte-diffs
-/// it across `--threads 1` and `--threads 4`, so nothing non-deterministic
-/// (timing, thread ids, pointer values) may ever appear here.
+/// The CLI prints this on stdout and the fault-injection tests compare it
+/// across thread counts, so nothing non-deterministic (timing, thread ids,
+/// pointer values) may ever appear here.
 pub fn render_outcome_table(outcomes: &BTreeMap<MethodId, MethodOutcome>) -> String {
     let mut out = String::new();
     for (id, outcome) in outcomes {

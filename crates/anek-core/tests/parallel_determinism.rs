@@ -13,9 +13,9 @@
 //!   the keystone of incremental model reuse.
 
 use analysis::pfg::Pfg;
-use analysis::types::ProgramIndex;
+use analysis::types::{MethodId, ProgramIndex};
 use anek_core::{infer, merged_states, InferConfig, InferResult, MethodModel, ModelCtx};
-use spec_lang::{spec_of_method, standard_api};
+use spec_lang::{api_with_protocols, spec_of_method, standard_api};
 use std::sync::Arc;
 
 /// Serializes everything semantically relevant about an inference result
@@ -58,6 +58,36 @@ fn infer_is_byte_identical_for_any_thread_count() {
             assert_eq!(got.discarded_solves, 0, "case {}: threads={threads}", case.name);
         }
     }
+}
+
+#[test]
+fn mixed_protocol_corpus_is_byte_identical_across_thread_counts() {
+    // Every protocol family (File, Lock, Builder, Connection, Stream,
+    // Iterator) inferred under the full library, drained.
+    oversubscribe();
+    let api = api_with_protocols(&["all"]).unwrap();
+    let units = corpus::generate_mixed(&corpus::MixedConfig::small()).units;
+    let run = |threads: usize| {
+        let cfg = InferConfig {
+            protocols: vec!["all".to_string()],
+            max_iters: 9360,
+            threads,
+            ..InferConfig::default()
+        };
+        infer(&units, &api, &cfg)
+    };
+    let one = run(1);
+    assert_eq!(fingerprint(&run(4)), fingerprint(&one), "threads=4 diverged from threads=1");
+    // The Lock family is really inferred, not just deterministic.
+    let make_lock =
+        one.specs.get(&MethodId::new("LockSource", "makeLock")).expect("LockSource.makeLock spec");
+    assert!(!make_lock.is_empty(), "LockSource.makeLock got an empty spec");
+    let in_free = one
+        .specs
+        .values()
+        .flat_map(|s| s.requires.atoms.iter().chain(&s.ensures.atoms))
+        .any(|a| a.state.as_deref() == Some("FREE"));
+    assert!(in_free, "no inferred atom is `in FREE`");
 }
 
 #[test]

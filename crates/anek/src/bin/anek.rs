@@ -363,8 +363,8 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             }
             if flags.outcomes {
                 // The deterministic outcome table: skipped sources first
-                // (by input index), then one line per method. The CI fault
-                // gate byte-diffs this across thread counts.
+                // (by input index), then one line per method. Identical for
+                // every thread count, faults included.
                 println!("--- outcomes ---");
                 for s in &pipeline.skipped_sources {
                     println!("source:{}\tskipped\t{}", s.index, s.error);

@@ -113,8 +113,8 @@ pub struct CrossReport {
 }
 
 impl CrossReport {
-    /// Renders the comparison as a deterministic text table plus the
-    /// summary line the CI gate greps for.
+    /// Renders the comparison as a deterministic text table plus a summary
+    /// line ending in `undocumented disagreements: N`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for row in &self.rows {

@@ -287,6 +287,9 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::types::MethodId;
+    use anek_core::{DegradeReason, MethodOutcome};
+    use std::collections::BTreeSet;
 
     #[test]
     fn figure3_pipeline_reduces_warnings() {
@@ -317,23 +320,65 @@ mod tests {
         }
     }
 
+    /// Everything inference decided for one method: outcome, spec,
+    /// summary and confidence. Floats appear as their `Debug` text, which
+    /// round-trips every bit.
+    fn method_row(r: &InferResult, id: &MethodId) -> String {
+        format!(
+            "{:?}\n{:?}\n{:?}\n{:?}",
+            r.outcomes.get(id),
+            r.specs.get(id),
+            r.summaries.get(id),
+            r.confidence.get(id)
+        )
+    }
+
+    /// Asserts that two runs decided the same for every method and traced
+    /// the same spec and deterministic lines; only the execution line may
+    /// differ.
+    fn assert_same_run(a: &InferResult, b: &InferResult, what: &str) {
+        let methods: BTreeSet<&MethodId> =
+            [a, b].iter().flat_map(|r| r.outcomes.keys().chain(r.specs.keys())).collect();
+        for id in methods {
+            assert_eq!(method_row(a, id), method_row(b, id), "{what}: {id} differs");
+        }
+        let lines = |r: &InferResult| {
+            let text = r.trace.as_ref().expect("tracing was enabled").render();
+            text.lines().take(2).map(str::to_string).collect::<Vec<_>>()
+        };
+        let (la, lb) = (lines(a), lines(b));
+        assert_eq!(la[0], lb[0], "{what}: spec trace line differs");
+        assert_eq!(la[1], lb[1], "{what}: deterministic trace line differs");
+    }
+
     #[test]
-    fn report_counters_equal_trace_span_sums_across_thread_counts() {
-        // The report's headline counters and the per-solve trace spans are
-        // two views of one execution; they must agree, and the
-        // deterministic view must not move with the thread count.
+    fn small_corpus_runs_agree_across_threads_screening_and_trace() {
+        // Five runs over one corpus, each configuration once:
+        //   1, 2  the default config, traced, at threads 1 and 4; the
+        //         worklist stops at the default `max_iters`;
+        //   3     `max_iters` 2000, unscreened, threads 1: the worklist
+        //         drains, and this is the reference run;
+        //   4, 5  `max_iters` 2000, screened and traced, threads 1 and 4.
+        // Lifting the worker clamp makes the threads-4 runs speculate on
+        // any machine; the clamp never changes results.
         std::env::set_var("ANEK_OVERSUBSCRIBE", "1");
         let units = corpus::generate(&corpus::PmdConfig::small()).units;
-        let run = |threads: usize| {
-            Pipeline::new(units.clone())
-                .with_screen(true)
-                .with_trace(true)
-                .with_threads(threads)
-                .infer()
+        let run = |max_iters: usize, screen: bool, trace: bool, threads: usize| {
+            let mut pipeline = Pipeline::new(units.clone())
+                .with_screen(screen)
+                .with_trace(trace)
+                .with_threads(threads);
+            pipeline.config.max_iters = max_iters;
+            pipeline.infer()
         };
-        let one = run(1);
-        let four = run(4);
-        for result in [&one, &four] {
+        let default_iters = InferConfig::default().max_iters;
+        let capped = [run(default_iters, false, true, 1), run(default_iters, false, true, 4)];
+        let full = run(2000, false, false, 1);
+        let screened = [run(2000, true, true, 1), run(2000, true, true, 4)];
+
+        // The report's headline counters and the per-solve trace spans are
+        // two views of one execution; they must agree.
+        for result in capped.iter().chain(&screened) {
             let trace = result.trace.as_ref().expect("tracing was enabled");
             // Deterministic section: spans ARE the committed solves.
             assert_eq!(trace.spans.len(), result.solves, "one span per committed solve");
@@ -355,16 +400,40 @@ mod tests {
                 "discarded spans must sum to the report's discarded_solves"
             );
         }
-        // The deterministic sections must be byte-identical across thread
-        // counts; only the execution section may differ.
-        let lines = |r: &InferResult| {
-            let text = r.trace.as_ref().unwrap().render();
-            text.lines().map(str::to_string).collect::<Vec<_>>()
+
+        // Nothing deterministic moves with the thread count, whether the
+        // worklist is cut short or drains.
+        assert_same_run(&capped[0], &capped[1], "default config, threads 1 vs 4");
+        assert_same_run(&screened[0], &screened[1], "screened, threads 1 vs 4");
+        for four in [&capped[1], &screened[1]] {
+            assert!(four.speculative_solves > 0, "4 threads should actually speculate");
+        }
+
+        let truncated = |r: &InferResult| {
+            r.outcomes
+                .values()
+                .filter(|o| {
+                    matches!(o, MethodOutcome::Degraded { reasons }
+                        if reasons.contains(&DegradeReason::WorklistTruncated))
+                })
+                .count()
         };
-        let (l1, l4) = (lines(&one), lines(&four));
-        assert_eq!(l1[0], l4[0], "spec section moved with the thread count");
-        assert_eq!(l1[1], l4[1], "deterministic section moved with the thread count");
-        assert!(four.speculative_solves > 0, "4 threads should actually speculate");
+        assert!(truncated(&capped[0]) > 0, "the default max_iters should cut the worklist short");
+        assert_eq!(truncated(&full), 0, "max_iters 2000 should drain the worklist");
+
+        // Screening only skips solves: every method it keeps ends exactly
+        // as in the unscreened run, and it skips at least a fifth of them.
+        for (id, outcome) in &screened[0].outcomes {
+            if !outcome.is_screened() {
+                assert_eq!(method_row(&screened[0], id), method_row(&full, id), "{id} moved");
+            }
+        }
+        assert!(
+            screened[0].solves * 5 <= full.solves * 4,
+            "screening skipped under 20% of solves: {} of {}",
+            screened[0].solves,
+            full.solves
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! | `ablation_modular` | modular ANEK-INFER vs whole-program `Φ_P`    |
 //! | `ablation_heuristics` | H3 on/off (`full` vs `unique`, §1)        |
 //! | `ablation_branch` | the branch-sensitivity future-work extension  |
+//! | `paper_check` | Table 2's verdicts as a check: exactly the planted bugs |
 
 #![warn(missing_docs)]
 

@@ -7,8 +7,8 @@
 //! The design rule of this crate is that **no deterministic artifact ever
 //! contains a wall-clock reading**. Logical clocks — solve sequence
 //! numbers, BP iteration counts, message-update counts — are the only
-//! notion of time. This is what lets CI byte-diff a `--trace-json` file
-//! across `--threads 1` vs `4`: the worklist commits the same solve
+//! notion of time. This is what lets a test compare a trace's first two
+//! lines across `--threads 1` vs `4`: the worklist commits the same solve
 //! sequence regardless of the thread count, so the same spans come out in
 //! the same order with the same numbers.
 //!
@@ -23,7 +23,7 @@
 //! 3. `"section":"execution"` — the parallel execution shape (speculative
 //!    and discarded solves, chunk stalls). Deterministic *per thread
 //!    count* but not across thread counts, which is why it lives on its
-//!    own line: the cross-thread CI gate filters it out before diffing.
+//!    own line: the cross-thread comparison leaves it out.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,8 @@
 //! CLI contract tests for the `anek` binary: the documented exit codes
-//! (0 success, 1 runtime failure, 2 usage error, 3 partial result), the
-//! `--store` flag, a scripted `serve --stdio` session, and the golden
-//! serve transcripts.
+//! (0 success, 1 runtime failure, 2 usage error, 3 partial result) of
+//! `infer`, `lint` and `check`, the `corpus` generator, the `--store`
+//! flag, a scripted `serve --stdio` session, and the golden serve
+//! transcripts.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -45,6 +46,19 @@ fn solve_blobs(store: &Path) -> usize {
 
 const DRAIN: &str =
     "class App { void drain(Iterator<Integer> it) { while (it.hasNext()) { it.next(); } } }";
+
+/// `next()` on a fresh iterator with no `hasNext()` test: a protocol bug.
+const FIRST: &str =
+    "class First { Object first(Collection<Integer> c) { return c.iterator().next(); } }";
+
+/// Number of `.java` files in `dir`.
+fn java_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("read corpus dir")
+        .filter_map(Result::ok)
+        .filter(|e| e.path().extension().is_some_and(|x| x == "java"))
+        .count()
+}
 
 #[test]
 fn exit_zero_on_clean_infer() {
@@ -112,6 +126,77 @@ fn exit_three_on_partial_result() {
     assert_eq!(code(&out), 3, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("App.drain\tfailed"), "outcome table shows the failure: {stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn lint_and_check_exit_one_on_a_protocol_bug_and_zero_without() {
+    let dir = temp_dir("verdicts");
+    let bug = write(&dir, "First.java", FIRST);
+    let clean = write(&dir, "Drain.java", DRAIN);
+    let out = anek().arg("lint").arg(&bug).output().expect("run");
+    assert_eq!(code(&out), 1, "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("PROT001"));
+    let out = anek().arg("lint").arg(&clean).output().expect("run");
+    assert_eq!(code(&out), 0, "stdout: {}", String::from_utf8_lossy(&out.stdout));
+
+    let out = anek().args(["check", "--json"]).arg(&bug).output().expect("run");
+    assert_eq!(code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains(r#""rule":"CHK001""#));
+    let out = anek().args(["check", "--json"]).arg(&clean).output().expect("run");
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "[]");
+
+    let out = anek()
+        .args(["check", "--infer", "--branch-sensitive", "--cross-validate"])
+        .arg(&bug)
+        .arg(&clean)
+        .output()
+        .expect("run");
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("undocumented disagreements: 0"), "{stdout}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn corpus_writes_one_file_per_generated_class() {
+    let dir = temp_dir("corpus");
+    let small = corpus::generate(&corpus::PmdConfig::small());
+    let mixed = corpus::generate_mixed(&corpus::MixedConfig::small());
+    for (flag, want) in [("--small", small.stats.classes), ("--mixed", mixed.stats.classes)] {
+        let out_dir = dir.join(&flag[2..]);
+        let out = anek().arg("corpus").arg(&out_dir).arg(flag).output().expect("run");
+        assert_eq!(code(&out), 0, "{flag}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(java_files(&out_dir), want, "{flag}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn infer_screens_under_every_protocol_family() {
+    let dir = temp_dir("screen");
+    let clean = write(&dir, "Drain.java", DRAIN);
+    // No protocol call at all: provably clean and isolated, so screened.
+    let plain =
+        write(&dir, "Size.java", "class Size { int zero(Collection<Integer> c) { return 0; } }");
+    // Releases a FREE lock: a violation once the Lock family is selected,
+    // so screening must keep it.
+    let lock = write(
+        &dir,
+        "Slip.java",
+        "class Slip { int slip(LockFactory f) { Lock l = f.newLock(); l.release(); return 0; } }",
+    );
+    let out = anek()
+        .args(["infer", "--screen", "--max-iters", "50", "--protocols", "all", "--outcomes"])
+        .args([&clean, &plain, &lock])
+        .output()
+        .expect("run");
+    assert_eq!(code(&out), 0, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Size.zero\tscreened"), "{stdout}");
+    assert!(stdout.contains("Slip.slip\t"), "{stdout}");
+    assert!(!stdout.contains("Slip.slip\tscreened"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
