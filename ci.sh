@@ -14,12 +14,6 @@ set -euo pipefail
 cd "$(dirname "$0")"
 root="$PWD"
 
-# `table2` and `check_bench` record threads-8 rows. Inference clamps its
-# worker count to the available cores, which would quietly turn those rows
-# into runs at the core count; lifting the clamp keeps them what they say.
-# Output is byte-identical either way.
-export ANEK_OVERSUBSCRIBE=1
-
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 

@@ -187,28 +187,6 @@ impl Pfg {
         b.run(&cfg)
     }
 
-    /// Reassembles a PFG from its serialized parts, recomputing the
-    /// adjacency lists from the edge list (the inverse of persisting the
-    /// public fields — used by the on-disk artifact store). The result is
-    /// structurally identical to the originally built graph.
-    pub fn from_parts(
-        method: MethodId,
-        nodes: Vec<PfgNode>,
-        edges: Vec<(NodeId, NodeId)>,
-        params: Vec<ParamNodes>,
-        result: Option<(String, NodeId)>,
-        sync_targets: Vec<NodeId>,
-    ) -> Pfg {
-        let n = nodes.len();
-        let mut outgoing = vec![Vec::new(); n];
-        let mut incoming = vec![Vec::new(); n];
-        for &(a, b) in &edges {
-            outgoing[a].push(b);
-            incoming[b].push(a);
-        }
-        Pfg { method, nodes, edges, params, result, sync_targets, outgoing, incoming }
-    }
-
     /// Nodes with an edge from `id`.
     pub fn outgoing(&self, id: NodeId) -> &[NodeId] {
         &self.outgoing[id]

@@ -136,10 +136,9 @@ pub struct InferConfig {
     /// Belief-propagation options for the per-method `Solve`.
     pub bp: BpOptions,
     /// Worker threads for the generation-parallel worklist: `0` means one
-    /// per available core, `1` forces the sequential path, and explicit
-    /// counts are clamped to the available cores (set `ANEK_OVERSUBSCRIBE=1`
-    /// to lift the clamp). Results are identical for every value (see
-    /// `infer`'s determinism notes).
+    /// per available core, `1` forces the sequential path, and any other
+    /// count runs that many workers, whatever the core count. Results are
+    /// identical for every value (see `infer`'s determinism notes).
     pub threads: usize,
     /// Hard cap on factor-graph variables per method model. A method whose
     /// model exceeds it is refused before solving and reported as

@@ -283,25 +283,17 @@ impl MethodUnit {
 }
 
 /// Resolves `InferConfig::threads`: `0` means one per available core, and
-/// explicit counts are clamped to the cores actually present, so a run
-/// holds one worker and one BP [`Scratch`] per core, not per requested
-/// thread. The clamp is not a speed-up: speculation discards no solve, and
-/// at paper scale on a 2-core host `--threads 8` ran faster unclamped in 16
-/// of 20 alternating pairs, while holding about 2 MB more peak memory
-/// (EXPERIMENTS.md, "Threads").
-///
-/// Results are byte-identical for any worker count, so the clamp never
-/// changes output, only cost. Setting `ANEK_OVERSUBSCRIBE=1` disables the
-/// clamp: tests use it so that multi-thread runs speculate on any machine,
-/// and `ci.sh` so that the benches' threads-8 rows run eight workers.
+/// any other count is used as given, each worker holding its own BP
+/// [`Scratch`]. Results are byte-identical for any worker count. More
+/// workers than cores cost a little memory, not time: at paper scale on a
+/// 2-core host `--threads 8` ran faster than the core count in 21 of 29
+/// alternating pairs, at about 2 MB more peak memory (EXPERIMENTS.md,
+/// "Threads").
 fn resolve_threads(threads: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     if threads == 0 {
-        cores
-    } else if std::env::var_os("ANEK_OVERSUBSCRIBE").is_some_and(|v| v != "0" && !v.is_empty()) {
-        threads
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     } else {
-        threads.min(cores)
+        threads
     }
 }
 
@@ -444,41 +436,14 @@ pub fn infer_with_store(
         None => BTreeMap::new(),
     };
     // PFG construction is independent per method — the one-time setup cost
-    // parallelizes trivially (and is skipped entirely for PFGs the cache
-    // already holds). Skeletons compile lazily on first solve.
+    // parallelizes trivially. Every run builds every PFG, store or not: a
+    // PFG is a cheap pure function of the method's source. Skeletons
+    // compile lazily on first solve.
     let mut no_state = vec![(); threads];
-    let (built, _) = map_parallel(&meta, &mut no_state, |(id, type_name, m, unit_idx), _| {
+    let (built, _) = map_parallel(&meta, &mut no_state, |(_, type_name, m, _), _| {
         let spec = spec_of_method(m).unwrap_or_default();
-        let pfg_key = cache.map(|_| {
-            let mut h = KeyHasher::new();
-            h.write_str("pfg");
-            h.write_u32(memo::KEY_SCHEME_VERSION);
-            h.write_u64(unit_fps[*unit_idx] as u64);
-            h.write_u64((unit_fps[*unit_idx] >> 64) as u64);
-            h.write_u64(interface_fp as u64);
-            h.write_u64((interface_fp >> 64) as u64);
-            h.write_bool(cfg.branch_sensitive);
-            h.write_str(&id.class);
-            h.write_str(&id.method);
-            h.finish()
-        });
-        let cached_pfg = match (cache, pfg_key) {
-            (Some(c), Some(key)) => c.pfg_lookup(key),
-            _ => None,
-        };
-        let pfg = cached_pfg.unwrap_or_else(|| {
-            let pfg = Arc::new(Pfg::build_with_refinement(
-                &index,
-                api,
-                type_name,
-                m,
-                cfg.branch_sensitive,
-            ));
-            if let (Some(c), Some(key)) = (cache, pfg_key) {
-                c.pfg_insert(key, &pfg);
-            }
-            pfg
-        });
+        let pfg =
+            Arc::new(Pfg::build_with_refinement(&index, api, type_name, m, cfg.branch_sensitive));
         MethodUnit { pfg, spec, is_constructor: m.is_constructor(), skeleton: OnceLock::new() }
     });
     let mut methods: BTreeMap<MethodId, MethodUnit> = BTreeMap::new();

@@ -39,14 +39,12 @@
 use crate::config::InferConfig;
 use crate::model::CallerEvidence;
 use crate::summary::{MethodSummary, SlotProbs};
-use analysis::pfg::Pfg;
 use analysis::types::MethodId;
 use factor_graph::GuardEvents;
 use java_syntax::ast::CompilationUnit;
 use java_syntax::ExprId;
 use spec_lang::ApiRegistry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Version of the key-derivation scheme. Bumped whenever the hashed input
 /// set, the hash function, or the meaning of any hashed field changes —
@@ -307,9 +305,11 @@ pub struct SolvedRecord {
     pub guards: GuardEvents,
 }
 
-/// A cache the worklist can consult for per-method solve results and
-/// per-method PFGs. Implemented by `store::Store`; `infer` only ever sees
-/// this trait, so `anek-core` stays free of any persistence concern.
+/// A cache the worklist can consult for per-method solve results.
+/// Implemented by `store::Store`; `infer` only ever sees this trait, so
+/// `anek-core` stays free of any persistence concern. Nothing else is
+/// cached: a method's PFG is a cheap pure function of its source, so every
+/// run rebuilds it.
 ///
 /// Lookups may run concurrently from worker threads; insertions happen only
 /// on the single merge thread.
@@ -318,10 +318,6 @@ pub trait InferCache: Sync {
     fn solve_lookup(&self, key: CacheKey) -> Option<SolvedRecord>;
     /// Caches a freshly committed solve.
     fn solve_insert(&self, key: CacheKey, record: &SolvedRecord);
-    /// Returns the PFG cached under `key`, if present and intact.
-    fn pfg_lookup(&self, key: CacheKey) -> Option<Arc<Pfg>>;
-    /// Caches a freshly built PFG.
-    fn pfg_insert(&self, key: CacheKey, pfg: &Arc<Pfg>);
 }
 
 #[cfg(test)]

@@ -106,8 +106,6 @@ fn oversized_model_is_refused_not_solved() {
 
 #[test]
 fn outcome_table_is_byte_identical_for_any_thread_count_under_faults() {
-    // Lift the worker-count clamp so speculation really runs on 1-core CI.
-    std::env::set_var("ANEK_OVERSUBSCRIBE", "1");
     let api = standard_api();
     let units = [corpus::figure3_unit()];
     // One fault of each class at once: the nastiest deterministic mix.

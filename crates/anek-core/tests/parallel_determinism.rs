@@ -29,16 +29,8 @@ fn fingerprint(r: &InferResult) -> String {
     )
 }
 
-/// Lifts the worker-count clamp so the speculative pipeline runs for real
-/// even on single-core CI runners (the clamp never changes results, but an
-/// unclamped run actually exercises the code under test).
-fn oversubscribe() {
-    std::env::set_var("ANEK_OVERSUBSCRIBE", "1");
-}
-
 #[test]
 fn infer_is_byte_identical_for_any_thread_count() {
-    oversubscribe();
     let api = standard_api();
     for case in corpus::suite() {
         let unit = case.unit();
@@ -64,7 +56,6 @@ fn infer_is_byte_identical_for_any_thread_count() {
 fn mixed_protocol_corpus_is_byte_identical_across_thread_counts() {
     // Every protocol family (File, Lock, Builder, Connection, Stream,
     // Iterator) inferred under the full library, drained.
-    oversubscribe();
     let api = api_with_protocols(&["all"]).unwrap();
     let units = corpus::generate_mixed(&corpus::MixedConfig::small()).units;
     let run = |threads: usize| {
@@ -92,7 +83,6 @@ fn mixed_protocol_corpus_is_byte_identical_across_thread_counts() {
 
 #[test]
 fn infer_is_byte_identical_on_figure3_for_any_thread_count() {
-    oversubscribe();
     let api = standard_api();
     let units = [corpus::figure3_unit()];
     let base = infer(&units, &api, &InferConfig { threads: 1, ..InferConfig::default() });
@@ -105,7 +95,6 @@ fn infer_is_byte_identical_on_figure3_for_any_thread_count() {
 
 #[test]
 fn speculation_counters_reflect_parallel_commits() {
-    oversubscribe();
     let api = standard_api();
     let units = [corpus::figure3_unit()];
 

@@ -45,7 +45,7 @@ pub struct Pipeline {
     /// strict constructors.
     pub skipped_sources: Vec<SkippedSource>,
     /// Persistent artifact store. When attached, [`Pipeline::infer`] runs
-    /// through it: solves and PFGs are memoized in it.
+    /// through it: per-method solves are memoized in it.
     pub store: Option<Arc<Store>>,
 }
 
@@ -187,8 +187,8 @@ impl Pipeline {
     }
 
     /// Attaches a persistent artifact store: inference memoizes per-method
-    /// solves and PFGs through it (warm runs are byte-identical to cold
-    /// ones, see `anek_core::memo`).
+    /// solves through it (warm runs are byte-identical to cold ones, see
+    /// `anek_core::memo`).
     pub fn with_store(mut self, store: Arc<Store>) -> Pipeline {
         self.store = Some(store);
         self
@@ -359,9 +359,6 @@ mod tests {
         //   3     `max_iters` 2000, unscreened, threads 1: the worklist
         //         drains, and this is the reference run;
         //   4, 5  `max_iters` 2000, screened and traced, threads 1 and 4.
-        // Lifting the worker clamp makes the threads-4 runs speculate on
-        // any machine; the clamp never changes results.
-        std::env::set_var("ANEK_OVERSUBSCRIBE", "1");
         let units = corpus::generate(&corpus::PmdConfig::small()).units;
         let run = |max_iters: usize, screen: bool, trace: bool, threads: usize| {
             let mut pipeline = Pipeline::new(units.clone())

@@ -187,46 +187,6 @@ impl FactorGraph {
         CompiledGraph::compile(self).solve(opts)
     }
 
-    /// Max-product (MAP) inference: the same message-passing core with
-    /// `max` in place of `sum`, yielding for each variable the value it
-    /// takes in the (approximately) most likely joint assignment. Useful as
-    /// an alternative extraction rule: instead of thresholding marginals,
-    /// read off the single best specification.
-    pub fn solve_map(&self, opts: &BpOptions) -> Marginals {
-        CompiledGraph::compile(self).solve_map(opts)
-    }
-
-    /// Exact MAP by enumeration: the single most likely joint assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph has more than 24 variables.
-    pub fn solve_map_exact(&self) -> Vec<bool> {
-        let n = self.names.len();
-        assert!(n <= 24, "exact MAP enumeration limited to 24 variables, got {n}");
-        let mut best = vec![false; n];
-        let mut best_w = -1.0f64;
-        let mut assign = vec![false; n];
-        for bits in 0u64..(1 << n) {
-            for (j, a) in assign.iter_mut().enumerate() {
-                *a = bits & (1 << j) != 0;
-            }
-            let mut w = 1.0f64;
-            for f in &self.factors {
-                let local: Vec<bool> = f.scope().iter().map(|v| assign[v.0 as usize]).collect();
-                w *= f.eval(&local);
-                if w == 0.0 {
-                    break;
-                }
-            }
-            if w > best_w {
-                best_w = w;
-                best = assign.clone();
-            }
-        }
-        best
-    }
-
     /// Exact marginals by enumerating the full joint (paper Eq. 4).
     ///
     /// # Panics
@@ -406,38 +366,6 @@ mod tests {
         let x = g.add_var("PRE original unique");
         assert_eq!(g.var_name(x), "PRE original unique");
         assert_eq!(g.num_vars(), 1);
-    }
-
-    #[test]
-    fn map_agrees_with_exact_on_chain() {
-        // Distinct link strengths keep the MAP mode unique (a uniform chain
-        // has tied break positions).
-        let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..5).map(|i| g.add_var(format!("x{i}"))).collect();
-        g.add_factor(Factor::unary(xs[0], 0.9));
-        g.add_factor(Factor::unary(xs[4], 0.05));
-        for (w, h) in xs.windows(2).zip([0.9, 0.8, 0.7, 0.6]) {
-            g.add_factor(Factor::soft(vec![w[0], w[1]], h, |a| a[0] == a[1]));
-        }
-        let exact = g.solve_map_exact();
-        let map = g.solve_map(&BpOptions { max_iterations: 100, ..BpOptions::default() });
-        for (i, &x) in xs.iter().enumerate() {
-            assert_eq!(map.prob(x) > 0.5, exact[i], "var {i}: belief {}", map.prob(x));
-        }
-    }
-
-    #[test]
-    fn map_picks_the_consistent_mode() {
-        // Two near-symmetric modes; the prior tips the MAP.
-        let mut g = FactorGraph::new();
-        let a = g.add_var("a");
-        let b = g.add_var("b");
-        g.add_factor(Factor::soft(vec![a, b], 0.95, |v| v[0] == v[1]));
-        g.add_factor(Factor::unary(a, 0.6));
-        let exact = g.solve_map_exact();
-        assert_eq!(exact, vec![true, true]);
-        let map = g.solve_map(&BpOptions::default());
-        assert!(map.prob(a) > 0.5 && map.prob(b) > 0.5);
     }
 
     #[test]

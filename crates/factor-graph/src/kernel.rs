@@ -21,8 +21,8 @@
 //!
 //! ## The factor message kernel
 //!
-//! Every factor→variable message, under both semirings, comes from one
-//! routine that computes all messages of a factor at once
+//! Every factor→variable message comes from one routine that computes all
+//! messages of a factor at once
 //! (`CompiledGraph::factor_messages`). A message is the factor's table
 //! contracted against the other incoming messages one scope position at a
 //! time, each fold halving the table: the positions above the target fold
@@ -40,9 +40,8 @@
 //! depends only on the table's bits, so each distinct table's program is
 //! built once per process and shared by every factor and graph with an
 //! equal table. Unary and pairwise factors fold straight from their rows,
-//! with the same arithmetic. The sum/max semiring is a const parameter, so
-//! one branch-free loop serves both marginal ([`CompiledGraph::solve`]) and
-//! MAP ([`CompiledGraph::solve_map`]) inference.
+//! with the same arithmetic. The kernel computes marginals only
+//! ([`CompiledGraph::solve`]): sum-product, the paper's Eq. 4–6.
 //!
 //! The contraction sums in a different order than the historical
 //! cell-by-cell walk, so marginals differ from that solver in the last few
@@ -110,7 +109,7 @@ pub struct CompiledGraph {
     vslot: Vec<u32>,
 }
 
-/// One fold, `c_lo·m(0) ⊕ c_hi·m(1)` for the message at scope position
+/// One fold, `c_lo·m(0) + c_hi·m(1)` for the message at scope position
 /// `pos`: the cells it reads are value slots of its [`FoldProgram`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Fold {
@@ -204,19 +203,13 @@ impl FoldProgram {
     /// hands each target's `(true, false)` mass to `emit`, from the top
     /// scope position down.
     #[inline]
-    fn run<const MAX: bool>(
-        &self,
-        local: &[f64],
-        vals: &mut Vec<f64>,
-        mut emit: impl FnMut(usize, f64, f64),
-    ) {
+    fn run(&self, local: &[f64], vals: &mut Vec<f64>, mut emit: impl FnMut(usize, f64, f64)) {
         vals.clear();
         vals.reserve(self.leaves.len() + self.folds.len());
         vals.extend_from_slice(&self.leaves);
         for &Fold { lo, hi, pos } in &self.folds {
             let (m1, m0) = (local[2 * pos as usize], local[2 * pos as usize + 1]);
-            let v = oplus::<MAX>(vals[lo as usize] * m0, vals[hi as usize] * m1);
-            vals.push(v);
+            vals.push(vals[lo as usize] * m0 + vals[hi as usize] * m1);
         }
         let top = self.targets.len() - 1;
         for (i, &[t, f]) in self.targets.iter().enumerate() {
@@ -305,16 +298,6 @@ impl<'a> ExtraIndex<'a> {
 #[inline]
 fn damp(old: f64, new: f64, d: f64) -> f64 {
     d * old + (1.0 - d) * new
-}
-
-/// The semiring addition: `max` for max-product (`MAX`), `+` otherwise.
-#[inline(always)]
-fn oplus<const MAX: bool>(a: f64, b: f64) -> f64 {
-    if MAX {
-        a.max(b)
-    } else {
-        a + b
-    }
 }
 
 /// Whether the solve's wall-clock deadline (if any) has passed. Polled
@@ -455,22 +438,12 @@ impl CompiledGraph {
         self.solve_stamped(&[], opts)
     }
 
-    /// Max-product inference (per-variable MAP beliefs).
-    pub fn solve_map(&self, opts: &BpOptions) -> Marginals {
-        self.solve_map_stamped(&[], opts)
-    }
-
     /// Sum-product inference with extra unary potentials stamped onto the
     /// compiled skeleton. Equivalent, bit for bit, to appending
     /// `Factor::unary(var, p)` for each extra and solving the extended
     /// graph.
     pub fn solve_stamped(&self, extras: &[(VarId, f64)], opts: &BpOptions) -> Marginals {
         self.solve_stamped_scratch(extras, opts, &mut Scratch::new())
-    }
-
-    /// Max-product inference with stamped extras.
-    pub fn solve_map_stamped(&self, extras: &[(VarId, f64)], opts: &BpOptions) -> Marginals {
-        self.solve_map_stamped_scratch(extras, opts, &mut Scratch::new())
     }
 
     /// [`CompiledGraph::solve_stamped`] with caller-provided scratch
@@ -483,17 +456,7 @@ impl CompiledGraph {
         opts: &BpOptions,
         scratch: &mut Scratch,
     ) -> Marginals {
-        self.sweep::<false>(extras, opts, scratch)
-    }
-
-    /// [`CompiledGraph::solve_map_stamped`] with caller-provided scratch.
-    pub fn solve_map_stamped_scratch(
-        &self,
-        extras: &[(VarId, f64)],
-        opts: &BpOptions,
-        scratch: &mut Scratch,
-    ) -> Marginals {
-        self.sweep::<true>(extras, opts, scratch)
+        self.sweep(extras, opts, scratch)
     }
 
     #[inline]
@@ -538,7 +501,7 @@ impl CompiledGraph {
     }
 
     /// The synchronous two-phase sweep schedule.
-    fn sweep<const MAX: bool>(
+    fn sweep(
         &self,
         extras_in: &[(VarId, f64)],
         opts: &BpOptions,
@@ -583,7 +546,7 @@ impl CompiledGraph {
                 let e0 = self.f_off[fi] as usize;
                 let e1 = self.f_off[fi + 1] as usize;
                 let local = &vf[2 * e0..2 * e1];
-                self.factor_messages::<MAX>(fi, local, vals, |pos, p_t, p_f| {
+                self.factor_messages(fi, local, vals, |pos, p_t, p_f| {
                     let new = normalize(p_t, p_f, &mut ev);
                     let slot = self.vslot[e0 + pos] as usize;
                     let old = get_t(fv, slot);
@@ -636,20 +599,18 @@ impl CompiledGraph {
     /// table index is the value of scope position `opos`, so folding away
     /// the top position pairs cell `j` with cell `j + half`, and folding
     /// away the bottom position pairs cells `2j` and `2j + 1`. Each fold
-    /// computes `c0·m(0) ⊕ c1·m(1)`, with `⊕` the semiring's addition: `+`
-    /// for sum-product, `max` for max-product (`MAX`). Positions above `pos`
-    /// fold from the top down, then positions below `pos` from the bottom
-    /// up; the two cells left are the target's `(false, true)` mass.
-    /// Factors of arity three or more run that sequence as their fold
-    /// program (see `FoldProgram`). Zero-potential cells need no special
-    /// case: their products are exactly `+0.0`, which neither `+` nor `max`
-    /// over non-negative terms can see.
+    /// computes `c0·m(0) + c1·m(1)`. Positions above `pos` fold from the top
+    /// down, then positions below `pos` from the bottom up; the two cells
+    /// left are the target's `(false, true)` mass. Factors of arity three or
+    /// more run that sequence as their fold program (see `FoldProgram`).
+    /// Zero-potential cells need no special case: their products are
+    /// exactly `+0.0`, which adds nothing.
     ///
     /// Unary and pairwise factors, most of a model's factors, fold straight
     /// from their rows. That is the same arithmetic, so the same bits, and
     /// it measured ~11% faster end to end at paper scale.
     #[inline]
-    fn factor_messages<const MAX: bool>(
+    fn factor_messages(
         &self,
         fi: usize,
         local: &[f64],
@@ -664,11 +625,11 @@ impl CompiledGraph {
                 for pos in 0..2 {
                     let (o, t) = (1 - pos, 1 << pos);
                     let (m1, m0) = (local[2 * o], local[2 * o + 1]);
-                    let fold = |c: usize| oplus::<MAX>(table[c] * m0, table[c + (1 << o)] * m1);
+                    let fold = |c: usize| table[c] * m0 + table[c + (1 << o)] * m1;
                     emit(pos, fold(t), fold(0));
                 }
             }
-            _ => self.programs[at].run::<MAX>(local, vals, emit),
+            _ => self.programs[at].run(local, vals, emit),
         }
     }
 
@@ -775,9 +736,8 @@ mod tests {
 
     /// The factor→variable message by its definition: every table cell's
     /// potential times the incoming message of each other scope position
-    /// at that cell's bit, accumulated (`+` or `max`) into the target's
-    /// lane, then normalized.
-    fn by_definition<const MAX: bool>(table: &[f64], pos: usize, ms: &[f64]) -> (f64, GuardEvents) {
+    /// at that cell's bit, summed into the target's lane, then normalized.
+    fn by_definition(table: &[f64], pos: usize, ms: &[f64]) -> (f64, GuardEvents) {
         let mut lanes = [0.0f64; 2];
         for (idx, &pot) in table.iter().enumerate() {
             let mut w = pot;
@@ -786,8 +746,7 @@ mod tests {
                     w *= if idx >> opos & 1 == 1 { m } else { 1.0 - m };
                 }
             }
-            let lane = &mut lanes[idx >> pos & 1];
-            *lane = oplus::<MAX>(*lane, w);
+            lanes[idx >> pos & 1] += w;
         }
         let mut ev = GuardEvents::default();
         (normalize(lanes[1], lanes[0], &mut ev), ev)
@@ -796,14 +755,14 @@ mod tests {
     /// Every message of factor `fi`, as `factor_messages` emits them,
     /// normalized one by one so each carries its own guard events; indexed
     /// by scope position.
-    fn all_messages<const MAX: bool>(
+    fn all_messages(
         compiled: &CompiledGraph,
         fi: usize,
         local: &[f64],
         vals: &mut Vec<f64>,
     ) -> Vec<(f64, GuardEvents)> {
         let mut got = vec![None; local.len() / 2];
-        compiled.factor_messages::<MAX>(fi, local, vals, |pos, p_t, p_f| {
+        compiled.factor_messages(fi, local, vals, |pos, p_t, p_f| {
             let mut ev = GuardEvents::default();
             let m = normalize(p_t, p_f, &mut ev);
             assert!(got[pos].replace((m, ev)).is_none(), "position {pos} emitted twice");
@@ -846,22 +805,11 @@ mod tests {
             for (i, &m) in ms.iter().enumerate() {
                 put(&mut local, i, m);
             }
-            // One slot buffer for both semirings, as a solve reuses it.
-            let mut vals = Vec::new();
-            let got = [
-                all_messages::<false>(&compiled, 0, &local, &mut vals),
-                all_messages::<true>(&compiled, 0, &local, &mut vals),
-            ];
-            for pos in 0..n {
-                let want = [
-                    by_definition::<false>(&table, pos, &ms),
-                    by_definition::<true>(&table, pos, &ms),
-                ];
-                for (got, (want_m, want_ev)) in got.iter().map(|g| g[pos]).zip(want) {
-                    let (m, ev) = got;
-                    assert!((m - want_m).abs() <= 1e-12, "n={n} pos={pos}: {m} vs {want_m}");
-                    assert_eq!(ev, want_ev, "n={n} pos={pos}");
-                }
+            let got = all_messages(&compiled, 0, &local, &mut Vec::new());
+            for (pos, (m, ev)) in got.into_iter().enumerate() {
+                let (want_m, want_ev) = by_definition(&table, pos, &ms);
+                assert!((m - want_m).abs() <= 1e-12, "n={n} pos={pos}: {m} vs {want_m}");
+                assert_eq!(ev, want_ev, "n={n} pos={pos}");
             }
         });
     }
@@ -900,19 +848,11 @@ mod tests {
             for (i, &m) in ms.iter().enumerate() {
                 put(&mut local, i, m);
             }
-            let got = [
-                all_messages::<false>(&compiled, fi, &local, &mut vals),
-                all_messages::<true>(&compiled, fi, &local, &mut vals),
-            ];
-            for pos in 0..10 {
-                let want = [
-                    by_definition::<false>(f.table(), pos, &ms),
-                    by_definition::<true>(f.table(), pos, &ms),
-                ];
-                for ((m, ev), (want_m, want_ev)) in got.iter().map(|g| g[pos]).zip(want) {
-                    assert!((m - want_m).abs() <= 1e-12, "factor {fi} pos {pos}: {m} vs {want_m}");
-                    assert_eq!(ev, want_ev, "factor {fi} pos {pos}");
-                }
+            let got = all_messages(&compiled, fi, &local, &mut vals);
+            for (pos, (m, ev)) in got.into_iter().enumerate() {
+                let (want_m, want_ev) = by_definition(f.table(), pos, &ms);
+                assert!((m - want_m).abs() <= 1e-12, "factor {fi} pos {pos}: {m} vs {want_m}");
+                assert_eq!(ev, want_ev, "factor {fi} pos {pos}");
             }
         }
     }

@@ -48,12 +48,10 @@ fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
             let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("x{i}"))).collect();
             g.add_factor(Factor::from_raw_parts(scope.clone(), vec![cell; 1 << n]));
             g.add_factor(Factor::unary(scope[0], 0.8));
-            let opts = BpOptions::default();
-            for m in [g.solve(&opts), g.solve_map(&opts)] {
-                assert!(m.as_slice().iter().all(|p| p.is_finite()), "{what} n={n}");
-                let counted = if cell == 0.0 { m.guards.zero_sum } else { m.guards.non_finite };
-                assert!(counted > 0, "{what} n={n}: clamp not counted");
-            }
+            let m = g.solve(&BpOptions::default());
+            assert!(m.as_slice().iter().all(|p| p.is_finite()), "{what} n={n}");
+            let counted = if cell == 0.0 { m.guards.zero_sum } else { m.guards.non_finite };
+            assert!(counted > 0, "{what} n={n}: clamp not counted");
         }
     }
 }

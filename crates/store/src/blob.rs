@@ -26,27 +26,22 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Which artifact class a blob holds. The tag is part of the frame, so a
 /// blob can never be decoded as the wrong class even if keys collide. The
-/// tags are on-disk values: retired tags (1, 3, 4 and 6) are never reused.
+/// tags are on-disk values: retired tags (1, 2, 3, 4 and 6) are never
+/// reused; 2 tagged the permissions flow graphs older stores hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ArtifactKind {
-    /// A permissions flow graph.
-    Pfg = 2,
     /// A committed per-method solve record (the memoization unit).
     Solve = 5,
 }
 
 impl ArtifactKind {
-    /// All kinds, for iteration in stats and tests.
-    pub const ALL: [ArtifactKind; 2] = [ArtifactKind::Pfg, ArtifactKind::Solve];
-
     fn from_u8(b: u8) -> Option<ArtifactKind> {
-        ArtifactKind::ALL.into_iter().find(|k| *k as u8 == b)
+        (b == ArtifactKind::Solve as u8).then_some(ArtifactKind::Solve)
     }
 
-    /// Short lower-case label used in file names and stats.
+    /// Short lower-case label used in file names.
     pub fn label(self) -> &'static str {
         match self {
-            ArtifactKind::Pfg => "pfg",
             ArtifactKind::Solve => "solve",
         }
     }

@@ -1,5 +1,5 @@
-//! Hand-rolled binary codecs for the persisted artifact classes: solve
-//! records (with the summaries and caller evidence inside them) and PFGs.
+//! Hand-rolled binary codec for the persisted artifact: solve records,
+//! with the summaries and caller evidence inside them.
 //!
 //! The format is deliberately boring: little-endian fixed-width integers,
 //! `f64`s by exact bit pattern (round-trips are bit-identical, which the
@@ -9,13 +9,11 @@
 //! and returns a structured [`CodecError`] instead of panicking — a
 //! corrupted payload must always degrade into a counted cache miss.
 
-use analysis::pfg::{CallRole, ParamNodes, Pfg, PfgNode, PfgNodeKind};
-use analysis::types::{Callee, MethodId};
+use analysis::types::MethodId;
 use anek_core::memo::SolvedRecord;
 use anek_core::{CallerEvidence, MethodSummary, SlotProbs};
 use factor_graph::GuardEvents;
 use java_syntax::ast::ExprId;
-use java_syntax::span::{Pos, Span};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -328,252 +326,9 @@ pub fn dec_solved(d: &mut Dec<'_>) -> Result<SolvedRecord, CodecError> {
     Ok(SolvedRecord { summary, call_evidence, iterations, updates, converged, guards })
 }
 
-// ---- Permissions Flow Graphs ----
-
-fn enc_opt_str(e: &mut Enc, s: &Option<String>) {
-    match s {
-        Some(s) => {
-            e.bool(true);
-            e.str(s);
-        }
-        None => e.bool(false),
-    }
-}
-
-fn dec_opt_str(d: &mut Dec<'_>) -> Result<Option<String>, CodecError> {
-    Ok(if d.bool()? { Some(d.str()?) } else { None })
-}
-
-fn enc_pos(e: &mut Enc, p: Pos) {
-    e.usize(p.offset);
-    e.u32(p.line);
-    e.u32(p.col);
-}
-
-fn dec_pos(d: &mut Dec<'_>) -> Result<Pos, CodecError> {
-    Ok(Pos { offset: d.usize()?, line: d.u32()?, col: d.u32()? })
-}
-
-fn enc_callee(e: &mut Enc, c: &Callee) {
-    match c {
-        Callee::Program(id) => {
-            e.u8(0);
-            enc_method_id(e, id);
-        }
-        Callee::Api { type_name, method } => {
-            e.u8(1);
-            e.str(type_name);
-            e.str(method);
-        }
-        Callee::Unknown { method } => {
-            e.u8(2);
-            e.str(method);
-        }
-    }
-}
-
-fn dec_callee(d: &mut Dec<'_>) -> Result<Callee, CodecError> {
-    match d.u8()? {
-        0 => Ok(Callee::Program(dec_method_id(d)?)),
-        1 => Ok(Callee::Api { type_name: d.str()?, method: d.str()? }),
-        2 => Ok(Callee::Unknown { method: d.str()? }),
-        t => Err(CodecError::new(format!("invalid callee tag {t}"))),
-    }
-}
-
-fn enc_role(e: &mut Enc, role: CallRole) {
-    match role {
-        CallRole::Receiver => e.u8(0),
-        CallRole::Arg(i) => {
-            e.u8(1);
-            e.usize(i);
-        }
-    }
-}
-
-fn dec_role(d: &mut Dec<'_>) -> Result<CallRole, CodecError> {
-    match d.u8()? {
-        0 => Ok(CallRole::Receiver),
-        1 => Ok(CallRole::Arg(d.usize()?)),
-        t => Err(CodecError::new(format!("invalid call-role tag {t}"))),
-    }
-}
-
-fn enc_node_kind(e: &mut Enc, kind: &PfgNodeKind) {
-    match kind {
-        PfgNodeKind::ParamPre { name } => {
-            e.u8(0);
-            e.str(name);
-        }
-        PfgNodeKind::ParamPost { name } => {
-            e.u8(1);
-            e.str(name);
-        }
-        PfgNodeKind::ResultPost => e.u8(2),
-        PfgNodeKind::Split => e.u8(3),
-        PfgNodeKind::Merge => e.u8(4),
-        PfgNodeKind::CallPre { callee, role, site } => {
-            e.u8(5);
-            enc_callee(e, callee);
-            enc_role(e, *role);
-            e.u32(site.0);
-        }
-        PfgNodeKind::CallPost { callee, role, site } => {
-            e.u8(6);
-            enc_callee(e, callee);
-            enc_role(e, *role);
-            e.u32(site.0);
-        }
-        PfgNodeKind::CallResult { callee, site } => {
-            e.u8(7);
-            enc_callee(e, callee);
-            e.u32(site.0);
-        }
-        PfgNodeKind::New { callee } => {
-            e.u8(8);
-            enc_callee(e, callee);
-        }
-        PfgNodeKind::FieldRead { field } => {
-            e.u8(9);
-            e.str(field);
-        }
-        PfgNodeKind::FieldWrite { field } => {
-            e.u8(10);
-            e.str(field);
-        }
-        PfgNodeKind::Refine { state } => {
-            e.u8(11);
-            e.str(state);
-        }
-    }
-}
-
-fn dec_node_kind(d: &mut Dec<'_>) -> Result<PfgNodeKind, CodecError> {
-    Ok(match d.u8()? {
-        0 => PfgNodeKind::ParamPre { name: d.str()? },
-        1 => PfgNodeKind::ParamPost { name: d.str()? },
-        2 => PfgNodeKind::ResultPost,
-        3 => PfgNodeKind::Split,
-        4 => PfgNodeKind::Merge,
-        5 => PfgNodeKind::CallPre {
-            callee: dec_callee(d)?,
-            role: dec_role(d)?,
-            site: ExprId(d.u32()?),
-        },
-        6 => PfgNodeKind::CallPost {
-            callee: dec_callee(d)?,
-            role: dec_role(d)?,
-            site: ExprId(d.u32()?),
-        },
-        7 => PfgNodeKind::CallResult { callee: dec_callee(d)?, site: ExprId(d.u32()?) },
-        8 => PfgNodeKind::New { callee: dec_callee(d)? },
-        9 => PfgNodeKind::FieldRead { field: d.str()? },
-        10 => PfgNodeKind::FieldWrite { field: d.str()? },
-        11 => PfgNodeKind::Refine { state: d.str()? },
-        t => return Err(CodecError::new(format!("invalid pfg-node-kind tag {t}"))),
-    })
-}
-
-/// Encodes a permissions flow graph (public fields; adjacency is
-/// recomputed on decode by [`Pfg::from_parts`]).
-pub fn enc_pfg(e: &mut Enc, pfg: &Pfg) {
-    enc_method_id(e, &pfg.method);
-    e.usize(pfg.nodes.len());
-    for n in &pfg.nodes {
-        e.usize(n.id);
-        enc_node_kind(e, &n.kind);
-        enc_opt_str(e, &n.type_name);
-        enc_pos(e, n.span.start);
-        enc_pos(e, n.span.end);
-        match n.receiver_link {
-            Some(link) => {
-                e.bool(true);
-                e.usize(link);
-            }
-            None => e.bool(false),
-        }
-    }
-    e.usize(pfg.edges.len());
-    for &(a, b) in &pfg.edges {
-        e.usize(a);
-        e.usize(b);
-    }
-    e.usize(pfg.params.len());
-    for p in &pfg.params {
-        e.str(&p.name);
-        e.str(&p.type_name);
-        e.usize(p.pre);
-        e.usize(p.post);
-    }
-    match &pfg.result {
-        Some((ty, node)) => {
-            e.bool(true);
-            e.str(ty);
-            e.usize(*node);
-        }
-        None => e.bool(false),
-    }
-    e.usize(pfg.sync_targets.len());
-    for &t in &pfg.sync_targets {
-        e.usize(t);
-    }
-}
-
-/// Decodes a permissions flow graph, validating every node reference.
-pub fn dec_pfg(d: &mut Dec<'_>) -> Result<Pfg, CodecError> {
-    let method = dec_method_id(d)?;
-    let n_nodes = d.len()?;
-    let check = |id: usize, what: &str| {
-        if id < n_nodes {
-            Ok(id)
-        } else {
-            Err(CodecError::new(format!("{what} {id} out of range ({n_nodes} nodes)")))
-        }
-    };
-    let mut nodes = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        let id = check(d.usize()?, "node id")?;
-        let kind = dec_node_kind(d)?;
-        let type_name = dec_opt_str(d)?;
-        let span = Span { start: dec_pos(d)?, end: dec_pos(d)? };
-        let receiver_link =
-            if d.bool()? { Some(check(d.usize()?, "receiver link")?) } else { None };
-        nodes.push(PfgNode { id, kind, type_name, span, receiver_link });
-    }
-    let n_edges = d.len()?;
-    let mut edges = Vec::with_capacity(n_edges);
-    for _ in 0..n_edges {
-        let a = check(d.usize()?, "edge source")?;
-        let b = check(d.usize()?, "edge target")?;
-        edges.push((a, b));
-    }
-    let n_params = d.len()?;
-    let mut params = Vec::with_capacity(n_params);
-    for _ in 0..n_params {
-        let name = d.str()?;
-        let type_name = d.str()?;
-        let pre = check(d.usize()?, "param pre node")?;
-        let post = check(d.usize()?, "param post node")?;
-        params.push(ParamNodes { name, type_name, pre, post });
-    }
-    let result = if d.bool()? {
-        let ty = d.str()?;
-        let node = check(d.usize()?, "result node")?;
-        Some((ty, node))
-    } else {
-        None
-    };
-    let n_sync = d.len()?;
-    let mut sync_targets = Vec::with_capacity(n_sync);
-    for _ in 0..n_sync {
-        sync_targets.push(check(d.usize()?, "sync target")?);
-    }
-    Ok(Pfg::from_parts(method, nodes, edges, params, result, sync_targets))
-}
-
 // ---- Whole-payload helpers ----
 
-/// Encodes any artifact with the matching encoder into payload bytes.
+/// Encodes an artifact with the matching encoder into payload bytes.
 pub fn to_bytes(encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
     let mut e = Enc::new();
     encode(&mut e);

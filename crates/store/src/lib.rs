@@ -1,9 +1,9 @@
 //! # store
 //!
-//! Persistent, versioned, content-addressed storage for the two ANEK
-//! analysis artifacts a later run reads back: per-method solve records
-//! (each carrying the method's probabilistic summary, from which its spec
-//! is extracted) and permissions flow graphs.
+//! Persistent, versioned, content-addressed storage for the one ANEK
+//! analysis artifact a later run reads back: per-method solve records,
+//! each carrying the method's probabilistic summary, from which its spec
+//! is extracted.
 //!
 //! The store implements [`anek_core::InferCache`], so attaching it to
 //! [`anek_core::infer_with_store`] turns a cold full run into a warm

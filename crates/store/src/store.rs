@@ -7,17 +7,18 @@
 //! ```
 //!
 //! The store holds exactly what a later run reads back through
-//! [`InferCache`]: per-method solve records and permissions flow graphs.
-//! Artifacts are addressed purely by their 128-bit content key — a lookup
-//! probes the file derived from `(kind, key)`. Any structural problem with
-//! a file (truncation, bit flips, version skew, checksum or payload
-//! failure) is counted in [`StoreStats::corrupt_entries`], the offending
-//! file is removed, and the lookup reports a miss; the store never panics
-//! on hostile bytes.
+//! [`InferCache`]: per-method solve records. A method's permissions flow
+//! graph is a cheap pure function of its source, so every run rebuilds
+//! it; the `pfg-*.blob` files older stores hold are never read. Records
+//! are addressed purely by their 128-bit content key — a lookup probes the
+//! file derived from `(kind, key)`. Any structural problem with a file
+//! (truncation, bit flips, version skew, checksum or payload failure) is
+//! counted in [`StoreStats::corrupt_entries`], the offending file is
+//! removed, and the lookup reports a miss; the store never panics on
+//! hostile bytes.
 
 use crate::blob::{decode_payload, frame_blob, unframe_blob, ArtifactKind};
 use crate::codec::{self, Dec};
-use analysis::pfg::Pfg;
 use anek_core::memo::{CacheKey, InferCache, SolvedRecord};
 use anek_core::{InferConfig, InferResult};
 use java_syntax::ast::CompilationUnit;
@@ -26,7 +27,7 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Counters describing one store's session activity plus its persistent
 /// size. Hit/miss counters here include speculative lookups from worker
@@ -38,9 +39,11 @@ pub struct StoreStats {
     pub solve_hits: usize,
     /// Solve-record lookups that found nothing usable.
     pub solve_misses: usize,
-    /// PFG lookups satisfied from memory or disk.
+    /// Always 0: the store no longer holds PFGs. Kept only because the
+    /// repository benchmark (`benchmark/src/layers.rs`) still reads it.
     pub pfg_hits: usize,
-    /// PFG lookups that found nothing usable.
+    /// Always 0, like [`StoreStats::pfg_hits`]. Kept only because
+    /// `benchmark/src/layers.rs` still reads it.
     pub pfg_misses: usize,
     /// Files that existed but failed a frame or payload check; each is
     /// removed after counting so it degrades into a plain miss.
@@ -54,7 +57,6 @@ pub struct StoreStats {
 struct Inner {
     stats: StoreStats,
     solve_mem: HashMap<CacheKey, SolvedRecord>,
-    pfg_mem: HashMap<CacheKey, Arc<Pfg>>,
 }
 
 /// A versioned, content-addressed, on-disk store for analysis artifacts,
@@ -82,7 +84,6 @@ impl Store {
         let inner = Inner {
             stats: StoreStats { entries, ..StoreStats::default() },
             solve_mem: HashMap::new(),
-            pfg_mem: HashMap::new(),
         };
         Ok(Store { root, inner: Mutex::new(inner) })
     }
@@ -148,10 +149,10 @@ impl Store {
 
     /// Writes nothing and returns `Ok(())`. The store keeps only what a
     /// later run reads back: solve records, which carry each method's
-    /// summary, and PFGs, both written during inference through
-    /// [`InferCache`]. This method survives, with its old parameters, only
-    /// because the repository benchmark (`benchmark/src/layers.rs`) still
-    /// calls it; no product code does.
+    /// summary, written during inference through [`InferCache`]. This
+    /// method survives, with its old parameters, only because the
+    /// repository benchmark (`benchmark/src/layers.rs`) still calls it; no
+    /// product code does.
     pub fn record_run(
         &self,
         _units: &[CompilationUnit],
@@ -189,33 +190,5 @@ impl InferCache for Store {
         let payload = codec::to_bytes(|e| codec::enc_solved(e, record));
         self.write_artifact(&mut inner, ArtifactKind::Solve, key, &payload);
         inner.solve_mem.insert(key, record.clone());
-    }
-
-    fn pfg_lookup(&self, key: CacheKey) -> Option<Arc<Pfg>> {
-        let mut inner = self.lock();
-        if let Some(pfg) = inner.pfg_mem.get(&key) {
-            let pfg = Arc::clone(pfg);
-            inner.stats.pfg_hits += 1;
-            return Some(pfg);
-        }
-        match self.read_artifact(&mut inner, ArtifactKind::Pfg, key, codec::dec_pfg) {
-            Some(pfg) => {
-                let pfg = Arc::new(pfg);
-                inner.stats.pfg_hits += 1;
-                inner.pfg_mem.insert(key, Arc::clone(&pfg));
-                Some(pfg)
-            }
-            None => {
-                inner.stats.pfg_misses += 1;
-                None
-            }
-        }
-    }
-
-    fn pfg_insert(&self, key: CacheKey, pfg: &Arc<Pfg>) {
-        let mut inner = self.lock();
-        let payload = codec::to_bytes(|e| codec::enc_pfg(e, pfg));
-        self.write_artifact(&mut inner, ArtifactKind::Pfg, key, &payload);
-        inner.pfg_mem.insert(key, Arc::clone(pfg));
     }
 }

@@ -1,6 +1,7 @@
-//! Corruption tolerance: a truncated, bit-flipped or version-skewed entry
-//! of either artifact class must degrade into a counted cache miss
-//! (`StoreStats::corrupt_entries`) — never a panic, never a wrong value.
+//! Corruption tolerance: a truncated, bit-flipped, version-skewed,
+//! wrong-kind or wrong-key solve record must degrade into a counted cache
+//! miss (`StoreStats::corrupt_entries`) — never a panic, never a wrong
+//! value.
 
 use anek_core::memo::{CacheKey, InferCache};
 use anek_core::{infer_with_store, InferConfig};
@@ -15,8 +16,7 @@ fn temp_store(name: &str) -> PathBuf {
     dir
 }
 
-/// Builds a store populated by a real inference run (both artifact
-/// classes present) and returns its root.
+/// Builds a store populated by a real inference run and returns its root.
 fn populated(name: &str) -> PathBuf {
     let dir = temp_store(name);
     let unit = java_syntax::parse(
@@ -25,18 +25,12 @@ fn populated(name: &str) -> PathBuf {
     .expect("parses");
     let store = Store::open(&dir).expect("open");
     infer_with_store(&[unit], &standard_api(), &InferConfig::default(), Some(&store));
-    for kind in ArtifactKind::ALL {
-        assert!(
-            blob_paths(&dir, kind).next().is_some(),
-            "populated store must hold a {} blob",
-            kind.label()
-        );
-    }
+    assert!(solve_blobs(&dir).next().is_some(), "populated store must hold a solve blob");
     dir
 }
 
-fn blob_paths(dir: &Path, kind: ArtifactKind) -> impl Iterator<Item = PathBuf> {
-    let prefix = format!("{}-", kind.label());
+fn solve_blobs(dir: &Path) -> impl Iterator<Item = PathBuf> {
+    let prefix = format!("{}-", ArtifactKind::Solve.label());
     let mut paths: Vec<PathBuf> = fs::read_dir(dir.join("objects"))
         .expect("objects dir")
         .filter_map(Result::ok)
@@ -80,15 +74,11 @@ fn corrupt(path: &Path, how: &Corruption) {
     fs::write(path, bytes).expect("write corrupted blob");
 }
 
-/// Looks the artifact at `path` up through `store` — a *fresh* store has
-/// a cold memory cache, so the disk path runs — and returns whether it
+/// Looks the record at `path` up through `store` — a *fresh* store has a
+/// cold memory cache, so the disk path runs — and returns whether it
 /// decoded.
-fn lookup(store: &Store, kind: ArtifactKind, path: &Path) -> bool {
-    let key = key_of(path);
-    match kind {
-        ArtifactKind::Solve => store.solve_lookup(key).is_some(),
-        ArtifactKind::Pfg => store.pfg_lookup(key).is_some(),
-    }
+fn lookup(store: &Store, path: &Path) -> bool {
+    store.solve_lookup(key_of(path)).is_some()
 }
 
 #[test]
@@ -98,60 +88,60 @@ fn every_artifact_class_tolerates_every_corruption() {
         ("bitflip", Corruption::BitFlip),
         ("version", Corruption::VersionBump),
     ] {
-        for kind in ArtifactKind::ALL {
-            let dir = populated(&format!("{cname}-{}", kind.label()));
-            let victim = blob_paths(&dir, kind).next().expect("blob to corrupt");
-            let fresh = Store::open(&dir).expect("open");
-            assert!(
-                lookup(&fresh, kind, &victim),
-                "{} should load intact before {cname}",
-                kind.label()
-            );
-            corrupt(&victim, &how);
-            // Fresh store again: the previous one has the artifact cached
-            // in memory and must not be fooled — but the disk path must
-            // detect the damage.
-            let damaged = Store::open(&dir).expect("open damaged");
-            assert!(
-                !lookup(&damaged, kind, &victim),
-                "{cname} {} blob must read as a miss",
-                kind.label()
-            );
-            let stats = damaged.stats();
-            assert_eq!(
-                stats.corrupt_entries,
-                1,
-                "{cname} {} must count exactly one corrupt entry",
-                kind.label()
-            );
-            assert!(!victim.exists(), "corrupt blob is removed after counting");
-            // Degraded into a plain miss: the same lookup again is silent.
-            assert!(!lookup(&damaged, kind, &victim));
-            assert_eq!(damaged.stats().corrupt_entries, 1, "no double counting");
-            let _ = fs::remove_dir_all(&dir);
-        }
+        let dir = populated(cname);
+        let victim = solve_blobs(&dir).next().expect("blob to corrupt");
+        let fresh = Store::open(&dir).expect("open");
+        assert!(lookup(&fresh, &victim), "solve record should load intact before {cname}");
+        corrupt(&victim, &how);
+        // Fresh store again: the previous one has the record cached in
+        // memory and must not be fooled — but the disk path must detect the
+        // damage.
+        let damaged = Store::open(&dir).expect("open damaged");
+        assert!(!lookup(&damaged, &victim), "{cname} solve blob must read as a miss");
+        let stats = damaged.stats();
+        assert_eq!(stats.corrupt_entries, 1, "{cname} must count exactly one corrupt entry");
+        assert!(!victim.exists(), "corrupt blob is removed after counting");
+        // Degraded into a plain miss: the same lookup again is silent.
+        assert!(!lookup(&damaged, &victim));
+        assert_eq!(damaged.stats().corrupt_entries, 1, "no double counting");
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
 fn wrong_kind_and_wrong_key_are_rejected() {
-    let dir = populated("swap");
-    let solve = blob_paths(&dir, ArtifactKind::Solve).next().expect("solve blob");
-    let key = key_of(&solve);
-    // Serve the solve blob's bytes under a PFG name: the embedded kind tag
-    // must make the lookup fail even though the frame is intact.
-    let fake = dir.join("objects").join(format!("pfg-{key:032x}.blob"));
+    // Kind: retag an intact solve blob with 2, the retired PFG tag. The
+    // kind byte (offset 12) is checked before the checksum, so the lookup
+    // fails on the tag alone.
+    let dir = populated("kind");
+    let solve = solve_blobs(&dir).next().expect("solve blob");
+    let mut bytes = fs::read(&solve).expect("read blob");
+    bytes[12] = 2;
+    fs::write(&solve, bytes).expect("write retagged blob");
+    let store = Store::open(&dir).expect("open");
+    assert!(store.solve_lookup(key_of(&solve)).is_none(), "kind mismatch is corruption");
+    assert_eq!(store.stats().corrupt_entries, 1);
+    let _ = fs::remove_dir_all(&dir);
+
+    // Key: serve an intact solve blob under the file name of another key.
+    // The frame's embedded key must make the lookup fail.
+    let dir = populated("key");
+    let solve = solve_blobs(&dir).next().expect("solve blob");
+    let other = key_of(&solve) ^ 1;
+    let fake = dir.join("objects").join(format!("solve-{other:032x}.blob"));
     fs::copy(&solve, &fake).expect("copy");
     let store = Store::open(&dir).expect("open");
-    assert!(store.pfg_lookup(key).is_none(), "kind mismatch is corruption");
+    assert!(store.solve_lookup(other).is_none(), "key mismatch is corruption");
     assert_eq!(store.stats().corrupt_entries, 1);
+    assert!(!fake.exists(), "the mismatched blob is removed after counting");
+    assert!(solve.exists(), "the original blob is untouched");
     let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn truncated_to_zero_and_oversized_length_fields_are_safe() {
     let dir = populated("edge");
-    let victim = blob_paths(&dir, ArtifactKind::Solve).next().expect("blob");
+    let victim = solve_blobs(&dir).next().expect("blob");
     let key = key_of(&victim);
 
     fs::write(&victim, b"").expect("write empty");
@@ -161,7 +151,7 @@ fn truncated_to_zero_and_oversized_length_fields_are_safe() {
     // A length field claiming more bytes than the file holds must not
     // trigger a huge allocation or a panic.
     let dir2 = populated("edge2");
-    let victim2 = blob_paths(&dir2, ArtifactKind::Solve).next().expect("blob");
+    let victim2 = solve_blobs(&dir2).next().expect("blob");
     let key2 = key_of(&victim2);
     let mut bytes = fs::read(&victim2).expect("read");
     bytes[29..37].copy_from_slice(&u64::MAX.to_le_bytes());

@@ -1,10 +1,9 @@
-//! Round-trip properties of the artifact codecs and the on-disk store:
+//! Round-trip properties of the solve-record codec and the on-disk store:
 //! serialize → deserialize must be value-equal and (re-serialized)
-//! bit-equal for every artifact class, including artifacts produced by
-//! real inference runs and adversarial float values like NaN.
+//! bit-equal, including records produced by real inference runs and
+//! adversarial float values like NaN.
 
-use analysis::pfg::Pfg;
-use analysis::types::{MethodId, ProgramIndex};
+use analysis::types::MethodId;
 use anek_core::memo::{CacheKey, InferCache, SolvedRecord};
 use anek_core::{infer_with_store, CallerEvidence, InferConfig, MethodSummary, SlotProbs};
 use factor_graph::GuardEvents;
@@ -13,7 +12,7 @@ use prng::Rng;
 use spec_lang::standard_api;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use store::{codec, Store};
 
 fn temp_store(name: &str) -> PathBuf {
@@ -117,39 +116,11 @@ fn non_finite_floats_survive_bit_exactly() {
     assert_eq!(back.params[0].1.kinds[2].to_bits(), (-0.0f64).to_bits());
 }
 
-#[test]
-fn pfgs_from_real_programs_round_trip() {
-    let unit = java_syntax::parse(
-        r#"class Row {
-            Collection<Integer> entries;
-            Iterator<Integer> createColIter() { return entries.iterator(); }
-            void drain(Iterator<Integer> it) { while (it.hasNext()) { it.next(); } }
-            synchronized void locked(Iterator<Integer> it) { it.next(); }
-        }"#,
-    )
-    .expect("parses");
-    let index = ProgramIndex::build(std::iter::once(&unit));
-    let api = standard_api();
-    for t in &unit.types {
-        for m in t.methods() {
-            let pfg = Pfg::build(&index, &api, &t.name, m);
-            let bytes = codec::to_bytes(|e| codec::enc_pfg(e, &pfg));
-            let back = codec::from_bytes(&bytes, codec::dec_pfg).expect("decodes");
-            // Pfg has no PartialEq; its Debug rendering covers every field
-            // including the recomputed adjacency lists.
-            assert_eq!(format!("{back:?}"), format!("{pfg:?}"), "{}.{}", t.name, m.name);
-            let again = codec::to_bytes(|e| codec::enc_pfg(e, &back));
-            assert_eq!(again, bytes);
-        }
-    }
-}
-
 /// An [`InferCache`] that records inserts so tests can round-trip the
 /// records a real inference run commits.
 #[derive(Default)]
 struct Capture {
     solves: Mutex<Vec<(CacheKey, SolvedRecord)>>,
-    pfgs: Mutex<Vec<(CacheKey, Arc<Pfg>)>>,
 }
 
 impl InferCache for Capture {
@@ -158,12 +129,6 @@ impl InferCache for Capture {
     }
     fn solve_insert(&self, key: CacheKey, record: &SolvedRecord) {
         self.solves.lock().unwrap().push((key, record.clone()));
-    }
-    fn pfg_lookup(&self, _key: CacheKey) -> Option<Arc<Pfg>> {
-        None
-    }
-    fn pfg_insert(&self, key: CacheKey, pfg: &Arc<Pfg>) {
-        self.pfgs.lock().unwrap().push((key, Arc::clone(pfg)));
     }
 }
 
@@ -186,13 +151,6 @@ fn inference_artifacts_round_trip() {
         let bytes = codec::to_bytes(|e| codec::enc_solved(e, record));
         let back = codec::from_bytes(&bytes, codec::dec_solved).expect("decodes");
         assert_eq!(&back, record);
-    }
-    let pfgs = capture.pfgs.lock().unwrap();
-    assert!(!pfgs.is_empty());
-    for (_, pfg) in pfgs.iter() {
-        let bytes = codec::to_bytes(|e| codec::enc_pfg(e, pfg));
-        let back = codec::from_bytes(&bytes, codec::dec_pfg).expect("decodes");
-        assert_eq!(format!("{back:?}"), format!("{:?}", **pfg));
     }
     for (id, summary) in &result.summaries {
         let bytes = codec::to_bytes(|e| codec::enc_summary(e, summary));

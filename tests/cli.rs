@@ -211,6 +211,11 @@ fn store_flag_makes_second_run_warm_and_identical() {
     let first = run();
     assert_eq!(code(&first), 0, "stderr: {}", String::from_utf8_lossy(&first.stderr));
     assert!(solve_blobs(&store) > 0, "solve records materialized on disk");
+    let files: Vec<_> = std::fs::read_dir(store.join("objects"))
+        .expect("objects dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(solve_blobs(&store), files.len(), "the store holds only solve records: {files:?}");
     let second = run();
     assert_eq!(code(&second), 0);
     assert_eq!(first.stdout, second.stdout, "warm stdout is byte-identical to cold");
