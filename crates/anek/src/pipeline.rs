@@ -34,7 +34,8 @@ pub struct SkippedSource {
 pub struct Pipeline {
     /// Parsed program.
     pub units: Vec<CompilationUnit>,
-    /// Annotated library model.
+    /// Annotated library model. Replace it through [`Pipeline::with_api`]:
+    /// [`Pipeline::with_protocols`] does not see a direct assignment.
     pub api: ApiRegistry,
     /// Inference configuration.
     pub config: InferConfig,
@@ -47,6 +48,10 @@ pub struct Pipeline {
     /// Persistent artifact store. When attached, [`Pipeline::infer`] runs
     /// through it: per-method solves are memoized in it.
     pub store: Option<Arc<Store>>,
+    /// The built-in families `api` was compiled from (empty = the standard
+    /// selection); `None` once [`Pipeline::with_api`] replaced it. Lets
+    /// [`Pipeline::with_protocols`] keep a model it would only rebuild.
+    api_families: Option<Vec<String>>,
 }
 
 /// The complete result of a pipeline run.
@@ -94,6 +99,7 @@ impl Pipeline {
             verify_ir: false,
             skipped_sources: Vec::new(),
             store: None,
+            api_families: Some(Vec::new()),
         }
     }
 
@@ -128,6 +134,7 @@ impl Pipeline {
     /// Replaces the API model.
     pub fn with_api(mut self, api: ApiRegistry) -> Pipeline {
         self.api = api;
+        self.api_families = None;
         self
     }
 
@@ -144,8 +151,12 @@ impl Pipeline {
         mut self,
         families: &[S],
     ) -> Result<Pipeline, UnknownProtocol> {
-        self.api = api_with_protocols(families)?;
-        self.config.protocols = families.iter().map(|s| s.as_ref().to_string()).collect();
+        let families: Vec<String> = families.iter().map(|s| s.as_ref().to_string()).collect();
+        if self.api_families.as_ref() != Some(&families) {
+            self.api = api_with_protocols(&families)?;
+            self.api_families = Some(families.clone());
+        }
+        self.config.protocols = families;
         Ok(self)
     }
 

@@ -14,6 +14,7 @@ fn bench_parser(b: &mut Bench) {
     let src = corpus::FIGURE3;
     b.bench_function("parse_figure3", || java_syntax::parse(black_box(src)).unwrap());
     let corpus = corpus::generator::generate(&corpus::PmdConfig::small());
+    b.bench_function("lex_small_corpus", || java_syntax::lex(black_box(&corpus.source)).unwrap());
     b.bench_function("parse_small_corpus", || {
         java_syntax::parse(black_box(&corpus.source)).unwrap()
     });

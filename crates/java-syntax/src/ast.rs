@@ -404,7 +404,10 @@ impl fmt::Display for Lit {
             Lit::Double(v) => f.write_str(v),
             Lit::Bool(v) => write!(f, "{v}"),
             Lit::Str(v) => write!(f, "\"{}\"", escape_str(v)),
-            Lit::Char(c) => write!(f, "'{c}'"),
+            Lit::Char(c) => match escape(*c, '\'') {
+                Some(escaped) => write!(f, "'{escaped}'"),
+                None => write!(f, "'{c}'"),
+            },
             Lit::Null => f.write_str("null"),
         }
     }
@@ -414,16 +417,26 @@ impl fmt::Display for Lit {
 pub fn escape_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
+        match escape(c, '"') {
+            Some(escaped) => out.push_str(escaped),
+            None => out.push(c),
         }
     }
     out
+}
+
+/// The escape sequence that stands for `c` inside a literal delimited by
+/// `quote`, or `None` when `c` can be written as it is.
+fn escape(c: char, quote: char) -> Option<&'static str> {
+    Some(match c {
+        '\\' => "\\\\",
+        '\n' => "\\n",
+        '\t' => "\\t",
+        '\r' => "\\r",
+        '"' if quote == '"' => "\\\"",
+        '\'' if quote == '\'' => "\\'",
+        _ => return None,
+    })
 }
 
 /// A block of statements.
@@ -813,6 +826,16 @@ mod tests {
         assert_eq!(Lit::Str("a\"b\n".into()).to_string(), "\"a\\\"b\\n\"");
         assert_eq!(Lit::Null.to_string(), "null");
         assert_eq!(Lit::Int(-3).to_string(), "-3");
+    }
+
+    #[test]
+    fn lit_display_escapes_chars() {
+        assert_eq!(Lit::Char('\'').to_string(), r"'\''");
+        assert_eq!(Lit::Char('\\').to_string(), r"'\\'");
+        assert_eq!(Lit::Char('\n').to_string(), r"'\n'");
+        assert_eq!(Lit::Char('"').to_string(), "'\"'");
+        assert_eq!(Lit::Char('é').to_string(), "'é'");
+        assert_eq!(Lit::Str("it's".into()).to_string(), "\"it's\"");
     }
 
     #[test]

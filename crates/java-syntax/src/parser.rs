@@ -8,7 +8,7 @@
 
 use crate::ast::*;
 use crate::error::{ParseError, ParseErrorKind, Result};
-use crate::lexer::lex;
+use crate::lexer::{char_value, int_value, lex, string_value};
 use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
 
@@ -16,9 +16,11 @@ use crate::token::{Keyword, Token, TokenKind};
 /// types). Far above anything a real program reaches; low enough that
 /// pathological inputs (`((((…`) fail with [`ParseErrorKind::NestingTooDeep`]
 /// instead of overflowing the stack, which would abort the whole process.
-/// Each level costs several parser frames (~25 KiB in unoptimized builds),
-/// so the bound must hold inside the 2 MiB stack of a default spawned
-/// thread: overflow was measured between 60 and 80 levels there.
+/// Each level costs several parser frames (up to ~31 KiB in unoptimized
+/// builds, for a nested `if`), so the bound must hold inside the 2 MiB stack
+/// of a default spawned thread. A debug build with the guard lifted
+/// overflows there at 66 nested `if`s, 75 nested blocks, 91 nested calls
+/// and 97 nested parentheses.
 const MAX_DEPTH: usize = 50;
 
 /// Parses a full compilation unit from source text.
@@ -30,7 +32,7 @@ const MAX_DEPTH: usize = 50;
 /// first error is the actionable one).
 pub fn parse(src: &str) -> Result<CompilationUnit> {
     let tokens = lex(src)?;
-    Parser::new(tokens).compilation_unit()
+    Parser::new(src, tokens).compilation_unit()
 }
 
 /// Parses a single expression (used by tests and the spec tooling).
@@ -40,22 +42,26 @@ pub fn parse(src: &str) -> Result<CompilationUnit> {
 /// Returns an error if the input is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr> {
     let tokens = lex(src)?;
-    let mut p = Parser::new(tokens);
+    let mut p = Parser::new(src, tokens);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
 }
 
-struct Parser {
+/// The parser reads tokens by reference and copies nothing out of them:
+/// an identifier or literal is allocated once, from its source text, by
+/// the AST node that keeps it.
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
     next_expr_id: u32,
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
-        Parser { tokens, pos: 0, next_expr_id: 0, depth: 0 }
+impl<'a> Parser<'a> {
+    fn new(src: &'a str, tokens: Vec<Token>) -> Parser<'a> {
+        Parser { src, tokens, pos: 0, next_expr_id: 0, depth: 0 }
     }
 
     /// Enters one level of recursion; errors out past [`MAX_DEPTH`]. The
@@ -89,23 +95,30 @@ impl Parser {
         &self.tokens[self.pos.min(self.tokens.len() - 1)]
     }
 
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
+    fn peek_kind(&self) -> TokenKind {
+        self.peek().kind
     }
 
     fn peek_at(&self, n: usize) -> &Token {
         &self.tokens[(self.pos + n).min(self.tokens.len() - 1)]
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
+    /// Steps over the current token (never past the end of input) and
+    /// returns its span.
+    fn bump(&mut self) -> Span {
+        let span = self.peek().span;
         if self.pos < self.tokens.len() - 1 {
             self.pos += 1;
         }
-        t
+        span
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
+    /// The source text of the current token.
+    fn peek_text(&self) -> &'a str {
+        self.peek().text(self.src)
+    }
+
+    fn at(&self, kind: TokenKind) -> bool {
         self.peek_kind() == kind
     }
 
@@ -113,7 +126,7 @@ impl Parser {
         self.peek().is_keyword(kw)
     }
 
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -131,7 +144,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token> {
+    fn expect(&mut self, kind: TokenKind) -> Result<Span> {
         if self.at(kind) {
             Ok(self.bump())
         } else {
@@ -139,7 +152,7 @@ impl Parser {
         }
     }
 
-    fn expect_keyword(&mut self, kw: Keyword) -> Result<Token> {
+    fn expect_keyword(&mut self, kw: Keyword) -> Result<Span> {
         if self.at_keyword(kw) {
             Ok(self.bump())
         } else {
@@ -148,17 +161,16 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let t = self.bump();
-                Ok((name, t.span))
-            }
-            _ => Err(self.unexpected("identifier")),
+        if self.at(TokenKind::Ident) {
+            let name = self.peek_text().to_string();
+            Ok((name, self.bump()))
+        } else {
+            Err(self.unexpected("identifier"))
         }
     }
 
     fn expect_eof(&mut self) -> Result<()> {
-        if self.at(&TokenKind::Eof) {
+        if self.at(TokenKind::Eof) {
             Ok(())
         } else {
             Err(self.unexpected("end of input"))
@@ -166,16 +178,35 @@ impl Parser {
     }
 
     fn unexpected(&self, wanted: &str) -> ParseError {
-        let kind = if self.at(&TokenKind::Eof) {
+        let kind = if self.at(TokenKind::Eof) {
             ParseErrorKind::UnexpectedEof
         } else {
             ParseErrorKind::Syntax
         };
-        ParseError::with_kind(
-            format!("expected {wanted}, found `{}`", self.peek_kind()),
-            self.peek().span,
-            kind,
-        )
+        let token = *self.peek();
+        let found = match (token.kind.fixed_text(), self.literal(token)) {
+            (Some(text), _) => text.to_string(),
+            (None, Some(Lit::Str(s))) => format!("{s:?}"),
+            (None, Some(Lit::Char(c))) => format!("'{c}'"),
+            (None, Some(lit)) => lit.to_string(),
+            (None, None) if token.kind == TokenKind::Eof => "<eof>".to_string(),
+            (None, None) => token.text(self.src).to_string(),
+        };
+        ParseError::with_kind(format!("expected {wanted}, found `{found}`"), token.span, kind)
+    }
+
+    /// The value of a literal token, allocated once from its source text;
+    /// `None` for `null` and every non-literal token.
+    fn literal(&self, token: Token) -> Option<Lit> {
+        let text = token.text(self.src);
+        Some(match token.kind {
+            TokenKind::IntLit => Lit::Int(int_value(text).expect("the lexer checked the range")),
+            TokenKind::DoubleLit => Lit::Double(text.to_string()),
+            TokenKind::StringLit => Lit::Str(string_value(text)),
+            TokenKind::CharLit => Lit::Char(char_value(text)),
+            TokenKind::BoolLit(b) => Lit::Bool(b),
+            _ => return None,
+        })
     }
 
     // ===================== Top level =====================
@@ -185,21 +216,21 @@ impl Parser {
         if self.at_keyword(Keyword::Package) {
             self.bump();
             unit.package = Some(self.qualified_name()?);
-            self.expect(&TokenKind::Semi)?;
+            self.expect(TokenKind::Semi)?;
         }
         while self.at_keyword(Keyword::Import) {
-            let start = self.bump().span;
+            let start = self.bump();
             let is_static = self.eat_keyword(Keyword::Static);
             let mut segments = vec![self.expect_ident()?.0];
             let mut wildcard = false;
-            while self.eat(&TokenKind::Dot) {
-                if self.eat(&TokenKind::Star) {
+            while self.eat(TokenKind::Dot) {
+                if self.eat(TokenKind::Star) {
                     wildcard = true;
                     break;
                 }
                 segments.push(self.expect_ident()?.0);
             }
-            let end = self.expect(&TokenKind::Semi)?.span;
+            let end = self.expect(TokenKind::Semi)?;
             unit.imports.push(Import {
                 path: QualifiedName(segments),
                 is_static,
@@ -207,7 +238,7 @@ impl Parser {
                 span: start.to(end),
             });
         }
-        while !self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::Eof) {
             unit.types.push(self.type_decl()?);
         }
         Ok(unit)
@@ -215,7 +246,7 @@ impl Parser {
 
     fn qualified_name(&mut self) -> Result<QualifiedName> {
         let mut segments = vec![self.expect_ident()?.0];
-        while self.at(&TokenKind::Dot) && matches!(self.peek_at(1).kind, TokenKind::Ident(_)) {
+        while self.at(TokenKind::Dot) && self.peek_at(1).kind == TokenKind::Ident {
             self.bump();
             segments.push(self.expect_ident()?.0);
         }
@@ -224,65 +255,47 @@ impl Parser {
 
     fn annotations(&mut self) -> Result<Vec<Annotation>> {
         let mut anns = Vec::new();
-        while self.at(&TokenKind::At) {
-            let start = self.bump().span;
+        while self.at(TokenKind::At) {
+            let start = self.bump();
             let name = self.qualified_name()?;
             let mut span = start;
-            let args = if self.eat(&TokenKind::LParen) {
-                if self.eat(&TokenKind::RParen) {
+            let args = if self.eat(TokenKind::LParen) {
+                if self.eat(TokenKind::RParen) {
                     AnnotationArgs::None
-                } else if matches!(self.peek_kind(), TokenKind::Ident(_))
-                    && self.peek_at(1).kind == TokenKind::Assign
-                {
+                } else if self.at(TokenKind::Ident) && self.peek_at(1).kind == TokenKind::Assign {
                     let mut pairs = Vec::new();
                     loop {
                         let (key, _) = self.expect_ident()?;
-                        self.expect(&TokenKind::Assign)?;
+                        self.expect(TokenKind::Assign)?;
                         let lit = self.annotation_literal()?;
                         pairs.push((key, lit));
-                        if !self.eat(&TokenKind::Comma) {
+                        if !self.eat(TokenKind::Comma) {
                             break;
                         }
                     }
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     AnnotationArgs::Pairs(pairs)
                 } else {
                     let lit = self.annotation_literal()?;
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     AnnotationArgs::Single(lit)
                 }
             } else {
                 AnnotationArgs::None
             };
-            span = span.to(self.tokens[self.pos.saturating_sub(1)].span);
+            span = span.to(self.prev_span());
             anns.push(Annotation { name, args, span });
         }
         Ok(anns)
     }
 
     fn annotation_literal(&mut self) -> Result<Lit> {
-        match self.peek_kind().clone() {
-            TokenKind::StringLit(s) => {
+        match self.literal(*self.peek()) {
+            Some(lit) => {
                 self.bump();
-                Ok(Lit::Str(s))
+                Ok(lit)
             }
-            TokenKind::IntLit(v) => {
-                self.bump();
-                Ok(Lit::Int(v))
-            }
-            TokenKind::DoubleLit(v) => {
-                self.bump();
-                Ok(Lit::Double(v))
-            }
-            TokenKind::BoolLit(b) => {
-                self.bump();
-                Ok(Lit::Bool(b))
-            }
-            TokenKind::CharLit(c) => {
-                self.bump();
-                Ok(Lit::Char(c))
-            }
-            _ => Err(self.unexpected("annotation literal")),
+            None => Err(self.unexpected("annotation literal")),
         }
     }
 
@@ -322,23 +335,23 @@ impl Parser {
         let mut extends = Vec::new();
         if self.eat_keyword(Keyword::Extends) {
             extends.push(self.type_ref()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 extends.push(self.type_ref()?);
             }
         }
         let mut implements = Vec::new();
         if self.eat_keyword(Keyword::Implements) {
             implements.push(self.type_ref()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 implements.push(self.type_ref()?);
             }
         }
-        self.expect(&TokenKind::LBrace)?;
+        self.expect(TokenKind::LBrace)?;
         let mut members = Vec::new();
-        while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
             members.push(self.member(&name)?);
         }
-        let end = self.expect(&TokenKind::RBrace)?.span;
+        let end = self.expect(TokenKind::RBrace)?;
         Ok(TypeDecl {
             annotations,
             modifiers,
@@ -354,22 +367,22 @@ impl Parser {
 
     fn opt_type_params(&mut self) -> Result<Vec<String>> {
         let mut params = Vec::new();
-        if self.eat(&TokenKind::Lt) {
+        if self.eat(TokenKind::Lt) {
             loop {
                 let (name, _) = self.expect_ident()?;
                 // Erase bounds: `T extends Foo & Bar`.
                 if self.eat_keyword(Keyword::Extends) {
                     self.type_ref()?;
-                    while self.eat(&TokenKind::Amp) {
+                    while self.eat(TokenKind::Amp) {
                         self.type_ref()?;
                     }
                 }
                 params.push(name);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
-            self.expect(&TokenKind::Gt)?;
+            self.expect(TokenKind::Gt)?;
         }
         Ok(params)
     }
@@ -381,16 +394,17 @@ impl Parser {
         let type_params = self.opt_type_params()?;
 
         // Constructor: `Name (` where Name == class name.
-        if let TokenKind::Ident(name) = self.peek_kind() {
-            if name == class_name && self.peek_at(1).kind == TokenKind::LParen {
-                let (name, _) = self.expect_ident()?;
-                return self.finish_method(annotations, modifiers, type_params, None, name, start);
-            }
+        if self.at(TokenKind::Ident)
+            && self.peek_text() == class_name
+            && self.peek_at(1).kind == TokenKind::LParen
+        {
+            let (name, _) = self.expect_ident()?;
+            return self.finish_method(annotations, modifiers, type_params, None, name, start);
         }
 
         let ty = self.return_type()?;
         let (name, _) = self.expect_ident()?;
-        if self.at(&TokenKind::LParen) {
+        if self.at(TokenKind::LParen) {
             let return_type = Some(ty);
             self.finish_method(annotations, modifiers, type_params, return_type, name, start)
         } else {
@@ -398,48 +412,37 @@ impl Parser {
             if !type_params.is_empty() {
                 return Err(ParseError::new("type parameters on a field", start));
             }
-            let mut decls = Vec::new();
-            let mut current_name = name;
-            loop {
-                let init = if self.eat(&TokenKind::Assign) { Some(self.expr()?) } else { None };
-                decls.push(FieldDecl {
-                    annotations: annotations.clone(),
-                    modifiers,
-                    ty: ty.clone(),
-                    name: current_name,
-                    init,
-                    span: start,
-                });
-                if self.eat(&TokenKind::Comma) {
-                    current_name = self.expect_ident()?.0;
-                } else {
-                    break;
+            let init = if self.eat(TokenKind::Assign) { Some(self.expr()?) } else { None };
+            // The subset keeps one declarator per FieldDecl and rejects the
+            // others, after parsing them so that an error inside one of
+            // them is the one reported.
+            let mut declarators = 1;
+            while self.eat(TokenKind::Comma) {
+                self.expect_ident()?;
+                if self.eat(TokenKind::Assign) {
+                    self.expr()?;
                 }
+                declarators += 1;
             }
-            let end = self.expect(&TokenKind::Semi)?.span;
-            match decls.pop() {
-                Some(mut fd) if decls.is_empty() => {
-                    fd.span = start.to(end);
-                    Ok(Member::Field(fd))
-                }
-                // The subset keeps one declarator per FieldDecl; we only
-                // support multi-declarator fields by flattening at the
-                // TypeDecl level, so reject here to keep the AST faithful.
-                _ => Err(ParseError::new(
+            let end = self.expect(TokenKind::Semi)?;
+            if declarators > 1 {
+                return Err(ParseError::new(
                     "multiple declarators per field declaration are not supported; split them",
                     start.to(end),
-                )),
+                ));
             }
+            let span = start.to(end);
+            Ok(Member::Field(FieldDecl { annotations, modifiers, ty, name, init, span }))
         }
     }
 
     fn return_type(&mut self) -> Result<TypeRef> {
         if self.eat_keyword(Keyword::Void) {
             let mut t = TypeRef::Void;
-            while self.at(&TokenKind::LBracket) {
+            while self.at(TokenKind::LBracket) {
                 // `void[]` is illegal; let the type checker complain, parse defensively.
                 self.bump();
-                self.expect(&TokenKind::RBracket)?;
+                self.expect(TokenKind::RBracket)?;
                 t = TypeRef::Array(Box::new(t));
             }
             Ok(t)
@@ -457,9 +460,9 @@ impl Parser {
         name: String,
         start: Span,
     ) -> Result<Member> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut params = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 let p_anns = self.annotations()?;
                 let p_start = self.peek().span;
@@ -473,25 +476,25 @@ impl Parser {
                     name: p_name,
                     span: p_start.to(p_end),
                 });
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let mut throws = Vec::new();
         if self.eat_keyword(Keyword::Throws) {
             throws.push(self.type_ref()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 throws.push(self.type_ref()?);
             }
         }
-        let (body, end) = if self.at(&TokenKind::LBrace) {
+        let (body, end) = if self.at(TokenKind::LBrace) {
             let b = self.block()?;
             let sp = b.span;
             (Some(b), sp)
         } else {
-            let sp = self.expect(&TokenKind::Semi)?.span;
+            let sp = self.expect(TokenKind::Semi)?;
             (None, sp)
         };
         Ok(Member::Method(MethodDecl {
@@ -517,7 +520,7 @@ impl Parser {
     }
 
     fn type_ref_inner(&mut self) -> Result<TypeRef> {
-        let mut base = match self.peek_kind().clone() {
+        let mut base = match self.peek_kind() {
             TokenKind::Keyword(kw) => {
                 let prim = match kw {
                     Keyword::Boolean => Some(PrimitiveType::Boolean),
@@ -546,9 +549,9 @@ impl Parser {
                 }
                 TypeRef::Wildcard
             }
-            TokenKind::Ident(_) => {
+            TokenKind::Ident => {
                 let name = self.qualified_name()?;
-                let args = if self.at(&TokenKind::Lt) && self.generic_args_follow() {
+                let args = if self.at(TokenKind::Lt) && self.generic_args_follow() {
                     self.type_args()?
                 } else {
                     Vec::new()
@@ -557,7 +560,7 @@ impl Parser {
             }
             _ => return Err(self.unexpected("type")),
         };
-        while self.at(&TokenKind::LBracket) && self.peek_at(1).kind == TokenKind::RBracket {
+        while self.at(TokenKind::LBracket) && self.peek_at(1).kind == TokenKind::RBracket {
             self.bump();
             self.bump();
             base = TypeRef::Array(Box::new(base));
@@ -569,7 +572,7 @@ impl Parser {
     /// Scans forward from a `<` for a balanced argument list containing only
     /// type-ish tokens.
     fn generic_args_follow(&self) -> bool {
-        debug_assert!(self.at(&TokenKind::Lt));
+        debug_assert!(self.at(TokenKind::Lt));
         let mut depth = 0usize;
         let mut i = 0usize;
         loop {
@@ -582,7 +585,7 @@ impl Parser {
                         return true;
                     }
                 }
-                TokenKind::Ident(_)
+                TokenKind::Ident
                 | TokenKind::Dot
                 | TokenKind::Comma
                 | TokenKind::Question
@@ -608,29 +611,29 @@ impl Parser {
     }
 
     fn type_args(&mut self) -> Result<Vec<TypeRef>> {
-        self.expect(&TokenKind::Lt)?;
+        self.expect(TokenKind::Lt)?;
         let mut args = Vec::new();
-        if !self.at(&TokenKind::Gt) {
+        if !self.at(TokenKind::Gt) {
             loop {
                 args.push(self.type_ref()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::Gt)?;
+        self.expect(TokenKind::Gt)?;
         Ok(args)
     }
 
     // ===================== Statements =====================
 
     fn block(&mut self) -> Result<Block> {
-        let start = self.expect(&TokenKind::LBrace)?.span;
+        let start = self.expect(TokenKind::LBrace)?;
         let mut stmts = Vec::new();
-        while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
+        while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
             stmts.push(self.stmt()?);
         }
-        let end = self.expect(&TokenKind::RBrace)?.span;
+        let end = self.expect(TokenKind::RBrace)?;
         Ok(Block { stmts, span: start.to(end) })
     }
 
@@ -643,14 +646,14 @@ impl Parser {
 
     fn stmt_inner(&mut self) -> Result<Stmt> {
         let start = self.peek().span;
-        match self.peek_kind().clone() {
+        match self.peek_kind() {
             TokenKind::LBrace => {
                 let b = self.block()?;
                 let span = b.span;
                 Ok(Stmt { kind: StmtKind::Block(b), span })
             }
             TokenKind::Semi => {
-                let span = self.bump().span;
+                let span = self.bump();
                 Ok(Stmt { kind: StmtKind::Empty, span })
             }
             TokenKind::Keyword(Keyword::If) => self.if_stmt(start),
@@ -659,28 +662,28 @@ impl Parser {
                 self.bump();
                 let body = Box::new(self.stmt()?);
                 self.expect_keyword(Keyword::While)?;
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let cond = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                self.expect(TokenKind::RParen)?;
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::DoWhile { body, cond }, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Switch) => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let scrutinee = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
-                self.expect(&TokenKind::LBrace)?;
+                self.expect(TokenKind::RParen)?;
+                self.expect(TokenKind::LBrace)?;
                 let mut cases: Vec<SwitchCase> = Vec::new();
-                while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
+                while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
                     let mut labels = Vec::new();
                     loop {
                         if self.eat_keyword(Keyword::Case) {
                             labels.push(Some(self.expr()?));
-                            self.expect(&TokenKind::Colon)?;
+                            self.expect(TokenKind::Colon)?;
                         } else if self.eat_keyword(Keyword::Default) {
                             labels.push(None);
-                            self.expect(&TokenKind::Colon)?;
+                            self.expect(TokenKind::Colon)?;
                         } else {
                             break;
                         }
@@ -689,37 +692,37 @@ impl Parser {
                         return Err(self.unexpected("`case` or `default`"));
                     }
                     let mut body = Vec::new();
-                    while !self.at(&TokenKind::RBrace)
+                    while !self.at(TokenKind::RBrace)
                         && !self.at_keyword(Keyword::Case)
                         && !self.at_keyword(Keyword::Default)
-                        && !self.at(&TokenKind::Eof)
+                        && !self.at(TokenKind::Eof)
                     {
                         body.push(self.stmt()?);
                     }
                     cases.push(SwitchCase { labels, body });
                 }
-                let end = self.expect(&TokenKind::RBrace)?.span;
+                let end = self.expect(TokenKind::RBrace)?;
                 Ok(Stmt { kind: StmtKind::Switch { scrutinee, cases }, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::For) => self.for_stmt(start),
             TokenKind::Keyword(Keyword::Return) => {
                 self.bump();
-                let value = if self.at(&TokenKind::Semi) { None } else { Some(self.expr()?) };
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let value = if self.at(TokenKind::Semi) { None } else { Some(self.expr()?) };
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Return(value), span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Assert) => {
                 self.bump();
                 let cond = self.expr()?;
-                let message = if self.eat(&TokenKind::Colon) { Some(self.expr()?) } else { None };
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let message = if self.eat(TokenKind::Colon) { Some(self.expr()?) } else { None };
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Assert { cond, message }, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Synchronized) => {
                 self.bump();
-                self.expect(&TokenKind::LParen)?;
+                self.expect(TokenKind::LParen)?;
                 let target = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 let body = self.block()?;
                 let span = start.to(body.span);
                 Ok(Stmt { kind: StmtKind::Synchronized { target, body }, span })
@@ -730,10 +733,10 @@ impl Parser {
                 let mut catches = Vec::new();
                 while self.at_keyword(Keyword::Catch) {
                     self.bump();
-                    self.expect(&TokenKind::LParen)?;
+                    self.expect(TokenKind::LParen)?;
                     let ty = self.type_ref()?;
                     let (name, _) = self.expect_ident()?;
-                    self.expect(&TokenKind::RParen)?;
+                    self.expect(TokenKind::RParen)?;
                     let cbody = self.block()?;
                     catches.push(CatchClause { ty, name, body: cbody });
                 }
@@ -749,17 +752,17 @@ impl Parser {
             TokenKind::Keyword(Keyword::Throw) => {
                 self.bump();
                 let e = self.expr()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Throw(e), span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Break) => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Break, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Continue) => {
                 self.bump();
-                let end = self.expect(&TokenKind::Semi)?.span;
+                let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Continue, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Final) => self.local_var_stmt(start),
@@ -768,7 +771,7 @@ impl Parser {
                     self.local_var_stmt(start)
                 } else {
                     let e = self.expr()?;
-                    let end = self.expect(&TokenKind::Semi)?.span;
+                    let end = self.expect(TokenKind::Semi)?;
                     Ok(Stmt { kind: StmtKind::Expr(e), span: start.to(end) })
                 }
             }
@@ -777,9 +780,9 @@ impl Parser {
 
     fn if_stmt(&mut self, start: Span) -> Result<Stmt> {
         self.expect_keyword(Keyword::If)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let then_branch = Box::new(self.stmt()?);
         let (else_branch, end) = if self.eat_keyword(Keyword::Else) {
             let e = self.stmt()?;
@@ -793,9 +796,9 @@ impl Parser {
 
     fn while_stmt(&mut self, start: Span) -> Result<Stmt> {
         self.expect_keyword(Keyword::While)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = Box::new(self.stmt()?);
         let span = start.to(body.span);
         Ok(Stmt { kind: StmtKind::While { cond, body }, span })
@@ -803,56 +806,45 @@ impl Parser {
 
     fn for_stmt(&mut self, start: Span) -> Result<Stmt> {
         self.expect_keyword(Keyword::For)?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
 
-        // Detect for-each: `Type name : expr`.
-        let checkpoint = self.pos;
-        if self.local_var_decl_follows() || self.at_keyword(Keyword::Final) {
-            self.eat_keyword(Keyword::Final);
-            if let Ok(ty) = self.type_ref() {
-                if let Ok((name, _)) = self.expect_ident() {
-                    if self.eat(&TokenKind::Colon) {
-                        let iterable = self.expr()?;
-                        self.expect(&TokenKind::RParen)?;
-                        let body = Box::new(self.stmt()?);
-                        let span = start.to(body.span);
-                        return Ok(Stmt {
-                            kind: StmtKind::ForEach { ty, name, iterable, body },
-                            span,
-                        });
-                    }
-                }
-            }
-            self.pos = checkpoint;
-        }
-
+        // A local declaration either is a for-each's `Type name :` or
+        // starts a classic for's initializer.
         let mut init = Vec::new();
-        if !self.at(&TokenKind::Semi) {
+        if self.local_var_decl_follows() || self.at_keyword(Keyword::Final) {
             let i_start = self.peek().span;
-            if self.local_var_decl_follows() || self.at_keyword(Keyword::Final) {
-                init.push(self.local_var_no_semi(i_start)?);
-            } else {
+            self.eat_keyword(Keyword::Final);
+            let ty = self.type_ref()?;
+            let (name, name_span) = self.expect_ident()?;
+            if self.eat(TokenKind::Colon) {
+                let iterable = self.expr()?;
+                self.expect(TokenKind::RParen)?;
+                let body = Box::new(self.stmt()?);
+                let span = start.to(body.span);
+                return Ok(Stmt { kind: StmtKind::ForEach { ty, name, iterable, body }, span });
+            }
+            init.push(self.local_var_init(i_start, ty, name, name_span)?);
+        } else if !self.at(TokenKind::Semi) {
+            let e = self.expr()?;
+            let sp = e.span;
+            init.push(Stmt { kind: StmtKind::Expr(e), span: sp });
+            while self.eat(TokenKind::Comma) {
                 let e = self.expr()?;
                 let sp = e.span;
                 init.push(Stmt { kind: StmtKind::Expr(e), span: sp });
-                while self.eat(&TokenKind::Comma) {
-                    let e = self.expr()?;
-                    let sp = e.span;
-                    init.push(Stmt { kind: StmtKind::Expr(e), span: sp });
-                }
             }
         }
-        self.expect(&TokenKind::Semi)?;
-        let cond = if self.at(&TokenKind::Semi) { None } else { Some(self.expr()?) };
-        self.expect(&TokenKind::Semi)?;
+        self.expect(TokenKind::Semi)?;
+        let cond = if self.at(TokenKind::Semi) { None } else { Some(self.expr()?) };
+        self.expect(TokenKind::Semi)?;
         let mut update = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             update.push(self.expr()?);
-            while self.eat(&TokenKind::Comma) {
+            while self.eat(TokenKind::Comma) {
                 update.push(self.expr()?);
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = Box::new(self.stmt()?);
         let span = start.to(body.span);
         Ok(Stmt { kind: StmtKind::For { init, cond, update, body }, span })
@@ -860,7 +852,7 @@ impl Parser {
 
     fn local_var_stmt(&mut self, start: Span) -> Result<Stmt> {
         let mut s = self.local_var_no_semi(start)?;
-        let end = self.expect(&TokenKind::Semi)?.span;
+        let end = self.expect(TokenKind::Semi)?;
         s.span = s.span.to(end);
         Ok(s)
     }
@@ -868,8 +860,20 @@ impl Parser {
     fn local_var_no_semi(&mut self, start: Span) -> Result<Stmt> {
         self.eat_keyword(Keyword::Final);
         let ty = self.type_ref()?;
-        let (name, mut end) = self.expect_ident()?;
-        let init = if self.eat(&TokenKind::Assign) {
+        let (name, end) = self.expect_ident()?;
+        self.local_var_init(start, ty, name, end)
+    }
+
+    /// The optional `= init` of a local declaration whose type and name
+    /// (ending at `end`) are parsed.
+    fn local_var_init(
+        &mut self,
+        start: Span,
+        ty: TypeRef,
+        name: String,
+        mut end: Span,
+    ) -> Result<Stmt> {
+        let init = if self.eat(TokenKind::Assign) {
             let e = self.expr()?;
             end = e.span;
             Some(e)
@@ -894,11 +898,11 @@ impl Parser {
                 | Keyword::Float
                 | Keyword::Double,
             ) => true,
-            TokenKind::Ident(_) => {
+            TokenKind::Ident => {
                 // Scan over a qualified, possibly generic, possibly array type
                 // and check the next token is an identifier.
                 let mut i = 1;
-                while let (TokenKind::Dot, TokenKind::Ident(_)) =
+                while let (TokenKind::Dot, TokenKind::Ident) =
                     (&self.peek_at(i).kind, &self.peek_at(i + 1).kind)
                 {
                     i += 2;
@@ -917,7 +921,7 @@ impl Parser {
                                 }
                                 continue;
                             }
-                            TokenKind::Ident(_)
+                            TokenKind::Ident
                             | TokenKind::Dot
                             | TokenKind::Comma
                             | TokenKind::Question
@@ -938,7 +942,7 @@ impl Parser {
                 {
                     i += 2;
                 }
-                matches!(self.peek_at(i).kind, TokenKind::Ident(_))
+                self.peek_at(i).kind == TokenKind::Ident
             }
             _ => false,
         }
@@ -954,42 +958,44 @@ impl Parser {
         Expr { kind, span, id: self.fresh_id() }
     }
 
+    // Each level of the expression grammar hands its operand's `Result` back
+    // unopened when none of its operators follows, which is the common case:
+    // unwrapping and rewrapping would copy the `Expr` at every level.
+
     fn assignment(&mut self) -> Result<Expr> {
-        let lhs = self.conditional()?;
+        let lhs = self.conditional();
         let op = match self.peek_kind() {
-            TokenKind::Assign => Some(AssignOp::Assign),
-            TokenKind::PlusAssign => Some(AssignOp::AddAssign),
-            TokenKind::MinusAssign => Some(AssignOp::SubAssign),
-            _ => None,
+            TokenKind::Assign => AssignOp::Assign,
+            TokenKind::PlusAssign => AssignOp::AddAssign,
+            TokenKind::MinusAssign => AssignOp::SubAssign,
+            _ => return lhs,
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.assignment()?;
-            let span = lhs.span.to(rhs.span);
-            Ok(self.mk(ExprKind::Assign { lhs: Box::new(lhs), op, rhs: Box::new(rhs) }, span))
-        } else {
-            Ok(lhs)
-        }
+        let lhs = lhs?;
+        self.bump();
+        let rhs = self.assignment()?;
+        let span = lhs.span.to(rhs.span);
+        Ok(self.mk(ExprKind::Assign { lhs: Box::new(lhs), op, rhs: Box::new(rhs) }, span))
     }
 
     fn conditional(&mut self) -> Result<Expr> {
-        let cond = self.binary(0)?;
-        if self.eat(&TokenKind::Question) {
-            let then_expr = self.expr()?;
-            self.expect(&TokenKind::Colon)?;
-            let else_expr = self.conditional()?;
-            let span = cond.span.to(else_expr.span);
-            Ok(self.mk(
-                ExprKind::Conditional {
-                    cond: Box::new(cond),
-                    then_expr: Box::new(then_expr),
-                    else_expr: Box::new(else_expr),
-                },
-                span,
-            ))
-        } else {
-            Ok(cond)
+        let cond = self.binary(0);
+        if cond.is_err() || !self.at(TokenKind::Question) {
+            return cond;
         }
+        let cond = cond?;
+        self.bump();
+        let then_expr = self.expr()?;
+        self.expect(TokenKind::Colon)?;
+        let else_expr = self.conditional()?;
+        let span = cond.span.to(else_expr.span);
+        Ok(self.mk(
+            ExprKind::Conditional {
+                cond: Box::new(cond),
+                then_expr: Box::new(then_expr),
+                else_expr: Box::new(else_expr),
+            },
+            span,
+        ))
     }
 
     fn binary_op(&self) -> Option<(BinaryOp, u8)> {
@@ -1016,24 +1022,29 @@ impl Parser {
         Some((op, prec))
     }
 
+    /// Whether an operator binding at least as tightly as `min_prec`
+    /// follows. `instanceof` sits at relational precedence. `<` is always
+    /// less-than here: the expression grammar never opens generic
+    /// arguments.
+    fn binary_follows(&self, min_prec: u8) -> bool {
+        (min_prec <= 7 && self.at_keyword(Keyword::Instanceof))
+            || self.binary_op().is_some_and(|(_, prec)| prec >= min_prec)
+    }
+
     fn binary(&mut self, min_prec: u8) -> Result<Expr> {
-        let mut lhs = self.unary()?;
-        loop {
-            // `instanceof` sits at relational precedence.
-            if min_prec <= 7 && self.at_keyword(Keyword::Instanceof) {
-                self.bump();
+        let first = self.unary();
+        if first.is_err() || !self.binary_follows(min_prec) {
+            return first;
+        }
+        let mut lhs = first?;
+        while self.binary_follows(min_prec) {
+            if self.eat_keyword(Keyword::Instanceof) {
                 let ty = self.type_ref()?;
                 let span = lhs.span;
                 lhs = self.mk(ExprKind::InstanceOf { expr: Box::new(lhs), ty }, span);
                 continue;
             }
-            // Don't treat `<` as less-than when it opens generic arguments in
-            // a type context — our expression grammar never produces that, so
-            // plain comparison is fine here.
-            let Some((op, prec)) = self.binary_op() else { break };
-            if prec < min_prec {
-                break;
-            }
+            let (op, prec) = self.binary_op().expect("binary_follows saw an operator");
             self.bump();
             let rhs = self.binary(prec + 1)?;
             let span = lhs.span.to(rhs.span);
@@ -1066,10 +1077,10 @@ impl Parser {
         }
         // Cast: `(Type) unary` — lookahead for `(Type)` followed by a
         // cast-able token.
-        if self.at(&TokenKind::LParen) && self.cast_follows() {
+        if self.at(TokenKind::LParen) && self.cast_follows() {
             self.bump();
             let ty = self.type_ref()?;
-            self.expect(&TokenKind::RParen)?;
+            self.expect(TokenKind::RParen)?;
             let e = self.unary()?;
             let span = start.to(e.span);
             return Ok(self.mk(ExprKind::Cast { ty, expr: Box::new(e) }, span));
@@ -1079,7 +1090,7 @@ impl Parser {
 
     /// Lookahead for a cast expression `(T) e`.
     fn cast_follows(&self) -> bool {
-        debug_assert!(self.at(&TokenKind::LParen));
+        debug_assert!(self.at(TokenKind::LParen));
         // Primitive cast is unambiguous.
         if matches!(
             self.peek_at(1).kind,
@@ -1100,13 +1111,13 @@ impl Parser {
         // continue a parenthesized expression: identifier, literal, `(`,
         // `this`, `new`, `!`.
         let mut i = 1;
-        if !matches!(self.peek_at(i).kind, TokenKind::Ident(_)) {
+        if self.peek_at(i).kind != TokenKind::Ident {
             return false;
         }
         i += 1;
         loop {
             match &self.peek_at(i).kind {
-                TokenKind::Dot if matches!(self.peek_at(i + 1).kind, TokenKind::Ident(_)) => {
+                TokenKind::Dot if self.peek_at(i + 1).kind == TokenKind::Ident => {
                     i += 2;
                 }
                 _ => break,
@@ -1125,7 +1136,7 @@ impl Parser {
                         }
                         continue;
                     }
-                    TokenKind::Ident(_)
+                    TokenKind::Ident
                     | TokenKind::Dot
                     | TokenKind::Comma
                     | TokenKind::Question
@@ -1148,11 +1159,11 @@ impl Parser {
         }
         matches!(
             self.peek_at(i + 1).kind,
-            TokenKind::Ident(_)
-                | TokenKind::IntLit(_)
-                | TokenKind::DoubleLit(_)
-                | TokenKind::StringLit(_)
-                | TokenKind::CharLit(_)
+            TokenKind::Ident
+                | TokenKind::IntLit
+                | TokenKind::DoubleLit
+                | TokenKind::StringLit
+                | TokenKind::CharLit
                 | TokenKind::BoolLit(_)
                 | TokenKind::Null
                 | TokenKind::LParen
@@ -1163,17 +1174,25 @@ impl Parser {
     }
 
     fn postfix(&mut self) -> Result<Expr> {
-        let mut e = self.primary()?;
+        let first = self.primary();
+        let postfix_follows = matches!(
+            self.peek_kind(),
+            TokenKind::Dot | TokenKind::LBracket | TokenKind::PlusPlus | TokenKind::MinusMinus
+        );
+        if first.is_err() || !postfix_follows {
+            return first;
+        }
+        let mut e = first?;
         loop {
             match self.peek_kind() {
                 TokenKind::Dot => {
                     self.bump();
                     // Optional explicit type arguments on calls: `.<T>m(...)`.
-                    if self.at(&TokenKind::Lt) && self.generic_args_follow() {
+                    if self.at(TokenKind::Lt) && self.generic_args_follow() {
                         self.type_args()?;
                     }
                     let (name, name_span) = self.expect_ident()?;
-                    if self.at(&TokenKind::LParen) {
+                    if self.at(TokenKind::LParen) {
                         let args = self.call_args()?;
                         let span = e.span.to(self.prev_span());
                         e = self
@@ -1186,7 +1205,7 @@ impl Parser {
                 TokenKind::LBracket => {
                     self.bump();
                     let index = self.expr()?;
-                    self.expect(&TokenKind::RBracket)?;
+                    self.expect(TokenKind::RBracket)?;
                     let span = e.span.to(self.prev_span());
                     e = self.mk(
                         ExprKind::ArrayAccess { array: Box::new(e), index: Box::new(index) },
@@ -1213,43 +1232,28 @@ impl Parser {
     }
 
     fn call_args(&mut self) -> Result<Vec<Expr>> {
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
                 args.push(self.expr()?);
-                if !self.eat(&TokenKind::Comma) {
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         Ok(args)
     }
 
     fn primary(&mut self) -> Result<Expr> {
-        let start = self.peek().span;
-        match self.peek_kind().clone() {
-            TokenKind::IntLit(v) => {
-                self.bump();
-                Ok(self.mk(ExprKind::Literal(Lit::Int(v)), start))
-            }
-            TokenKind::DoubleLit(v) => {
-                self.bump();
-                Ok(self.mk(ExprKind::Literal(Lit::Double(v)), start))
-            }
-            TokenKind::StringLit(v) => {
-                self.bump();
-                Ok(self.mk(ExprKind::Literal(Lit::Str(v)), start))
-            }
-            TokenKind::CharLit(c) => {
-                self.bump();
-                Ok(self.mk(ExprKind::Literal(Lit::Char(c)), start))
-            }
-            TokenKind::BoolLit(b) => {
-                self.bump();
-                Ok(self.mk(ExprKind::Literal(Lit::Bool(b)), start))
-            }
+        let token = *self.peek();
+        let start = token.span;
+        if let Some(lit) = self.literal(token) {
+            self.bump();
+            return Ok(self.mk(ExprKind::Literal(lit), start));
+        }
+        match token.kind {
             TokenKind::Null => {
                 self.bump();
                 Ok(self.mk(ExprKind::Literal(Lit::Null), start))
@@ -1268,12 +1272,13 @@ impl Parser {
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
-            TokenKind::Ident(name) => {
+            TokenKind::Ident => {
+                let name = token.text(self.src).to_string();
                 self.bump();
-                if self.at(&TokenKind::LParen) {
+                if self.at(TokenKind::LParen) {
                     let args = self.call_args()?;
                     let span = start.to(self.prev_span());
                     Ok(self.mk(ExprKind::Call { receiver: None, name, args }, span))

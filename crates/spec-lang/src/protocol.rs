@@ -30,6 +30,7 @@ use crate::state::{StateSpace, ALIVE};
 use crate::stdlib::{ApiMethod, ApiRegistry};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// The protocol families selected by [`crate::stdlib::standard_api`]: the
 /// paper's Iterator protocol plus the Stream protocol of the extra examples.
@@ -196,16 +197,20 @@ impl ProtocolRegistry {
     }
 
     /// The built-in protocol library: Iterator (paper Figures 1–2), Stream,
-    /// File, Lock, Builder, and Connection.
-    pub fn builtin() -> ProtocolRegistry {
-        let mut reg = ProtocolRegistry::new();
-        reg.register(iterator_protocol());
-        reg.register(stream_protocol());
-        reg.register(file_protocol());
-        reg.register(lock_protocol());
-        reg.register(builder_protocol());
-        reg.register(connection_protocol());
-        reg
+    /// File, Lock, Builder, and Connection. Its clauses are parsed once per
+    /// process, on first use.
+    pub fn builtin() -> &'static ProtocolRegistry {
+        static BUILTIN: OnceLock<ProtocolRegistry> = OnceLock::new();
+        BUILTIN.get_or_init(|| {
+            let mut reg = ProtocolRegistry::new();
+            reg.register(iterator_protocol());
+            reg.register(stream_protocol());
+            reg.register(file_protocol());
+            reg.register(lock_protocol());
+            reg.register(builder_protocol());
+            reg.register(connection_protocol());
+            reg
+        })
     }
 
     /// Registers (or replaces) a family.
