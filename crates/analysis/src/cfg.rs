@@ -123,17 +123,6 @@ impl Cfg {
     pub fn branch_count(&self) -> usize {
         self.blocks.iter().filter(|b| matches!(b.term, Some(Terminator::Branch { .. }))).count()
     }
-
-    /// All events of all reachable blocks, in block DFS order.
-    pub fn all_events(&self) -> impl Iterator<Item = &Event> {
-        self.reachable()
-            .into_iter()
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flat_map(move |b| self.blocks[b].events.iter())
-            .collect::<Vec<_>>()
-            .into_iter()
-    }
 }
 
 struct Builder {

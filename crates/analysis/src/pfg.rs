@@ -182,7 +182,7 @@ impl Pfg {
     ) -> Pfg {
         let mut env = TypeEnv::for_method(index, api, class, method);
         let cfg = Cfg::build(method, &mut env);
-        let mut b = Builder::new(index, api, class, method);
+        let mut b = Builder::new(api, class, method);
         b.enable_refine = refine;
         b.run(&cfg)
     }
@@ -281,8 +281,6 @@ struct FlowState {
 }
 
 struct Builder<'a> {
-    #[allow(dead_code)] // kept for future interprocedural extensions
-    index: &'a ProgramIndex,
     api: &'a ApiRegistry,
     enable_refine: bool,
     nodes: Vec<PfgNode>,
@@ -299,14 +297,8 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(
-        index: &'a ProgramIndex,
-        api: &'a ApiRegistry,
-        class: &str,
-        method: &MethodDecl,
-    ) -> Builder<'a> {
+    fn new(api: &'a ApiRegistry, class: &str, method: &MethodDecl) -> Builder<'a> {
         let mut b = Builder {
-            index,
             api,
             enable_refine: false,
             nodes: Vec::new(),

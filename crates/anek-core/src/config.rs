@@ -144,12 +144,6 @@ pub struct InferConfig {
     /// model exceeds it is refused before solving and reported as
     /// `Failed { ModelTooLarge }`; every other method proceeds normally.
     pub max_model_vars: usize,
-    /// When `true`, methods whose final solve did not converge publish
-    /// their INIT prior-marginal summary instead of the non-converged
-    /// marginals (reported as `Degraded { PriorFallback }`). Defaults to
-    /// `false`, which keeps the paper's behavior of trusting the truncated
-    /// solve — and keeps healthy-corpus output bit-identical.
-    pub degraded_fallback: bool,
     /// When `true`, a bit-vector typestate screening pre-pass runs before
     /// any model is built: methods that are provably protocol-conformant
     /// *and* isolated in the program call graph (no program callees whose
@@ -209,7 +203,6 @@ impl Default for InferConfig {
             },
             threads: 1,
             max_model_vars: 1 << 20,
-            degraded_fallback: false,
             screen: false,
             protocols: Vec::new(),
             trace: false,

@@ -199,11 +199,6 @@ impl InferResult {
         self.specs.values().filter(|s| !s.is_empty()).count()
     }
 
-    /// Methods whose outcome is `Degraded`.
-    pub fn degraded_count(&self) -> usize {
-        self.outcomes.values().filter(|o| o.is_degraded()).count()
-    }
-
     /// Methods whose outcome is `Failed`.
     pub fn failed_count(&self) -> usize {
         self.outcomes.values().filter(|o| o.is_failed()).count()
@@ -784,7 +779,7 @@ pub fn infer_with_store(
 
     // ---- Outcome classification ----
     let mut outcomes: BTreeMap<MethodId, MethodOutcome> = BTreeMap::new();
-    for (id, mu) in &methods {
+    for id in methods.keys() {
         if let Some(error) = failed.get(id) {
             outcomes.insert(id.clone(), MethodOutcome::Failed { error: error.clone() });
             continue;
@@ -810,15 +805,6 @@ pub fn infer_with_store(
             if worklist_deadline {
                 reasons.push(DegradeReason::DeadlineExpired);
             }
-        }
-        // The configured fallback: a non-converged method republishes its
-        // INIT prior summary (uniform-h — soft constraints still give an
-        // answer) instead of the truncated solve's marginals.
-        if cfg.degraded_fallback
-            && reasons.iter().any(|r| matches!(r, DegradeReason::BpNonConverged { .. }))
-        {
-            summaries.insert(id.clone(), initial_summary(ctx, mu, cfg));
-            reasons.push(DegradeReason::PriorFallback);
         }
         let outcome = if reasons.is_empty() {
             MethodOutcome::Ok { iterations: health.map_or(0, |h| h.iterations) }

@@ -167,7 +167,10 @@ pub fn config_fingerprint(cfg: &InferConfig) -> CacheKey {
     h.write_u64(cfg.max_iters as u64);
     h.write_bool(cfg.branch_sensitive);
     h.write_u64(cfg.max_model_vars as u64);
-    h.write_bool(cfg.degraded_fallback);
+    // The `false` the deleted `degraded_fallback` switch held in every run,
+    // hashed in its place so that stores written while it existed keep
+    // their keys without a `KEY_SCHEME_VERSION` bump.
+    h.write_bool(false);
     h.write_bool(cfg.screen);
     h.write_u64(cfg.bp.max_iterations as u64);
     h.write_f64(cfg.bp.tolerance);

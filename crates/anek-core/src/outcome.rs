@@ -46,10 +46,6 @@ pub enum DegradeReason {
     /// for re-analysis: its published summary may be stale with respect to
     /// the last summaries/evidence its inputs produced.
     WorklistTruncated,
-    /// The spec was extracted from the INIT prior-marginal summary instead
-    /// of the non-converged solve's marginals
-    /// (see `InferConfig::degraded_fallback`).
-    PriorFallback,
     /// The solve's wall-clock deadline (`BpOptions::deadline`, set by a
     /// server request's `deadline_ms`) expired before convergence, or the
     /// worklist stopped scheduling because the deadline had passed. The
@@ -68,7 +64,6 @@ impl fmt::Display for DegradeReason {
                 write!(f, "numeric-clamped(non-finite={non_finite},zero-sum={zero_sum})")
             }
             DegradeReason::WorklistTruncated => write!(f, "worklist-truncated"),
-            DegradeReason::PriorFallback => write!(f, "prior-fallback"),
             DegradeReason::DeadlineExpired => write!(f, "deadline-expired"),
         }
     }

@@ -175,31 +175,6 @@ fn fault_in_unrelated_class_moves_no_bits_elsewhere() {
 }
 
 #[test]
-fn degraded_fallback_publishes_prior_summaries() {
-    let api = standard_api();
-    let units = [corpus::figure3_unit()];
-    let cfg = InferConfig { degraded_fallback: true, ..InferConfig::default() };
-    let result = infer(&units, &api, &cfg);
-
-    // At the default 40-iteration cap some Figure 3 solves do not reach
-    // tolerance; with the fallback enabled those methods must be marked
-    // `prior-fallback` and still publish specs.
-    let fallbacks = result
-        .outcomes
-        .values()
-        .filter(|o| match o {
-            MethodOutcome::Degraded { reasons } => {
-                reasons.iter().any(|r| r.to_string() == "prior-fallback")
-            }
-            _ => false,
-        })
-        .count();
-    assert!(fallbacks > 0, "expected prior-fallback outcomes:\n{}", result.outcome_table());
-    assert_eq!(result.failed_count(), 0);
-    assert!(!result.specs.is_empty());
-}
-
-#[test]
 fn healthy_run_has_no_failures_and_an_outcome_per_method() {
     let api = standard_api();
     let units = [corpus::figure3_unit()];

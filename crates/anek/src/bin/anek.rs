@@ -1,102 +1,85 @@
 //! The `anek` command-line tool — the reproduction's equivalent of the
-//! paper's Eclipse plugin pipeline (Figure 10).
+//! paper's Eclipse plugin pipeline (Figure 10). `USAGE` below lists each
+//! subcommand's flags; `flag_table` holds the same lists, and a flag a
+//! subcommand does not read is a usage error (exit 2).
 //!
 //! ```text
-//! anek infer [--threads N] [--inject PLAN] [--outcomes]
-//!            [--screen] [--max-iters N] <file.java>...
-//!                               infer specs, print them; --inject replays a
-//!                               fault plan (corpus::faults format) and
-//!                               --outcomes appends the per-method outcome
-//!                               table (method<TAB>status<TAB>detail).
-//!                               --screen runs the bit-vector pre-pass and
-//!                               skips BP solves for provably-clean isolated
-//!                               methods. Exit 0: every source parsed and
-//!                               every method solved. Exit 3: completed
-//!                               partially (a source was skipped or a
-//!                               method's solve failed); the printed specs
-//!                               cover the healthy remainder.
-//! anek check [--engine bitstate|plural] [--infer] [--branch-sensitive]
-//!            [--json] [--cross-validate] <file.java>...
-//!                               verify client code against declared specs
-//!                               (plus ANEK-inferred ones under --infer):
-//!                               the bit-vector engine reports CHK001/CHK002
-//!                               diagnostics with caret snippets or JSON;
-//!                               --engine plural runs the fractional-
-//!                               permission checker instead;
-//!                               --cross-validate runs bitstate, PLURAL and
-//!                               the PROT001 lint side by side and reports
-//!                               per-method verdict disagreements
-//! anek lint [--json] [--verify-ir] <file.java>...
-//!                               run the deterministic dataflow lints
-//!                               (DF/PROT/SPEC rules) and optionally the IR
-//!                               verifier; exit non-zero on errors
-//! anek pipeline [--out DIR] [--verify-ir] [--threads N] <file.java>...
-//!                               infer, apply, re-check; print the annotated
-//!                               program (or write one file per input into
-//!                               DIR) and report both warning counts
-//! anek pfg <file.java> <Class.method>
-//!                               dump a method's Permissions Flow Graph as DOT
-//! anek explain [--json] [infer flags] <file.java>... <Class.method>
-//!                               infer specs, then report *why* the target
-//!                               method's annotation was inferred: one
-//!                               EXPL001 diagnostic per spec atom with the
-//!                               contributing factor families (PROT, WEAKEN,
-//!                               neighbor evidence/summaries) as signed
-//!                               log-odds notes; caret snippet or --json.
-//!                               The report is byte-identical for any
-//!                               thread count
-//! anek corpus <dir> [--small]   materialize the PMD-shaped synthetic corpus
-//!                               as .java files under <dir>; --mixed
-//!                               generates the registry-driven
-//!                               mixed-protocol corpus instead (every
-//!                               protocol family, or --families LIST), with
-//!                               --profile small|aliasing|callback
-//!                               selecting the workload mix
-//! anek serve (--stdio | --socket PATH) [--store DIR] [--threads N]
-//!            [--trace] [--workers N] [--admission-cap N]
-//!            [--screen-depth N] [--retry-after-ms MS]
-//!            [--memory-budget-mb MB] [--max-request-bytes N]
-//!                               long-running multi-session inference daemon
-//!                               speaking line-delimited JSON (see
-//!                               anek::serve): named sessions share one
-//!                               store, stacked edits coalesce, deep queues
-//!                               shed load (screen, then reject with
-//!                               retry_after_ms), and a memory budget evicts
-//!                               idle sessions' heavyweight state
+//! infer     infer specs and print them. --inject replays a fault plan
+//!           (corpus::faults format); --outcomes appends the per-method
+//!           outcome table (method<TAB>status<TAB>detail); --screen runs
+//!           the bit-vector pre-pass and skips BP solves for provably-clean
+//!           isolated methods. Exit 0: every source parsed and every
+//!           method solved. Exit 3: completed partially (a source was
+//!           skipped or a method's solve failed); the printed specs cover
+//!           the healthy remainder.
+//! check     verify client code against declared specs (plus ANEK-inferred
+//!           ones under --infer): the bit-vector engine reports
+//!           CHK001/CHK002 diagnostics with caret snippets or JSON;
+//!           --engine plural runs the fractional-permission checker
+//!           instead; --cross-validate runs bitstate, PLURAL and the
+//!           PROT001 lint side by side and reports per-method verdict
+//!           disagreements
+//! lint      run the deterministic dataflow lints (DF/PROT/SPEC rules) and
+//!           optionally the IR verifier; exit non-zero on errors
+//! pipeline  infer, apply, re-check; print the annotated program (or write
+//!           one file per parsed input into --out DIR) and report both
+//!           warning counts
+//! pfg       dump a method's Permissions Flow Graph as DOT
+//! explain   infer specs, then report *why* the target method's annotation
+//!           was inferred: one EXPL001 diagnostic per spec atom with the
+//!           contributing factor families (PROT, WEAKEN, neighbor
+//!           evidence/summaries) as signed log-odds notes; caret snippet or
+//!           --json. The report is byte-identical for any thread count
+//! corpus    materialize the PMD-shaped synthetic corpus as .java files
+//!           under <dir>; --mixed generates the registry-driven
+//!           mixed-protocol corpus instead (every protocol family, or
+//!           --families LIST), with --profile selecting the workload mix
+//! serve     long-running multi-session inference daemon speaking
+//!           line-delimited JSON (see anek::serve): named sessions share
+//!           one store, stacked edits coalesce, deep queues shed load
+//!           (screen, then reject with retry_after_ms), and a memory budget
+//!           evicts idle sessions' heavyweight state
 //! ```
 //!
-//! `--store DIR` (on `infer`, `pipeline` and `serve`) attaches the
-//! persistent artifact store: warm runs replay memoized solves and are
-//! byte-identical to cold runs.
-//!
-//! `--trace-json PATH` (on `infer`, `pipeline` and `explain`) writes the
-//! run's deterministic trace artifact — three JSON lines (spec section,
-//! deterministic counters/spans, execution section); the first two are
-//! byte-identical across thread counts. `serve --trace` enables the same
-//! tracing inside the daemon, exposed via the `query_trace` request.
+//! Every subcommand that reads Java files reads them through one loader
+//! (`load`): under `--inject` it applies the plan's source faults and
+//! parses leniently, so a garbled file is reported as skipped and costs
+//! only itself. `--store DIR` attaches the persistent artifact store: warm
+//! runs replay memoized solves and are byte-identical to cold runs.
+//! `--trace-json PATH` writes the run's deterministic trace artifact —
+//! three JSON lines (spec section, deterministic counters/spans, execution
+//! section); the first two are byte-identical across thread counts.
+//! `serve --trace` enables the same tracing inside the daemon, exposed via
+//! the `query_trace` request.
 
 use anek::analysis::{MethodId, Pfg, ProgramIndex};
 use anek::bitstate;
 use anek::plural::SpecTable;
-use anek::spec_lang::{api_with_protocols, standard_api};
+use anek::spec_lang::api_with_protocols;
 use anek::{Pipeline, Server, ServerOptions};
+use std::error::Error;
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 
 const USAGE: &str = "\
-usage: anek <infer|check|lint|pipeline|pfg|corpus|serve> [flags] <file.java>...
+usage: anek <infer|check|lint|pipeline|pfg|explain|corpus|serve> [flags] <file.java>...
 
   infer    [--threads N] [--inject PLAN] [--outcomes] [--screen]
            [--max-iters N] [--store DIR] [--trace-json PATH]
            [--protocols LIST] <file.java>...
   check    [--engine bitstate|plural] [--infer] [--branch-sensitive]
-           [--json] [--cross-validate] [infer flags] <file.java>...
+           [--json] [--cross-validate] [--threads N] [--inject PLAN]
+           [--screen] [--max-iters N] [--store DIR] [--protocols LIST]
+           <file.java>...
   lint     [--json] [--verify-ir] <file.java>...
-  pipeline [--out DIR] [--verify-ir] [--threads N] [--store DIR]
-           [--trace-json PATH] <file.java>...
+  pipeline [--out DIR] [--verify-ir] [--threads N] [--inject PLAN]
+           [--screen] [--max-iters N] [--store DIR] [--trace-json PATH]
+           [--protocols LIST] <file.java>...
   pfg      <file.java>... <Class.method>
-  explain  [--json] [infer flags] <file.java>... <Class.method>
+  explain  [--json] [--threads N] [--inject PLAN] [--screen]
+           [--max-iters N] [--store DIR] [--trace-json PATH]
+           [--protocols LIST] <file.java>... <Class.method>
   corpus   <dir> [--small | --mixed [--profile small|aliasing|callback]
            [--families LIST]]
   serve    (--stdio | --socket PATH) [--store DIR] [--threads N]
@@ -105,10 +88,9 @@ usage: anek <infer|check|lint|pipeline|pfg|corpus|serve> [flags] <file.java>...
            [--memory-budget-mb MB] [--max-request-bytes N]
            [--protocols LIST]
 
-`--protocols LIST` (on infer, check, pipeline, explain, serve) selects
-protocol families from the built-in library as a comma-separated list
-(e.g. `Iterator,File,Lock`) or `all`; default is the standard
-Iterator+Stream selection.
+`--protocols LIST` selects protocol families from the built-in library as
+a comma-separated list (e.g. `Iterator,File,Lock`) or `all`; default is
+the standard Iterator+Stream selection.
 
 exit codes:
   0  success (infer: every source parsed and every method solved;
@@ -131,9 +113,9 @@ impl std::fmt::Display for UsageError {
     }
 }
 
-impl std::error::Error for UsageError {}
+impl Error for UsageError {}
 
-fn usage_err(message: impl Into<String>) -> Box<dyn std::error::Error> {
+fn usage_err(message: impl Into<String>) -> Box<dyn Error> {
     Box::new(UsageError(message.into()))
 }
 
@@ -147,7 +129,7 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match run(cmd, rest) {
+    match Args::parse(cmd, rest).and_then(|args| run(cmd, &args)) {
         Ok(code) => code,
         Err(e) if e.is::<UsageError>() => {
             eprintln!("anek: {e}");
@@ -161,120 +143,87 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flags shared by the inference-running subcommands.
-#[derive(Default)]
-struct InferFlags {
-    threads: Option<usize>,
-    inject: Option<corpus::FaultPlan>,
-    outcomes: bool,
-    store: Option<String>,
-    screen: bool,
-    max_iters: Option<usize>,
-    trace_json: Option<String>,
-    protocols: Vec<String>,
+/// The flags `cmd` reads, as space-separated lists: its switches, then the
+/// flags that take a value. A subcommand lists a flag only if it reads it.
+fn flag_table(cmd: &str) -> Option<(&'static str, &'static str)> {
+    Some(match cmd {
+        "infer" => (
+            "--outcomes --screen",
+            "--threads --inject --max-iters --store --trace-json --protocols",
+        ),
+        "check" => (
+            "--infer --branch-sensitive --json --cross-validate --screen",
+            "--engine --threads --inject --max-iters --store --protocols",
+        ),
+        "lint" => ("--json --verify-ir", ""),
+        "pipeline" => (
+            "--verify-ir --screen",
+            "--out --threads --inject --max-iters --store --trace-json --protocols",
+        ),
+        "pfg" => ("", ""),
+        "explain" => {
+            ("--json --screen", "--threads --inject --max-iters --store --trace-json --protocols")
+        }
+        "corpus" => ("--small --mixed", "--profile --families"),
+        "serve" => (
+            "--stdio --trace",
+            "--socket --store --threads --workers --admission-cap --screen-depth \
+             --retry-after-ms --memory-budget-mb --max-request-bytes --protocols",
+        ),
+        _ => return None,
+    })
 }
 
-impl InferFlags {
-    /// Consumes `--threads N` / `--inject PLAN` / `--outcomes` /
-    /// `--store DIR` / `--screen` / `--max-iters N` / `--trace-json PATH` /
-    /// `--protocols LIST` from `args`, returning the flags and the
-    /// remaining arguments.
-    fn parse(args: &[String]) -> Result<(InferFlags, Vec<String>), Box<dyn std::error::Error>> {
-        let mut flags = InferFlags::default();
-        let mut rest = Vec::new();
-        let mut it = args.iter();
+/// One invocation's arguments, split by its subcommand's [`flag_table`].
+#[derive(Default)]
+struct Args {
+    switches: Vec<&'static str>,
+    /// Valued flags in argument order; the last occurrence of a flag wins.
+    values: Vec<(&'static str, String)>,
+    positional: Vec<String>,
+}
+
+impl Args {
+    /// Splits `argv` into `cmd`'s flags and the positional arguments;
+    /// anything else starting with `--` is a usage error.
+    fn parse(cmd: &str, argv: &[String]) -> Result<Args, Box<dyn Error>> {
+        let (switches, valued) =
+            flag_table(cmd).ok_or_else(|| usage_err(format!("unknown command `{cmd}`")))?;
+        let mut args = Args::default();
+        let mut it = argv.iter();
         while let Some(a) = it.next() {
-            if a == "--threads" {
-                let n = it
-                    .next()
-                    .ok_or_else(|| usage_err("--threads needs a count (0 = one per core)"))?;
-                flags.threads =
-                    Some(n.parse().map_err(|_| usage_err(format!("--threads: bad count `{n}`")))?);
-            } else if a == "--inject" {
-                let path =
-                    it.next().ok_or_else(|| usage_err("--inject needs a fault-plan file"))?;
-                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                flags.inject =
-                    Some(corpus::FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?);
-            } else if a == "--outcomes" {
-                flags.outcomes = true;
-            } else if a == "--screen" {
-                flags.screen = true;
-            } else if a == "--max-iters" {
-                let n = it
-                    .next()
-                    .ok_or_else(|| usage_err("--max-iters needs a worklist-pass budget"))?;
-                let n: usize =
-                    n.parse().map_err(|_| usage_err(format!("--max-iters: bad count `{n}`")))?;
-                if n == 0 {
-                    return Err(usage_err("--max-iters must be positive"));
-                }
-                flags.max_iters = Some(n);
-            } else if a == "--store" {
-                let dir = it.next().ok_or_else(|| usage_err("--store needs a directory"))?;
-                flags.store = Some(dir.clone());
-            } else if a == "--trace-json" {
-                let path =
-                    it.next().ok_or_else(|| usage_err("--trace-json needs an output path"))?;
-                flags.trace_json = Some(path.clone());
-            } else if a == "--protocols" {
-                let list = it.next().ok_or_else(|| {
-                    usage_err("--protocols needs a comma-separated family list (or `all`)")
-                })?;
-                flags.protocols = parse_protocols(list)?;
+            if let Some(flag) = switches.split_whitespace().find(|f| f == a) {
+                args.switches.push(flag);
+            } else if let Some(flag) = valued.split_whitespace().find(|f| f == a) {
+                let value = it.next().ok_or_else(|| usage_err(format!("{flag} needs a value")))?;
+                args.values.push((flag, value.clone()));
+            } else if a.starts_with("--") {
+                return Err(usage_err(format!("unknown flag `{a}`")));
             } else {
-                rest.push(a.clone());
+                args.positional.push(a.clone());
             }
         }
-        Ok((flags, rest))
+        Ok(args)
     }
 
-    /// Applies the flags to a pipeline.
-    fn apply(&self, mut pipeline: Pipeline) -> Result<Pipeline, Box<dyn std::error::Error>> {
-        if !self.protocols.is_empty() {
-            pipeline =
-                pipeline.with_protocols(&self.protocols).map_err(|e| usage_err(e.to_string()))?;
-        }
-        if let Some(t) = self.threads {
-            pipeline = pipeline.with_threads(t);
-        }
-        if let Some(plan) = &self.inject {
-            plan.apply_config(&mut pipeline.config);
-        }
-        if self.screen {
-            pipeline = pipeline.with_screen(true);
-        }
-        if let Some(n) = self.max_iters {
-            pipeline.config.max_iters = n;
-        }
-        if let Some(dir) = &self.store {
-            let store = store::Store::open(dir).map_err(|e| format!("--store {dir}: {e}"))?;
-            pipeline = pipeline.with_store(Arc::new(store));
-        }
-        if self.trace_json.is_some() {
-            pipeline = pipeline.with_trace(true);
-        }
-        Ok(pipeline)
+    fn on(&self, flag: &str) -> bool {
+        self.switches.contains(&flag)
     }
 
-    /// Writes the run's deterministic trace to the `--trace-json` path, if
-    /// one was requested. The artifact is the trace's canonical three-line
-    /// rendering (see `observe::Trace::render`).
-    fn write_trace(
-        &self,
-        result: &anek_core::InferResult,
-    ) -> Result<(), Box<dyn std::error::Error>> {
-        let Some(path) = &self.trace_json else { return Ok(()) };
-        let trace = result.trace.as_ref().ok_or("internal: tracing was enabled but absent")?;
-        std::fs::write(path, trace.render()).map_err(|e| format!("--trace-json {path}: {e}"))?;
-        Ok(())
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.values.iter().rev().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
+    }
+
+    fn num(&self, flag: &str) -> Result<Option<usize>, Box<dyn Error>> {
+        let parse = |v: &str| v.parse().map_err(|_| usage_err(format!("{flag}: bad number `{v}`")));
+        self.value(flag).map(parse).transpose()
     }
 }
 
 /// Splits and validates a `--protocols` list against the built-in
-/// registry so an unknown family fails at flag-parse time with the list
-/// of available names.
-fn parse_protocols(list: &str) -> Result<Vec<String>, Box<dyn std::error::Error>> {
+/// registry so an unknown family fails before any input is read, with the
+/// list of available names.
+fn parse_protocols(list: &str) -> Result<Vec<String>, Box<dyn Error>> {
     let names: Vec<String> =
         list.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
     if names.is_empty() {
@@ -284,33 +233,130 @@ fn parse_protocols(list: &str) -> Result<Vec<String>, Box<dyn std::error::Error>
     Ok(names)
 }
 
-/// Rejects leftover `--flags` that no parser consumed (they would
-/// otherwise be misread as file paths).
-fn reject_unknown_flags(args: &[String]) -> Result<(), Box<dyn std::error::Error>> {
-    match args.iter().find(|a| a.starts_with("--")) {
-        Some(flag) => Err(usage_err(format!("unknown flag `{flag}`"))),
-        None => Ok(()),
+/// Sets the inference flags present in `args` on `config`: protocols,
+/// threads (0 = one per core), screen, max-iters and trace. Shared by
+/// [`load`] and `serve`.
+fn configure(args: &Args, config: &mut anek_core::InferConfig) -> Result<(), Box<dyn Error>> {
+    if let Some(list) = args.value("--protocols") {
+        config.protocols = parse_protocols(list)?;
     }
+    if let Some(n) = args.num("--threads")? {
+        config.threads = n;
+    }
+    if let Some(n) = args.num("--max-iters")? {
+        if n == 0 {
+            return Err(usage_err("--max-iters must be positive"));
+        }
+        config.max_iters = n;
+    }
+    config.screen = args.on("--screen");
+    config.trace = args.on("--trace") || args.value("--trace-json").is_some();
+    Ok(())
+}
+
+/// Opens the `--store` directory, if one was given.
+fn open_store(args: &Args) -> Result<Option<Arc<store::Store>>, Box<dyn Error>> {
+    let open = |dir: &str| match store::Store::open(dir) {
+        Ok(store) => Ok(Arc::new(store)),
+        Err(e) => Err(format!("--store {dir}: {e}").into()),
+    };
+    args.value("--store").map(open).transpose()
+}
+
+/// A configured pipeline with the name and text of each parsed unit's
+/// file, in unit order: a skipped input has neither, so it never shifts
+/// another unit's file.
+struct Input {
+    pipeline: Pipeline,
+    files: Vec<String>,
+    sources: Vec<String>,
+}
+
+/// Reads `files` and builds their pipeline from the inference flags in
+/// `args`. Under `--inject` the plan's source faults are applied and
+/// parsing is lenient: a file that fails to parse is skipped with a
+/// warning. Without it the first parse error fails the run.
+fn load(args: &Args, files: &[String]) -> Result<Input, Box<dyn Error>> {
+    let mut config = anek_core::InferConfig::default();
+    configure(args, &mut config)?;
+    let plan = match args.value("--inject") {
+        Some(path) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            Some(corpus::FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?)
+        }
+        None => None,
+    };
+    if files.is_empty() {
+        return Err(usage_err("no input files"));
+    }
+    let mut sources = files
+        .iter()
+        .map(|p| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    let pipeline = match &plan {
+        Some(plan) => {
+            plan.apply_sources(&mut sources);
+            plan.apply_config(&mut config);
+            Pipeline::from_sources_lenient(&sources)
+        }
+        None => Pipeline::from_sources(&sources)?,
+    };
+    for s in &pipeline.skipped_sources {
+        eprintln!("warning: skipped {}: {}", files[s.index], s.error);
+    }
+    let skipped = |i: &usize| pipeline.skipped_sources.iter().any(|s| s.index == *i);
+    let (files, sources) = files
+        .iter()
+        .cloned()
+        .zip(sources)
+        .enumerate()
+        .filter(|(i, _)| !skipped(i))
+        .map(|(_, input)| input)
+        .unzip();
+    let protocols = config.protocols.clone();
+    let mut pipeline = pipeline
+        .with_config(config)
+        .with_protocols(&protocols)
+        .map_err(|e| usage_err(e.to_string()))?;
+    pipeline.store = open_store(args)?;
+    Ok(Input { pipeline, files, sources })
+}
+
+/// Splits `explain`/`pfg` positionals into the `Class.method` target, the
+/// one argument anywhere among them that does not end in `.java`, and the
+/// input files.
+fn split_target(positional: &[String]) -> Result<(&str, &str, Vec<String>), Box<dyn Error>> {
+    let target = positional
+        .iter()
+        .find(|a| !a.ends_with(".java"))
+        .ok_or_else(|| usage_err("missing the <Class.method> target"))?;
+    let (class, method) =
+        target.split_once('.').ok_or_else(|| usage_err("target must be Class.method"))?;
+    Ok((class, method, positional.iter().filter(|a| *a != target).cloned().collect()))
+}
+
+/// Writes the run's deterministic trace to the `--trace-json` path, if one
+/// was given. The artifact is the trace's canonical three-line rendering
+/// (see `observe::Trace::render`).
+fn write_trace(args: &Args, result: &anek_core::InferResult) -> Result<(), Box<dyn Error>> {
+    let Some(path) = args.value("--trace-json") else { return Ok(()) };
+    let trace = result.trace.as_ref().ok_or("internal: tracing was enabled but absent")?;
+    std::fs::write(path, trace.render()).map_err(|e| format!("--trace-json {path}: {e}"))?;
+    Ok(())
 }
 
 /// Maps each diagnostic's `Class.method` context back to the input file
 /// that declares the class, attaches it, and re-sorts (reporting order is
 /// file-first once files are known).
-fn attach_files(
-    diags: Vec<lint::Diagnostic>,
-    units: &[java_syntax::CompilationUnit],
-    files: &[String],
-) -> Vec<lint::Diagnostic> {
+fn attach_files(diags: Vec<lint::Diagnostic>, input: &Input) -> Vec<lint::Diagnostic> {
+    let units = &input.pipeline.units;
     let mut diags: Vec<lint::Diagnostic> = diags
         .into_iter()
         .map(|d| {
             let class = d.method.split('.').next().unwrap_or("");
             match units.iter().position(|u| u.type_named(class).is_some()) {
-                Some(i) if i < files.len() => {
-                    let file = files[i].clone();
-                    d.in_file(file)
-                }
-                _ => d,
+                Some(i) => d.in_file(input.files[i].clone()),
+                None => d,
             }
         })
         .collect();
@@ -318,36 +364,26 @@ fn attach_files(
     diags
 }
 
-fn read_sources(paths: &[String]) -> Result<Vec<String>, Box<dyn std::error::Error>> {
-    if paths.is_empty() {
-        return Err(usage_err("no input files"));
+/// Prints diagnostics as one JSON array, or each with the caret snippet
+/// of its file's text.
+fn print_diagnostics(diags: &[lint::Diagnostic], json: bool, input: &Input) {
+    if json {
+        println!("{}", lint::to_json_array(diags));
+        return;
     }
-    paths
-        .iter()
-        .map(|p| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}").into()))
-        .collect()
+    for d in diags {
+        let source = input.files.iter().position(|f| *f == d.file).map(|i| &*input.sources[i]);
+        print!("{}", d.render(source));
+    }
 }
 
-fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+fn run(cmd: &str, args: &Args) -> Result<ExitCode, Box<dyn Error>> {
     match cmd {
         "infer" => {
-            let (flags, files) = InferFlags::parse(rest)?;
-            reject_unknown_flags(&files)?;
-            let mut sources = read_sources(&files)?;
-            // Fault injection corrupts sources *before* parsing; parsing is
-            // lenient under injection so a garbled file costs only itself.
-            let pipeline = if let Some(plan) = &flags.inject {
-                plan.apply_sources(&mut sources);
-                flags.apply(Pipeline::from_sources_lenient(&sources))?
-            } else {
-                flags.apply(Pipeline::from_sources(&sources)?)?
-            };
-            for s in &pipeline.skipped_sources {
-                let file = files.get(s.index).map_or("<source>", String::as_str);
-                eprintln!("warning: skipped {file}: {}", s.error);
-            }
+            let input = load(args, &args.positional)?;
+            let pipeline = &input.pipeline;
             let result = pipeline.infer();
-            flags.write_trace(&result)?;
+            write_trace(args, &result)?;
             for (method, spec) in &result.specs {
                 if spec.is_empty() {
                     continue;
@@ -361,7 +397,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
                     println!("    ensures:  {}", spec.ensures);
                 }
             }
-            if flags.outcomes {
+            if args.on("--outcomes") {
                 // The deterministic outcome table: skipped sources first
                 // (by input index), then one line per method. Identical for
                 // every thread count, faults included.
@@ -391,7 +427,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
                     result.speculative_solves, result.discarded_solves, result.commit_stall
                 );
             }
-            if flags.screen {
+            if args.on("--screen") {
                 eprintln!(
                     "screening pre-pass skipped {} provably-clean methods",
                     result.screened_methods
@@ -408,38 +444,15 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             Ok(ExitCode::SUCCESS)
         }
         "check" => {
-            let (flags, rest) = InferFlags::parse(rest)?;
-            let mut engine = "bitstate".to_string();
-            let mut infer = false;
-            let mut branch_sensitive = false;
-            let mut json = false;
-            let mut cross_validate = false;
-            let mut files: Vec<String> = Vec::new();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--engine" => {
-                        let e = it
-                            .next()
-                            .ok_or_else(|| usage_err("--engine needs `bitstate` or `plural`"))?;
-                        if e != "bitstate" && e != "plural" {
-                            return Err(usage_err(format!("--engine: unknown engine `{e}`")));
-                        }
-                        engine = e.clone();
-                    }
-                    "--infer" => infer = true,
-                    "--branch-sensitive" => branch_sensitive = true,
-                    "--json" => json = true,
-                    "--cross-validate" => cross_validate = true,
-                    _ => files.push(a.clone()),
-                }
+            let engine = args.value("--engine").unwrap_or("bitstate");
+            if engine != "bitstate" && engine != "plural" {
+                return Err(usage_err(format!("--engine: unknown engine `{engine}`")));
             }
-            reject_unknown_flags(&files)?;
-            let sources = read_sources(&files)?;
-            let mut pipeline = flags.apply(Pipeline::from_sources(&sources)?)?;
-            pipeline.config.branch_sensitive = branch_sensitive;
+            let mut input = load(args, &args.positional)?;
+            input.pipeline.config.branch_sensitive = args.on("--branch-sensitive");
+            let pipeline = &input.pipeline;
             let mut table = SpecTable::from_units(&pipeline.units);
-            if infer {
+            if args.on("--infer") {
                 let result = pipeline.infer();
                 eprintln!(
                     "inferred {} specs with {} model solves in {:?}",
@@ -449,7 +462,7 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
                 );
                 table = table.overlay_inferred(&result.specs);
             }
-            if cross_validate {
+            if args.on("--cross-validate") {
                 let report = anek::cross_validate(&pipeline.units, &pipeline.api, &table);
                 print!("{}", report.render());
                 return Ok(if report.undocumented == 0 {
@@ -477,16 +490,8 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             }
             let specs = anek::check::program_specs(&table, &pipeline.units);
             let report = bitstate::check_program(&pipeline.units, &pipeline.api, &specs);
-            let diags = attach_files(anek::check::diagnostics(&report), &pipeline.units, &files);
-            if json {
-                println!("{}", lint::to_json_array(&diags));
-            } else {
-                for d in &diags {
-                    let source =
-                        files.iter().position(|f| *f == d.file).map(|i| sources[i].as_str());
-                    print!("{}", d.render(source));
-                }
-            }
+            let diags = attach_files(anek::check::diagnostics(&report), &input);
+            print_diagnostics(&diags, args.on("--json"), &input);
             use bitstate::Verdict;
             eprintln!(
                 "checked {} methods in {:?}: {} clean, {} need inference, {} in violation ({} findings)",
@@ -500,77 +505,40 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             Ok(if diags.is_empty() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         "lint" => {
-            let json = rest.iter().any(|a| a == "--json");
-            let verify_ir = rest.iter().any(|a| a == "--verify-ir");
-            if let Some(bad) =
-                rest.iter().find(|a| a.starts_with("--") && *a != "--json" && *a != "--verify-ir")
-            {
-                return Err(usage_err(format!(
-                    "unknown lint flag `{bad}` (expected --json, --verify-ir)"
-                )));
-            }
-            let files: Vec<String> =
-                rest.iter().filter(|a| !a.starts_with("--")).cloned().collect();
-            let sources = read_sources(&files)?;
-            let pipeline = Pipeline::from_sources(&sources)?;
-            let opts = lint::LintOptions { verify_ir };
-            let diags = attach_files(
-                lint::lint_units(&pipeline.units, &pipeline.api, &opts),
-                &pipeline.units,
-                &files,
-            );
-            if json {
-                println!("{}", lint::to_json_array(&diags));
-            } else {
-                // Each diagnostic carries its source file; look the text
-                // back up for caret snippets.
-                for d in &diags {
-                    let source =
-                        files.iter().position(|f| *f == d.file).map(|i| sources[i].as_str());
-                    print!("{}", d.render(source));
-                }
-            }
+            let input = load(args, &args.positional)?;
+            let opts = lint::LintOptions { verify_ir: args.on("--verify-ir") };
+            let pipeline = &input.pipeline;
+            let diags =
+                attach_files(lint::lint_units(&pipeline.units, &pipeline.api, &opts), &input);
+            print_diagnostics(&diags, args.on("--json"), &input);
             let errors = diags.iter().filter(|d| d.severity == lint::Severity::Error).count();
-            eprintln!("{} diagnostics ({errors} errors) across {} files", diags.len(), files.len());
+            eprintln!(
+                "{} diagnostics ({errors} errors) across {} files",
+                diags.len(),
+                input.files.len()
+            );
             Ok(if errors == 0 { ExitCode::SUCCESS } else { ExitCode::FAILURE })
         }
         "pipeline" => {
-            let (flags, rest) = InferFlags::parse(rest)?;
-            let mut out_dir: Option<String> = None;
-            let mut verify_ir = false;
-            let mut files: Vec<String> = Vec::new();
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                if a == "--out" {
-                    out_dir = Some(
-                        it.next().ok_or_else(|| usage_err("--out needs a directory"))?.clone(),
-                    );
-                } else if a == "--verify-ir" {
-                    verify_ir = true;
-                } else {
-                    files.push(a.clone());
-                }
-            }
-            reject_unknown_flags(&files)?;
-            let sources = read_sources(&files)?;
-            let pipeline =
-                flags.apply(Pipeline::from_sources(&sources)?.with_verify_ir(verify_ir))?;
+            let mut input = load(args, &args.positional)?;
+            input.pipeline.verify_ir = args.on("--verify-ir");
+            let pipeline = &input.pipeline;
             let report = pipeline.run();
-            flags.write_trace(&report.inference)?;
-            match &out_dir {
+            write_trace(args, &report.inference)?;
+            match args.value("--out") {
                 Some(dir) => {
-                    // One annotated file per input, mirroring the input names.
+                    // One annotated file per parsed input, under its name.
                     std::fs::create_dir_all(dir)?;
                     let (annotated, _) =
                         anek::apply_specs(&pipeline.units, &report.inference.specs);
-                    for (unit, input) in annotated.iter().zip(&files) {
-                        let name = std::path::Path::new(input)
+                    for (unit, file) in annotated.iter().zip(&input.files) {
+                        let name = std::path::Path::new(file)
                             .file_name()
                             .ok_or("input has no file name")?;
                         let path = std::path::Path::new(dir).join(name);
                         std::fs::write(&path, java_syntax::print_unit(unit))?;
                     }
-                    eprintln!("wrote {} annotated files to {dir}", files.len());
+                    eprintln!("wrote {} annotated files to {dir}", annotated.len());
                 }
                 None => println!("{}", report.annotated_source),
             }
@@ -587,89 +555,49 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             Ok(ExitCode::SUCCESS)
         }
         "pfg" => {
-            let (target, files) = rest
-                .split_last()
-                .ok_or_else(|| usage_err("usage: anek pfg <file>... <Class.method>"))?;
-            // Allow either order: if the last arg looks like a file, the
-            // first is the target.
-            let (files, target) = if target.ends_with(".java") {
-                let (t, f) = rest
-                    .split_first()
-                    .ok_or_else(|| usage_err("usage: anek pfg <Class.method> <file>..."))?;
-                (f.to_vec(), t.clone())
-            } else {
-                (files.to_vec(), target.clone())
-            };
-            let (class, method) =
-                target.split_once('.').ok_or_else(|| usage_err("target must be Class.method"))?;
-            let sources = read_sources(&files)?;
-            let pipeline = Pipeline::from_sources(&sources)?;
+            let (class, method, files) = split_target(&args.positional)?;
+            let input = load(args, &files)?;
+            let pipeline = &input.pipeline;
             let index = ProgramIndex::build(pipeline.units.iter());
-            let api = standard_api();
-            let id = MethodId::new(class, method);
-            for unit in &pipeline.units {
-                if let Some(t) = unit.type_named(class) {
-                    if let Some(m) = t.method_named(method) {
-                        let pfg = Pfg::build(&index, &api, class, m);
-                        print!("{}", pfg.to_dot());
-                        return Ok(ExitCode::SUCCESS);
-                    }
-                }
-            }
-            Err(format!("method {id} not found").into())
+            let m = pipeline
+                .units
+                .iter()
+                .find_map(|u| u.type_named(class)?.method_named(method))
+                .ok_or_else(|| format!("method {} not found", MethodId::new(class, method)))?;
+            print!("{}", Pfg::build(&index, &pipeline.api, class, m).to_dot());
+            Ok(ExitCode::SUCCESS)
         }
         "explain" => {
-            let (flags, rest) = InferFlags::parse(rest)?;
-            let json = rest.iter().any(|a| a == "--json");
-            let rest: Vec<String> = rest.into_iter().filter(|a| a != "--json").collect();
-            reject_unknown_flags(&rest)?;
-            // Allow the target anywhere among the files (mirrors `pfg`).
-            let target = rest
-                .iter()
-                .find(|a| !a.ends_with(".java"))
-                .ok_or_else(|| {
-                    usage_err("usage: anek explain [flags] <file.java>... <Class.method>")
-                })?
-                .clone();
-            let files: Vec<String> = rest.into_iter().filter(|a| a != &target).collect();
-            let (class, method) =
-                target.split_once('.').ok_or_else(|| usage_err("target must be Class.method"))?;
-            let sources = read_sources(&files)?;
-            let pipeline = flags.apply(Pipeline::from_sources(&sources)?)?;
+            let (class, method, files) = split_target(&args.positional)?;
+            let target = format!("{class}.{method}");
+            let input = load(args, &files)?;
+            let pipeline = &input.pipeline;
             let result = pipeline.infer();
-            flags.write_trace(&result)?;
-            let id = MethodId::new(class, method);
+            write_trace(args, &result)?;
             let explanation = anek_core::explain_method(
                 &pipeline.units,
                 &pipeline.api,
                 &pipeline.config,
                 &result,
-                &id,
+                &MethodId::new(class, method),
             )?;
             // Anchor the report on the declaring method's source span so the
             // rendering carries the usual caret snippet.
-            let mut span = java_syntax::Span::DUMMY;
-            let mut file = String::new();
-            let mut source: Option<&str> = None;
-            for (i, unit) in pipeline.units.iter().enumerate() {
-                if let Some(t) = unit.type_named(class) {
-                    if let Some(m) = t.method_named(method) {
-                        span = m.span;
-                        file = files.get(i).cloned().unwrap_or_default();
-                        source = sources.get(i).map(String::as_str);
-                    }
-                }
-            }
+            let (span, file) = pipeline
+                .units
+                .iter()
+                .zip(&input.files)
+                .rev()
+                .find_map(|(u, f)| Some((u.type_named(class)?.method_named(method)?.span, f)))
+                .map_or((java_syntax::Span::DUMMY, ""), |(span, f)| (span, f.as_str()));
+            let note = |message: String| {
+                lint::Diagnostic::new(lint::rules::EXPLAIN, lint::Severity::Note, message, span)
+                    .in_method(&target)
+                    .in_file(file)
+            };
             let mut diags: Vec<lint::Diagnostic> = Vec::new();
             for a in &explanation.atoms {
-                let mut d = lint::Diagnostic::new(
-                    lint::rules::EXPLAIN,
-                    lint::Severity::Note,
-                    format!("{} {}  [belief {:.2}]", a.clause, a.atom, a.belief),
-                    span,
-                )
-                .in_method(&target)
-                .in_file(&file);
+                let mut d = note(format!("{} {}  [belief {:.2}]", a.clause, a.atom, a.belief));
                 for c in &a.kind_contributors {
                     d = d.with_note(format!("kind  {}", c.render()));
                 }
@@ -679,79 +607,40 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
                 diags.push(d);
             }
             if diags.is_empty() {
-                diags.push(
-                    lint::Diagnostic::new(
-                        lint::rules::EXPLAIN,
-                        lint::Severity::Note,
-                        format!("{target}: no inferred annotation (empty spec)"),
-                        span,
-                    )
-                    .in_method(&target)
-                    .in_file(&file),
-                );
+                diags.push(note(format!("{target}: no inferred annotation (empty spec)")));
             }
-            if json {
-                println!("{}", lint::to_json_array(&diags));
-            } else {
-                for d in &diags {
-                    print!("{}", d.render(source));
-                }
-            }
+            print_diagnostics(&diags, args.on("--json"), &input);
             Ok(ExitCode::SUCCESS)
         }
         "corpus" => {
-            let mut small = false;
-            let mut mixed = false;
-            let mut profile: Option<String> = None;
-            let mut families: Vec<String> = Vec::new();
-            let mut dir: Option<String> = None;
-            let mut it = rest.iter();
-            while let Some(a) = it.next() {
-                if a == "--small" {
-                    small = true;
-                } else if a == "--mixed" {
-                    mixed = true;
-                } else if a == "--profile" {
-                    let p = it.next().ok_or_else(|| {
-                        usage_err("--profile needs `small`, `aliasing` or `callback`")
-                    })?;
-                    if p != "small" && p != "aliasing" && p != "callback" {
-                        return Err(usage_err(format!("--profile: unknown profile `{p}`")));
-                    }
-                    profile = Some(p.clone());
-                } else if a == "--families" {
-                    let list = it
-                        .next()
-                        .ok_or_else(|| usage_err("--families needs a comma-separated list"))?;
-                    families = parse_protocols(list)?;
-                } else if a.starts_with("--") {
-                    return Err(usage_err(format!("unknown corpus flag `{a}`")));
-                } else {
-                    dir = Some(a.clone());
-                }
-            }
-            let dir = dir.ok_or_else(|| {
-                usage_err(
+            let [dir] = args.positional.as_slice() else {
+                return Err(usage_err(
                     "usage: anek corpus <dir> [--small | --mixed [--profile P] [--families L]]",
-                )
-            })?;
-            let corpus = if mixed {
-                let mut cfg = match profile.as_deref() {
+                ));
+            };
+            let profile = args.value("--profile");
+            if let Some(p) = profile.filter(|p| !["small", "aliasing", "callback"].contains(p)) {
+                return Err(usage_err(format!("--profile: unknown profile `{p}`")));
+            }
+            let families = args.value("--families").map(parse_protocols).transpose()?;
+            let corpus = if args.on("--mixed") {
+                let mut cfg = match profile {
                     Some("aliasing") => corpus::MixedConfig::aliasing_heavy(),
                     Some("callback") => corpus::MixedConfig::callback_heavy(),
                     _ => corpus::MixedConfig::small(),
                 };
-                cfg.families = families;
+                cfg.families = families.unwrap_or_default();
                 corpus::generate_mixed(&cfg)
             } else {
-                if profile.is_some() || !families.is_empty() {
+                if profile.is_some() || families.is_some() {
                     return Err(usage_err("--profile/--families require --mixed"));
                 }
+                let small = args.on("--small");
                 let cfg =
                     if small { corpus::PmdConfig::small() } else { corpus::PmdConfig::paper() };
                 corpus::generate(&cfg)
             };
-            let n = corpus.write_to_dir(std::path::Path::new(&dir))?;
+            let n = corpus.write_to_dir(std::path::Path::new(dir))?;
             eprintln!(
                 "wrote {n} classes ({} lines, {} methods, {} next() calls) to {dir}",
                 corpus.stats.lines, corpus.stats.methods, corpus.stats.next_calls
@@ -759,79 +648,44 @@ fn run(cmd: &str, rest: &[String]) -> Result<ExitCode, Box<dyn std::error::Error
             Ok(ExitCode::SUCCESS)
         }
         "serve" => {
-            let mut stdio = false;
-            let mut socket: Option<String> = None;
-            let mut store_dir: Option<String> = None;
-            let mut threads: Option<usize> = None;
-            let mut trace = false;
-            let mut protocols: Vec<String> = Vec::new();
-            let mut opts = ServerOptions::default();
-            let mut it = rest.iter();
-            let num =
-                |flag: &str, value: Option<&String>| -> Result<usize, Box<dyn std::error::Error>> {
-                    let v = value.ok_or_else(|| usage_err(format!("{flag} needs a number")))?;
-                    v.parse().map_err(|_| usage_err(format!("{flag}: bad number `{v}`")))
-                };
-            while let Some(a) = it.next() {
-                if a == "--stdio" {
-                    stdio = true;
-                } else if a == "--socket" {
-                    socket =
-                        Some(it.next().ok_or_else(|| usage_err("--socket needs a path"))?.clone());
-                } else if a == "--store" {
-                    store_dir = Some(
-                        it.next().ok_or_else(|| usage_err("--store needs a directory"))?.clone(),
-                    );
-                } else if a == "--threads" {
-                    threads = Some(num("--threads", it.next())?);
-                } else if a == "--trace" {
-                    trace = true;
-                } else if a == "--workers" {
-                    opts.workers = num("--workers", it.next())?.max(1);
-                } else if a == "--admission-cap" {
-                    opts.policy.reject_depth = num("--admission-cap", it.next())?;
-                } else if a == "--screen-depth" {
-                    opts.policy.screen_depth = num("--screen-depth", it.next())?;
-                } else if a == "--retry-after-ms" {
-                    opts.policy.retry_after_ms = num("--retry-after-ms", it.next())? as u64;
-                } else if a == "--memory-budget-mb" {
-                    opts.memory_budget_bytes = num("--memory-budget-mb", it.next())? * 1024 * 1024;
-                } else if a == "--max-request-bytes" {
-                    opts.max_request_bytes = num("--max-request-bytes", it.next())?;
-                } else if a == "--protocols" {
-                    let list = it.next().ok_or_else(|| {
-                        usage_err("--protocols needs a comma-separated family list (or `all`)")
-                    })?;
-                    protocols = parse_protocols(list)?;
-                } else {
-                    return Err(usage_err(format!("unknown serve argument `{a}`")));
-                }
+            if let Some(a) = args.positional.first() {
+                return Err(usage_err(format!("serve takes no argument `{a}`")));
             }
-            if stdio == socket.is_some() {
+            let socket = args.value("--socket");
+            if args.on("--stdio") == socket.is_some() {
                 return Err(usage_err("serve needs exactly one of --stdio or --socket PATH"));
             }
             let mut config = anek_core::InferConfig::default();
-            if let Some(t) = threads {
-                config.threads = t;
+            configure(args, &mut config)?;
+            let mut opts = ServerOptions::default();
+            if let Some(n) = args.num("--workers")? {
+                opts.workers = n.max(1);
             }
-            config.trace = trace;
-            config.protocols = protocols;
-            let store = match &store_dir {
-                Some(dir) => Some(Arc::new(
-                    store::Store::open(dir).map_err(|e| format!("--store {dir}: {e}"))?,
-                )),
-                None => None,
-            };
+            if let Some(n) = args.num("--admission-cap")? {
+                opts.policy.reject_depth = n;
+            }
+            if let Some(n) = args.num("--screen-depth")? {
+                opts.policy.screen_depth = n;
+            }
+            if let Some(n) = args.num("--retry-after-ms")? {
+                opts.policy.retry_after_ms = n as u64;
+            }
+            if let Some(n) = args.num("--memory-budget-mb")? {
+                opts.memory_budget_bytes = n.saturating_mul(1024 * 1024);
+            }
+            if let Some(n) = args.num("--max-request-bytes")? {
+                opts.max_request_bytes = n;
+            }
+            let store = open_store(args)?;
             let max_request_bytes = opts.max_request_bytes;
             let server = Server::start(config, store, opts);
-            if stdio {
-                serve_stdio(server, max_request_bytes)?;
-            } else {
-                serve_socket(server, socket.as_deref().expect("checked above"), max_request_bytes)?;
+            match socket {
+                Some(path) => serve_socket(server, path, max_request_bytes)?,
+                None => serve_stdio(server, max_request_bytes)?,
             }
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(usage_err(format!("unknown command `{other}`"))),
+        other => unreachable!("`{other}` has no flag table"),
     }
 }
 
@@ -912,7 +766,7 @@ fn pump_requests(
 }
 
 /// Serves line-delimited JSON over stdin/stdout until EOF or `shutdown`.
-fn serve_stdio(server: Server, max_request_bytes: usize) -> Result<(), Box<dyn std::error::Error>> {
+fn serve_stdio(server: Server, max_request_bytes: usize) -> Result<(), Box<dyn Error>> {
     let client = server.connect();
     let responses = client.responses();
     server.detach();
@@ -942,7 +796,7 @@ fn serve_socket(
     server: Server,
     path: &str,
     max_request_bytes: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn Error>> {
     use std::os::unix::fs::FileTypeExt;
     // Unlink a stale socket left by a crashed daemon, but refuse to clobber
     // a path that is some other kind of file.
@@ -996,6 +850,6 @@ fn serve_socket(
     _server: Server,
     _path: &str,
     _max_request_bytes: usize,
-) -> Result<(), Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn Error>> {
     Err("--socket is only supported on Unix; use --stdio".into())
 }

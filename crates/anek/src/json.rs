@@ -83,7 +83,7 @@ impl fmt::Display for Json {
                     write!(f, "{n}")
                 }
             }
-            Json::Str(s) => write_escaped(f, s),
+            Json::Str(s) => observe::write_json_str(f, s),
             Json::Arr(items) => {
                 f.write_str("[")?;
                 for (i, item) in items.iter().enumerate() {
@@ -100,7 +100,7 @@ impl fmt::Display for Json {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write_escaped(f, k)?;
+                    observe::write_json_str(f, k)?;
                     write!(f, ":{v}")?;
                 }
                 f.write_str("}")
@@ -108,24 +108,6 @@ impl fmt::Display for Json {
         }
     }
 }
-
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
-        }
-    }
-    f.write_str("\"")
-}
-
-use std::fmt::Write as _;
 
 /// A JSON parse failure, with a byte offset.
 #[derive(Debug, Clone, PartialEq, Eq)]

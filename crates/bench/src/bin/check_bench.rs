@@ -22,10 +22,10 @@ use anek::analysis::cfg::Cfg;
 use anek::analysis::types::{MethodId, ProgramIndex, TypeEnv};
 use anek::anek_core::{InferConfig, InferResult};
 use anek::bitstate::{Machine, MethodProgram, Scratch, Verdict};
+use anek::observe::json_str;
 use anek::plural::SpecTable;
 use anek::spec_lang::standard_api;
 use anek::Pipeline;
-use bench::microbench::json_str;
 use bench::Scale;
 use std::time::Instant;
 

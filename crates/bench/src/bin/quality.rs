@@ -35,10 +35,10 @@ use anek::analysis::MethodId;
 use anek::anek_core::InferResult;
 use anek::bitstate;
 use anek::json::{self, Json, JsonError};
+use anek::observe::json_str;
 use anek::plural::SpecTable;
 use anek::spec_lang::{standard_api, ApiRegistry, MethodSpec, PermAtom, ProtocolRegistry, ALIVE};
 use anek::Pipeline;
-use bench::microbench::json_str;
 use bench::Scale;
 use corpus::{generate_mixed, MixedConfig, PmdCorpus};
 use std::collections::{BTreeMap, BTreeSet};

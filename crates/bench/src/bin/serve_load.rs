@@ -28,9 +28,9 @@
 
 use anek::anek_core::InferConfig;
 use anek::json::{self, Json};
+use anek::observe::json_str;
 use anek::store::Store;
 use anek::{Client, SendStatus, ServeSession, Server, ServerOptions, ShedPolicy};
-use bench::microbench::json_str;
 use bench::Scale;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

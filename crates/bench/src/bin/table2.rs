@@ -18,10 +18,10 @@
 //! used).
 
 use anek::anek_core::{solve_logical, InferConfig, InferResult, LogicalOutcome};
+use anek::observe::json_str;
 use anek::plural::{check, SpecTable};
 use anek::spec_lang::standard_api;
 use anek::Pipeline;
-use bench::microbench::json_str;
 use bench::{fmt_duration, row, Scale};
 
 fn main() {

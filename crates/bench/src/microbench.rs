@@ -7,6 +7,7 @@
 //! deterministic in shape and good enough to see order-of-magnitude
 //! regressions.
 
+use anek::observe::json_str;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -127,25 +128,6 @@ impl Bench {
         println!("wrote {} results to {path}", self.results.len());
         Ok(())
     }
-}
-
-/// Escapes a string as a JSON literal (the offline build has no serde).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 fn fmt(d: Duration) -> String {

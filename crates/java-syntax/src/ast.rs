@@ -262,19 +262,6 @@ impl TypeRef {
     pub fn named(name: &str) -> TypeRef {
         TypeRef::Named { name: QualifiedName::parse(name), args: Vec::new() }
     }
-
-    /// The erased simple name of this type if it is a named type.
-    pub fn simple_name(&self) -> Option<&str> {
-        match self {
-            TypeRef::Named { name, .. } => Some(name.simple()),
-            _ => None,
-        }
-    }
-
-    /// Whether this is a reference (non-primitive, non-void) type.
-    pub fn is_reference(&self) -> bool {
-        matches!(self, TypeRef::Named { .. } | TypeRef::Array(_) | TypeRef::Wildcard)
-    }
 }
 
 impl fmt::Display for TypeRef {
@@ -745,6 +732,24 @@ impl BinaryOp {
     pub fn is_boolean(self) -> bool {
         use BinaryOp::*;
         matches!(self, Eq | Ne | Lt | Le | Gt | Ge | And | Or)
+    }
+
+    /// Java's precedence level, from 1 (`||`) to 9 (`*`, `/`, `%`): an
+    /// operator binds tighter than every operator of a lower level, and
+    /// operators of one level associate to the left.
+    pub fn precedence(self) -> u8 {
+        use BinaryOp::*;
+        match self {
+            Or => 1,
+            And => 2,
+            BitOr => 3,
+            BitXor => 4,
+            BitAnd => 5,
+            Eq | Ne => 6,
+            Lt | Le | Gt | Ge => 7,
+            Add | Sub => 8,
+            Mul | Div | Rem => 9,
+        }
     }
 }
 

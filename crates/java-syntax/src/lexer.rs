@@ -118,6 +118,16 @@ impl<'a> Lexer<'a> {
         self.offset += n;
     }
 
+    /// The length of the exponent marker at the cursor, `e` or `E` with an
+    /// optional sign, when a digit follows it; 0 otherwise.
+    fn exponent_marker_len(&self) -> usize {
+        let sign = usize::from(matches!(self.peek2(), Some(b'+' | b'-')));
+        match self.bytes.get(self.offset + 1 + sign) {
+            Some(b) if b.is_ascii_digit() => 1 + sign,
+            _ => 0,
+        }
+    }
+
     /// Steps over the bytes that satisfy `keep`, none of which may be a
     /// line break.
     fn bump_while(&mut self, keep: impl Fn(u8) -> bool) {
@@ -278,6 +288,15 @@ impl<'a> Lexer<'a> {
                     if matches!(self.peek(), Some(b'+') | Some(b'-')) {
                         self.bump();
                     }
+                }
+                b'e' | b'E' if self.exponent_marker_len() > 0 => {
+                    // An exponent without a point: `1e5`, `2E-3`, `7e+1f`.
+                    self.advance(self.exponent_marker_len());
+                    self.bump_while(|b| b.is_ascii_digit());
+                    if matches!(self.peek(), Some(b'f' | b'F' | b'd' | b'D')) {
+                        self.bump();
+                    }
+                    return Ok(TokenKind::DoubleLit);
                 }
                 b'L' | b'l' | b'f' | b'F' | b'd' | b'D' => {
                     // Suffix terminates the literal; treat f/d as double markers.
@@ -501,6 +520,16 @@ mod tests {
         let toks = lex("").unwrap();
         assert_eq!(toks.len(), 1);
         assert_eq!(toks[0].kind, Eof);
+    }
+
+    #[test]
+    fn exponent_without_a_point_is_one_double() {
+        let k = tokens("1e5 2E-3 7e+1f 4e2D 1.5e3");
+        let doubles = ["1e5", "2E-3", "7e+1f", "4e2D", "1.5e3"].map(|t| (DoubleLit, t));
+        assert_eq!(k, doubles);
+        // Without digits after it, the `e` starts an identifier as before.
+        assert_eq!(tokens("1e 2ex"), [(IntLit, "1"), (Ident, "e"), (IntLit, "2"), (Ident, "ex")]);
+        assert_eq!(tokens("1e5e3"), [(DoubleLit, "1e5"), (Ident, "e3")]);
     }
 
     #[test]

@@ -998,28 +998,27 @@ impl<'a> Parser<'a> {
         ))
     }
 
-    fn binary_op(&self) -> Option<(BinaryOp, u8)> {
+    fn binary_op(&self) -> Option<BinaryOp> {
         use BinaryOp::*;
-        let (op, prec) = match self.peek_kind() {
-            TokenKind::OrOr => (Or, 1),
-            TokenKind::AndAnd => (And, 2),
-            TokenKind::Pipe => (BitOr, 3),
-            TokenKind::Caret => (BitXor, 4),
-            TokenKind::Amp => (BitAnd, 5),
-            TokenKind::EqEq => (Eq, 6),
-            TokenKind::NotEq => (Ne, 6),
-            TokenKind::Lt => (Lt, 7),
-            TokenKind::Le => (Le, 7),
-            TokenKind::Gt => (Gt, 7),
-            TokenKind::Ge => (Ge, 7),
-            TokenKind::Plus => (Add, 8),
-            TokenKind::Minus => (Sub, 8),
-            TokenKind::Star => (Mul, 9),
-            TokenKind::Slash => (Div, 9),
-            TokenKind::Percent => (Rem, 9),
+        Some(match self.peek_kind() {
+            TokenKind::OrOr => Or,
+            TokenKind::AndAnd => And,
+            TokenKind::Pipe => BitOr,
+            TokenKind::Caret => BitXor,
+            TokenKind::Amp => BitAnd,
+            TokenKind::EqEq => Eq,
+            TokenKind::NotEq => Ne,
+            TokenKind::Lt => Lt,
+            TokenKind::Le => Le,
+            TokenKind::Gt => Gt,
+            TokenKind::Ge => Ge,
+            TokenKind::Plus => Add,
+            TokenKind::Minus => Sub,
+            TokenKind::Star => Mul,
+            TokenKind::Slash => Div,
+            TokenKind::Percent => Rem,
             _ => return None,
-        };
-        Some((op, prec))
+        })
     }
 
     /// Whether an operator binding at least as tightly as `min_prec`
@@ -1027,8 +1026,8 @@ impl<'a> Parser<'a> {
     /// less-than here: the expression grammar never opens generic
     /// arguments.
     fn binary_follows(&self, min_prec: u8) -> bool {
-        (min_prec <= 7 && self.at_keyword(Keyword::Instanceof))
-            || self.binary_op().is_some_and(|(_, prec)| prec >= min_prec)
+        (min_prec <= BinaryOp::Lt.precedence() && self.at_keyword(Keyword::Instanceof))
+            || self.binary_op().is_some_and(|op| op.precedence() >= min_prec)
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr> {
@@ -1044,9 +1043,9 @@ impl<'a> Parser<'a> {
                 lhs = self.mk(ExprKind::InstanceOf { expr: Box::new(lhs), ty }, span);
                 continue;
             }
-            let (op, prec) = self.binary_op().expect("binary_follows saw an operator");
+            let op = self.binary_op().expect("binary_follows saw an operator");
             self.bump();
-            let rhs = self.binary(prec + 1)?;
+            let rhs = self.binary(op.precedence() + 1)?;
             let span = lhs.span.to(rhs.span);
             lhs = self.mk(ExprKind::Binary { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }, span);
         }

@@ -498,19 +498,10 @@ impl Printer {
     }
 }
 
+/// A binary operator's printing precedence: its level shifted above
+/// assignment (1) and the conditional (2).
 fn bin_prec(op: BinaryOp) -> u8 {
-    use BinaryOp::*;
-    match op {
-        Or => 3,
-        And => 4,
-        BitOr => 5,
-        BitXor => 6,
-        BitAnd => 7,
-        Eq | Ne => 8,
-        Lt | Le | Gt | Ge => 9,
-        Add | Sub => 10,
-        Mul | Div | Rem => 11,
-    }
+    op.precedence() + 2
 }
 
 fn expr_prec(e: &Expr) -> u8 {

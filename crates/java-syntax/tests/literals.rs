@@ -1,10 +1,11 @@
-//! String and character literals survive print → parse.
+//! String, character and floating-point literals survive print → parse.
 //!
 //! `print_unit` is how the pipeline writes annotated programs back out and
 //! how the store fingerprints a unit, so a literal whose value changes on
 //! the way through print → parse changes both. Non-ASCII text must pass
-//! through the lexer as characters, not bytes, and a character literal that
-//! needs an escape must be printed with it.
+//! through the lexer as characters, not bytes, a character literal that
+//! needs an escape must be printed with it, and an exponent without a
+//! decimal point is one floating-point literal.
 
 use java_syntax::visit::{walk_expr, walk_unit, Visitor};
 use java_syntax::{parse, print_unit, AnnotationArgs, CompilationUnit, Expr, ExprKind, Lit};
@@ -20,17 +21,21 @@ class A {
         char bs = '\\';
         char nl = '\n';
         char dq = '"';
+        double e = 1e5;
+        double em = 2E-3;
+        float ef = 7e+1f;
     }
 }
 "#;
 
-/// Every string and character literal of `unit`, annotations first, then
-/// expressions in source order.
+/// Every string, character and floating-point literal of `unit`,
+/// annotations first, then expressions in source order.
 fn literals(unit: &CompilationUnit) -> Vec<Lit> {
     struct Collect(Vec<Lit>);
     impl Visitor for Collect {
         fn visit_expr(&mut self, e: &Expr) {
-            if let ExprKind::Literal(lit @ (Lit::Str(_) | Lit::Char(_))) = &e.kind {
+            if let ExprKind::Literal(lit @ (Lit::Str(_) | Lit::Char(_) | Lit::Double(_))) = &e.kind
+            {
                 self.0.push(lit.clone());
             }
             walk_expr(self, e);
@@ -59,6 +64,9 @@ fn literals_keep_their_values_through_print_and_parse() {
         Lit::Char('\\'),
         Lit::Char('\n'),
         Lit::Char('"'),
+        Lit::Double("1e5".into()),
+        Lit::Double("2E-3".into()),
+        Lit::Double("7e+1f".into()),
     ];
     assert_eq!(literals(&unit), expected);
     let printed = print_unit(&unit);

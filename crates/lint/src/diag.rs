@@ -3,6 +3,7 @@
 //! for tooling.
 
 use java_syntax::{render_snippet, Span};
+use observe::json_str;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -155,27 +156,22 @@ impl Diagnostic {
         out
     }
 
-    /// Encodes the diagnostic as a JSON object (no external dependencies;
-    /// strings are escaped by hand).
+    /// Encodes the diagnostic as a JSON object (strings escaped by
+    /// `observe::write_json_str`).
     pub fn to_json(&self) -> String {
-        let notes = self
-            .notes
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(",");
+        let notes = self.notes.iter().map(|n| json_str(n)).collect::<Vec<_>>().join(",");
         format!(
-            "{{\"rule\":\"{}\",\"family\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"file\":\"{}\",\"line\":{},\"col\":{},\"end_line\":{},\"end_col\":{},\"method\":\"{}\",\"notes\":[{}]}}",
+            "{{\"rule\":\"{}\",\"family\":\"{}\",\"severity\":\"{}\",\"message\":{},\"file\":{},\"line\":{},\"col\":{},\"end_line\":{},\"end_col\":{},\"method\":{},\"notes\":[{}]}}",
             self.rule,
             self.family(),
             self.severity,
-            json_escape(&self.message),
-            json_escape(&self.file),
+            json_str(&self.message),
+            json_str(&self.file),
             self.span.start.line,
             self.span.start.col,
             self.span.end.line,
             self.span.end.col,
-            json_escape(&self.method),
+            json_str(&self.method),
             notes,
         )
     }
@@ -206,22 +202,6 @@ pub fn sort_diagnostics(diags: &mut [Diagnostic]) {
             &b.message,
         ))
     });
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -214,10 +214,10 @@ impl Trace {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"method\":\"{}\",\"requires\":\"{}\",\"ensures\":\"{}\"}}",
-                escape(&s.method),
-                escape(&s.requires),
-                escape(&s.ensures)
+                "{{\"method\":{},\"requires\":{},\"ensures\":{}}}",
+                json_str(&s.method),
+                json_str(&s.requires),
+                json_str(&s.ensures)
             ));
         }
         out.push_str("],\"screened\":[");
@@ -225,7 +225,7 @@ impl Trace {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", escape(m)));
+            out.push_str(&json_str(m));
         }
         out.push_str("]}");
     }
@@ -251,11 +251,11 @@ impl Trace {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"seq\":{},\"method\":\"{}\",\"iterations\":{},\"updates\":{},\
+                "{{\"seq\":{},\"method\":{},\"iterations\":{},\"updates\":{},\
                  \"converged\":{},\"guards_non_finite\":{},\"guards_zero_sum\":{},\
                  \"cache_hit\":{}}}",
                 s.seq,
-                escape(&s.method),
+                json_str(&s.method),
                 s.iterations,
                 s.updates,
                 s.converged,
@@ -295,19 +295,33 @@ fn push_u64s(out: &mut String, values: &[u64]) {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Writes `s` as a quoted JSON string: `"`, `\` and the control
+/// characters are escaped, everything else is written as it is. Traces,
+/// lint diagnostics, `anek::json` and the bench reports all escape here.
+///
+/// # Errors
+///
+/// Propagates the writer's error.
+pub fn write_json_str(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     for c in s.chars() {
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
         }
     }
+    out.write_char('"')
+}
+
+/// `s` as a quoted JSON string (see [`write_json_str`]).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s).expect("a String accepts every write");
     out
 }
 

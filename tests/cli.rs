@@ -1,8 +1,9 @@
 //! CLI contract tests for the `anek` binary: the documented exit codes
 //! (0 success, 1 runtime failure, 2 usage error, 3 partial result) of
-//! `infer`, `lint` and `check`, the `corpus` generator, the `--store`
-//! flag, a scripted `serve --stdio` session, and the golden serve
-//! transcripts.
+//! `infer`, `lint` and `check`, each subcommand's flag table against
+//! `--help`, `--inject` source faults outside `infer`, the `corpus`
+//! generator, the `--store` flag, a scripted `serve --stdio` session, and
+//! the golden serve transcripts.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -50,6 +51,10 @@ const DRAIN: &str =
 /// `next()` on a fresh iterator with no `hasNext()` test: a protocol bug.
 const FIRST: &str =
     "class First { Object first(Collection<Integer> c) { return c.iterator().next(); } }";
+
+/// `next()` only after `hasNext()`: no protocol bug.
+const GUARDED: &str = "class Guarded { Object first(Collection<Integer> c) { \
+    Iterator<Integer> it = c.iterator(); if (it.hasNext()) { return it.next(); } return null; } }";
 
 /// Number of `.java` files in `dir`.
 fn java_files(dir: &Path) -> usize {
@@ -103,6 +108,129 @@ fn exit_two_on_usage_errors() {
     let out = anek().arg("--help").output().expect("run");
     assert_eq!(code(&out), 0);
     assert!(String::from_utf8_lossy(&out.stdout).contains("exit codes"));
+}
+
+/// The lines of `anek --help` that list each subcommand and its flags.
+fn usage_lines(help: &str) -> impl Iterator<Item = &str> {
+    help.lines().skip(2).take_while(|l| !l.is_empty())
+}
+
+/// Each flag the usage text `help` lists, as (subcommand, flag, value
+/// placeholder if it takes one).
+fn usage_flags(help: &str) -> Vec<(String, String, Option<String>)> {
+    let mut flags = Vec::new();
+    let mut cmd = String::new();
+    for line in usage_lines(help) {
+        let mut words = line
+            .split_whitespace()
+            .map(|w| w.trim_matches(|c| "[]()".contains(c)))
+            .filter(|w| !w.is_empty())
+            .peekable();
+        if !line.starts_with("   ") {
+            cmd = words.next().expect("subcommand").to_string();
+        }
+        while let Some(w) = words.next() {
+            if w.starts_with("--") {
+                let value = words.next_if(|v| !v.starts_with(['-', '|', '<'])).map(String::from);
+                flags.push((cmd.clone(), w.to_string(), value));
+            }
+        }
+    }
+    flags
+}
+
+#[test]
+fn every_subcommand_reads_the_flags_its_usage_lists_and_rejects_others() {
+    let dir = temp_dir("flags");
+    let missing = dir.join("Missing.java").display().to_string();
+    // A directory under a regular file: `corpus` fails when it writes.
+    let blocked = write(&dir, "file.txt", "").join("out").display().to_string();
+    // Arguments that end each run before it reads or writes anything.
+    let rest = |cmd: &str| -> Vec<String> {
+        match cmd {
+            "explain" | "pfg" => vec![missing.clone(), "App.drain".into()],
+            "corpus" => vec![blocked.clone()],
+            "serve" => vec!["stray".into()],
+            _ => vec![missing.clone()],
+        }
+    };
+    let help =
+        String::from_utf8(anek().arg("--help").output().expect("run").stdout).expect("utf-8");
+    let first = help.lines().next().expect("usage line");
+    let named: Vec<&str> = first.split(['<', '>']).nth(1).expect("<commands>").split('|').collect();
+    let listed: Vec<&str> = usage_lines(&help)
+        .filter(|l| !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(named, listed, "the usage line names every subcommand");
+    for (cmd, flag, placeholder) in &usage_flags(&help) {
+        let value = placeholder.as_deref().map(|p| match p {
+            "N" | "MS" | "MB" => "1".to_string(),
+            "LIST" => "Iterator".to_string(),
+            p if p.contains('|') => p.split('|').next().expect("an alternative").to_string(),
+            p => dir.join(p).display().to_string(),
+        });
+        let out = anek().arg(cmd).arg(flag).args(value).args(rest(cmd)).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("unknown flag"), "{cmd} {flag}: {stderr}");
+    }
+    for (cmd, flag) in [
+        ("infer", &["--json"][..]),
+        ("check", &["--outcomes"]),
+        ("check", &["--trace-json", "t.json"]),
+        ("lint", &["--threads", "2"]),
+        ("pipeline", &["--outcomes"]),
+        ("pfg", &["--protocols", "Lock"]),
+        ("explain", &["--outcomes"]),
+        ("corpus", &["--threads", "2"]),
+        ("serve", &["--outcomes"]),
+    ] {
+        let out = anek().arg(cmd).args(flag).args(rest(cmd)).output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), 2, "{cmd} {flag:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{cmd} {flag:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn inject_skips_a_garbled_source_in_every_subcommand_that_infers() {
+    let dir = temp_dir("garble");
+    let first = write(&dir, "App.java", DRAIN);
+    let second = write(&dir, "Guarded.java", GUARDED);
+    let plan = write(&dir, "plan.txt", "garble 0 7\n");
+    let out_dir = dir.join("out");
+    let out_arg = out_dir.display().to_string();
+    let skipped = format!("warning: skipped {}", first.display());
+    for (args, want) in [
+        (vec!["infer"], 3),
+        (vec!["pipeline", "--out", &out_arg], 0),
+        (vec!["check", "--infer"], 0),
+        (vec!["explain"], 0),
+    ] {
+        let mut run = anek();
+        run.args(&args).arg("--inject").arg(&plan).arg(&first).arg(&second);
+        if args[0] == "explain" {
+            run.arg("Guarded.first");
+        }
+        let out = run.output().expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(code(&out), want, "{args:?}: {stderr}");
+        assert!(stderr.contains(&skipped), "{args:?}: {stderr}");
+        if args[0] == "explain" {
+            // The caret snippet quotes the second file's own text.
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(stdout.contains("| class Guarded"), "{stdout}");
+        }
+    }
+    let written: Vec<_> = std::fs::read_dir(&out_dir)
+        .expect("--out dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(written, ["Guarded.java"], "only the parsed file is written");
+    let text = std::fs::read_to_string(out_dir.join("Guarded.java")).expect("annotated file");
+    assert!(text.contains("class Guarded"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
