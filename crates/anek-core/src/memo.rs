@@ -206,20 +206,13 @@ pub fn unit_fingerprint(unit: &CompilationUnit) -> CacheKey {
 /// `@States` declarations survive), plus the API registry. This is the
 /// conservative closure of everything a method's model may read from
 /// *other* classes through the `ProgramIndex`/`TypeEnv`; editing only a
-/// method body leaves it unchanged.
+/// method body leaves it unchanged. The printer leaves the bodies out
+/// itself, so no stripped copy of the program is made.
 pub fn interface_fingerprint(units: &[CompilationUnit], api: &ApiRegistry) -> CacheKey {
     let mut h = KeyHasher::new();
     h.write_u32(KEY_SCHEME_VERSION);
     for unit in units {
-        let mut stripped = unit.clone();
-        for t in &mut stripped.types {
-            for member in &mut t.members {
-                if let java_syntax::ast::Member::Method(m) = member {
-                    m.body = None;
-                }
-            }
-        }
-        h.write_str(&java_syntax::print_unit(&stripped));
+        h.write_str(&java_syntax::print_unit_interface(unit));
     }
     // The API registry is static per process configuration; its debug
     // rendering is a stable serialization of the annotated library model.
@@ -390,6 +383,41 @@ mod tests {
             interface_fingerprint(&[v3], &api),
             "signature edits change the interface fingerprint"
         );
+    }
+
+    /// What `interface_fingerprint` hashes, computed the obvious way:
+    /// clone each unit, strip every method body, print the copy.
+    fn stripped_interface_fingerprint(units: &[CompilationUnit], api: &ApiRegistry) -> CacheKey {
+        let mut h = KeyHasher::new();
+        h.write_u32(KEY_SCHEME_VERSION);
+        for unit in units {
+            let mut stripped = unit.clone();
+            for t in &mut stripped.types {
+                for member in &mut t.members {
+                    if let java_syntax::ast::Member::Method(m) = member {
+                        m.body = None;
+                    }
+                }
+            }
+            h.write_str(&java_syntax::print_unit(&stripped));
+        }
+        h.write_str(&format!("{api:?}"));
+        h.finish()
+    }
+
+    #[test]
+    fn interface_fingerprint_matches_printing_a_stripped_clone() {
+        use corpus::{figure3_unit, generate, generate_mixed, MixedConfig, PmdConfig};
+        let api = standard_api();
+        let small = generate(&PmdConfig::small()).units;
+        let mixed = generate_mixed(&MixedConfig::small()).units;
+        let figure3 = vec![figure3_unit()];
+        for units in [&small, &mixed, &figure3] {
+            assert_eq!(
+                interface_fingerprint(units, &api),
+                stripped_interface_fingerprint(units, &api)
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! Run: `cargo run --release -p bench --bin paper_check`
 //!
 //! Prints one JSON line (the flagged methods, the counts and the
-//! documented rows of each run) and exits 1 if any check fails.
+//! documented rows of each run, and the process's peak RSS as
+//! `peak_rss_mb` where `/proc/self/status` exists) and exits 1 if any
+//! check fails. The peak RSS is informational: no check reads it.
 
 use anek::json::Json;
 use anek::lint::rules;
@@ -61,12 +63,17 @@ fn main() -> ExitCode {
             ("documented".to_string(), names(&documented)),
         ]));
     }
-    let verdict = Json::Obj(vec![
+    let mut fields = vec![
         ("bench".to_string(), Json::str("paper_check")),
         ("ok".to_string(), Json::Bool(ok)),
         ("bugs".to_string(), names(&bugs)),
         ("runs".to_string(), Json::Arr(runs)),
-    ]);
+    ];
+    if let Some(kb) = bench::peak_rss_kb() {
+        let mb = (kb as f64 / 1024.0 * 10.0).round() / 10.0;
+        fields.push(("peak_rss_mb".to_string(), Json::Num(mb)));
+    }
+    let verdict = Json::Obj(fields);
     println!("{verdict}");
     if ok {
         ExitCode::SUCCESS

@@ -258,7 +258,7 @@ fn main() {
         lane.client.close();
     }
     server.join();
-    let peak_rss_kb = peak_rss_kb().unwrap_or(0);
+    let peak_rss_kb = bench::peak_rss_kb().unwrap_or(0);
 
     println!(
         "serve_load: {requests} requests over {SESSIONS} sessions in {:.2} s",
@@ -366,16 +366,6 @@ fn first_method(response: &str) -> String {
         .and_then(Json::as_str)
         .expect("at least one outcome")
         .to_string()
-}
-
-/// Peak resident set size from `/proc/self/status` (Linux).
-fn peak_rss_kb() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find(|l| l.starts_with("VmHWM:"))
-        .and_then(|l| l.split_whitespace().nth(1))
-        .and_then(|v| v.parse().ok())
 }
 
 #[allow(clippy::too_many_arguments)]

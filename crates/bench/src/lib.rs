@@ -71,6 +71,17 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
     }
 }
 
+/// This process's peak resident set size in kB (`VmHWM` in
+/// `/proc/self/status`); `None` where that file is missing.
+pub fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|kb| kb.parse().ok())
+}
+
 /// Prints a ruled table row.
 pub fn row(cols: &[&str], widths: &[usize]) {
     let mut line = String::new();

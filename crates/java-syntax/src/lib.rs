@@ -46,6 +46,6 @@ pub use ast::{
 pub use error::{ParseError, ParseErrorKind, Result};
 pub use lexer::lex;
 pub use parser::{parse, parse_expr};
-pub use printer::{print_expr, print_stmt, print_type, print_unit};
+pub use printer::{print_expr, print_stmt, print_type, print_unit, print_unit_interface};
 pub use span::{render_snippet, Pos, Span};
 pub use token::{Keyword, Token, TokenKind};

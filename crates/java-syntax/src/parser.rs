@@ -16,12 +16,21 @@ use crate::token::{Keyword, Token, TokenKind};
 /// types). Far above anything a real program reaches; low enough that
 /// pathological inputs (`((((…`) fail with [`ParseErrorKind::NestingTooDeep`]
 /// instead of overflowing the stack, which would abort the whole process.
-/// Each level costs several parser frames (up to ~31 KiB in unoptimized
-/// builds, for a nested `if`), so the bound must hold inside the 2 MiB stack
-/// of a default spawned thread. A debug build with the guard lifted
-/// overflows there at 66 nested `if`s, 75 nested blocks, 91 nested calls
-/// and 97 nested parentheses.
+/// Each level costs several parser frames (up to ~22 KiB in unoptimized
+/// builds, for a nested `if` or call), so the bound must hold inside the
+/// 2 MiB stack of a default spawned thread. A debug build with the guard
+/// lifted overflows there at 95 nested `if`s, 104 nested blocks, 95 nested
+/// calls and 105 nested parentheses.
 const MAX_DEPTH: usize = 50;
+
+/// A finished list, its spare capacity released in place. Every list the
+/// parser stores in a node ends with capacity equal to its length, so the
+/// AST holds no slack: a list grown by doubling keeps up to half its slots
+/// empty, and a statement slot is 144 bytes.
+fn exact<T>(mut list: Vec<T>) -> Vec<T> {
+    list.shrink_to_fit();
+    list
+}
 
 /// Parses a full compilation unit from source text.
 ///
@@ -209,39 +218,90 @@ impl<'a> Parser<'a> {
         })
     }
 
+    // ===================== Lists =====================
+
+    /// `first` and the items `item` parses for as long as `more` holds, in
+    /// a list with no spare capacity. A list of one or two items, as most
+    /// of a program's are, is allocated at its size; a longer list grows
+    /// as usual and hands its slack back once, in place.
+    fn list<T>(
+        &mut self,
+        first: T,
+        mut more: impl FnMut(&mut Self) -> bool,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        if !more(self) {
+            return Ok(vec![first]);
+        }
+        let second = item(self)?;
+        if !more(self) {
+            return Ok(vec![first, second]);
+        }
+        let mut list = Vec::with_capacity(4);
+        list.extend([first, second]);
+        loop {
+            list.push(item(self)?);
+            if !more(self) {
+                return Ok(exact(list));
+            }
+        }
+    }
+
+    /// The items `item` parses until `end` holds, possibly none.
+    fn until<T>(
+        &mut self,
+        end: impl Fn(&Self) -> bool,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        if end(self) {
+            return Ok(Vec::new());
+        }
+        let first = item(self)?;
+        self.list(first, |p| !end(p), item)
+    }
+
+    /// One or more items `item` parses, separated by commas.
+    fn comma_separated<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let first = item(self)?;
+        self.list(first, |p| p.eat(TokenKind::Comma), item)
+    }
+
     // ===================== Top level =====================
 
     fn compilation_unit(&mut self) -> Result<CompilationUnit> {
-        let mut unit = CompilationUnit::default();
+        let mut package = None;
         if self.at_keyword(Keyword::Package) {
             self.bump();
-            unit.package = Some(self.qualified_name()?);
+            package = Some(self.qualified_name()?);
             self.expect(TokenKind::Semi)?;
         }
-        while self.at_keyword(Keyword::Import) {
-            let start = self.bump();
-            let is_static = self.eat_keyword(Keyword::Static);
-            let mut segments = vec![self.expect_ident()?.0];
-            let mut wildcard = false;
-            while self.eat(TokenKind::Dot) {
-                if self.eat(TokenKind::Star) {
-                    wildcard = true;
-                    break;
-                }
-                segments.push(self.expect_ident()?.0);
+        let imports = self.until(|p| !p.at_keyword(Keyword::Import), Parser::import)?;
+        let types = self.until(|p| p.at(TokenKind::Eof), Parser::type_decl)?;
+        Ok(CompilationUnit { package, imports, types })
+    }
+
+    fn import(&mut self) -> Result<Import> {
+        let start = self.bump();
+        let is_static = self.eat_keyword(Keyword::Static);
+        let mut segments = vec![self.expect_ident()?.0];
+        let mut wildcard = false;
+        while self.eat(TokenKind::Dot) {
+            if self.eat(TokenKind::Star) {
+                wildcard = true;
+                break;
             }
-            let end = self.expect(TokenKind::Semi)?;
-            unit.imports.push(Import {
-                path: QualifiedName(segments),
-                is_static,
-                wildcard,
-                span: start.to(end),
-            });
+            segments.push(self.expect_ident()?.0);
         }
-        while !self.at(TokenKind::Eof) {
-            unit.types.push(self.type_decl()?);
-        }
-        Ok(unit)
+        let end = self.expect(TokenKind::Semi)?;
+        Ok(Import {
+            path: QualifiedName(exact(segments)),
+            is_static,
+            wildcard,
+            span: start.to(end),
+        })
     }
 
     fn qualified_name(&mut self) -> Result<QualifiedName> {
@@ -250,43 +310,36 @@ impl<'a> Parser<'a> {
             self.bump();
             segments.push(self.expect_ident()?.0);
         }
-        Ok(QualifiedName(segments))
+        Ok(QualifiedName(exact(segments)))
     }
 
     fn annotations(&mut self) -> Result<Vec<Annotation>> {
-        let mut anns = Vec::new();
-        while self.at(TokenKind::At) {
-            let start = self.bump();
-            let name = self.qualified_name()?;
-            let mut span = start;
-            let args = if self.eat(TokenKind::LParen) {
-                if self.eat(TokenKind::RParen) {
-                    AnnotationArgs::None
-                } else if self.at(TokenKind::Ident) && self.peek_at(1).kind == TokenKind::Assign {
-                    let mut pairs = Vec::new();
-                    loop {
-                        let (key, _) = self.expect_ident()?;
-                        self.expect(TokenKind::Assign)?;
-                        let lit = self.annotation_literal()?;
-                        pairs.push((key, lit));
-                        if !self.eat(TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(TokenKind::RParen)?;
-                    AnnotationArgs::Pairs(pairs)
-                } else {
-                    let lit = self.annotation_literal()?;
-                    self.expect(TokenKind::RParen)?;
-                    AnnotationArgs::Single(lit)
-                }
-            } else {
+        self.until(|p| !p.at(TokenKind::At), Parser::annotation)
+    }
+
+    fn annotation(&mut self) -> Result<Annotation> {
+        let start = self.bump();
+        let name = self.qualified_name()?;
+        let args = if self.eat(TokenKind::LParen) {
+            if self.eat(TokenKind::RParen) {
                 AnnotationArgs::None
-            };
-            span = span.to(self.prev_span());
-            anns.push(Annotation { name, args, span });
-        }
-        Ok(anns)
+            } else if self.at(TokenKind::Ident) && self.peek_at(1).kind == TokenKind::Assign {
+                let pairs = self.comma_separated(|p| {
+                    let (key, _) = p.expect_ident()?;
+                    p.expect(TokenKind::Assign)?;
+                    Ok((key, p.annotation_literal()?))
+                })?;
+                self.expect(TokenKind::RParen)?;
+                AnnotationArgs::Pairs(pairs)
+            } else {
+                let lit = self.annotation_literal()?;
+                self.expect(TokenKind::RParen)?;
+                AnnotationArgs::Single(lit)
+            }
+        } else {
+            AnnotationArgs::None
+        };
+        Ok(Annotation { name, args, span: start.to(self.prev_span()) })
     }
 
     fn annotation_literal(&mut self) -> Result<Lit> {
@@ -332,25 +385,11 @@ impl<'a> Parser<'a> {
         };
         let (name, _) = self.expect_ident()?;
         let type_params = self.opt_type_params()?;
-        let mut extends = Vec::new();
-        if self.eat_keyword(Keyword::Extends) {
-            extends.push(self.type_ref()?);
-            while self.eat(TokenKind::Comma) {
-                extends.push(self.type_ref()?);
-            }
-        }
-        let mut implements = Vec::new();
-        if self.eat_keyword(Keyword::Implements) {
-            implements.push(self.type_ref()?);
-            while self.eat(TokenKind::Comma) {
-                implements.push(self.type_ref()?);
-            }
-        }
+        let extends = self.opt_type_list(Keyword::Extends)?;
+        let implements = self.opt_type_list(Keyword::Implements)?;
         self.expect(TokenKind::LBrace)?;
-        let mut members = Vec::new();
-        while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
-            members.push(self.member(&name)?);
-        }
+        let members =
+            self.until(|p| p.at(TokenKind::RBrace) || p.at(TokenKind::Eof), |p| p.member(&name))?;
         let end = self.expect(TokenKind::RBrace)?;
         Ok(TypeDecl {
             annotations,
@@ -365,25 +404,31 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// `kw T, U, ...` if `kw` comes next, else no types.
+    fn opt_type_list(&mut self, kw: Keyword) -> Result<Vec<TypeRef>> {
+        if self.eat_keyword(kw) {
+            self.comma_separated(Parser::type_ref)
+        } else {
+            Ok(Vec::new())
+        }
+    }
+
     fn opt_type_params(&mut self) -> Result<Vec<String>> {
-        let mut params = Vec::new();
-        if self.eat(TokenKind::Lt) {
-            loop {
-                let (name, _) = self.expect_ident()?;
-                // Erase bounds: `T extends Foo & Bar`.
-                if self.eat_keyword(Keyword::Extends) {
-                    self.type_ref()?;
-                    while self.eat(TokenKind::Amp) {
-                        self.type_ref()?;
-                    }
-                }
-                params.push(name);
-                if !self.eat(TokenKind::Comma) {
-                    break;
+        if !self.eat(TokenKind::Lt) {
+            return Ok(Vec::new());
+        }
+        let params = self.comma_separated(|p| {
+            let (name, _) = p.expect_ident()?;
+            // Erase bounds: `T extends Foo & Bar`.
+            if p.eat_keyword(Keyword::Extends) {
+                p.type_ref()?;
+                while p.eat(TokenKind::Amp) {
+                    p.type_ref()?;
                 }
             }
-            self.expect(TokenKind::Gt)?;
-        }
+            Ok(name)
+        })?;
+        self.expect(TokenKind::Gt)?;
         Ok(params)
     }
 
@@ -461,34 +506,13 @@ impl<'a> Parser<'a> {
         start: Span,
     ) -> Result<Member> {
         self.expect(TokenKind::LParen)?;
-        let mut params = Vec::new();
-        if !self.at(TokenKind::RParen) {
-            loop {
-                let p_anns = self.annotations()?;
-                let p_start = self.peek().span;
-                let is_final = self.eat_keyword(Keyword::Final);
-                let ty = self.type_ref()?;
-                let (p_name, p_end) = self.expect_ident()?;
-                params.push(Param {
-                    annotations: p_anns,
-                    is_final,
-                    ty,
-                    name: p_name,
-                    span: p_start.to(p_end),
-                });
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let params = if self.at(TokenKind::RParen) {
+            Vec::new()
+        } else {
+            self.comma_separated(Parser::param)?
+        };
         self.expect(TokenKind::RParen)?;
-        let mut throws = Vec::new();
-        if self.eat_keyword(Keyword::Throws) {
-            throws.push(self.type_ref()?);
-            while self.eat(TokenKind::Comma) {
-                throws.push(self.type_ref()?);
-            }
-        }
+        let throws = self.opt_type_list(Keyword::Throws)?;
         let (body, end) = if self.at(TokenKind::LBrace) {
             let b = self.block()?;
             let sp = b.span;
@@ -508,6 +532,15 @@ impl<'a> Parser<'a> {
             body,
             span: start.to(end),
         }))
+    }
+
+    fn param(&mut self) -> Result<Param> {
+        let annotations = self.annotations()?;
+        let start = self.peek().span;
+        let is_final = self.eat_keyword(Keyword::Final);
+        let ty = self.type_ref()?;
+        let (name, end) = self.expect_ident()?;
+        Ok(Param { annotations, is_final, ty, name, span: start.to(end) })
     }
 
     // ===================== Types =====================
@@ -612,15 +645,11 @@ impl<'a> Parser<'a> {
 
     fn type_args(&mut self) -> Result<Vec<TypeRef>> {
         self.expect(TokenKind::Lt)?;
-        let mut args = Vec::new();
-        if !self.at(TokenKind::Gt) {
-            loop {
-                args.push(self.type_ref()?);
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let args = if self.at(TokenKind::Gt) {
+            Vec::new()
+        } else {
+            self.comma_separated(Parser::type_ref)?
+        };
         self.expect(TokenKind::Gt)?;
         Ok(args)
     }
@@ -629,10 +658,8 @@ impl<'a> Parser<'a> {
 
     fn block(&mut self) -> Result<Block> {
         let start = self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
-            stmts.push(self.stmt()?);
-        }
+        let stmts =
+            self.until(|p| p.at(TokenKind::RBrace) || p.at(TokenKind::Eof), Parser::stmt)?;
         let end = self.expect(TokenKind::RBrace)?;
         Ok(Block { stmts, span: start.to(end) })
     }
@@ -671,36 +698,13 @@ impl<'a> Parser<'a> {
             TokenKind::Keyword(Keyword::Switch) => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let scrutinee = self.expr()?;
+                let scrutinee = Box::new(self.expr()?);
                 self.expect(TokenKind::RParen)?;
                 self.expect(TokenKind::LBrace)?;
-                let mut cases: Vec<SwitchCase> = Vec::new();
-                while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
-                    let mut labels = Vec::new();
-                    loop {
-                        if self.eat_keyword(Keyword::Case) {
-                            labels.push(Some(self.expr()?));
-                            self.expect(TokenKind::Colon)?;
-                        } else if self.eat_keyword(Keyword::Default) {
-                            labels.push(None);
-                            self.expect(TokenKind::Colon)?;
-                        } else {
-                            break;
-                        }
-                    }
-                    if labels.is_empty() {
-                        return Err(self.unexpected("`case` or `default`"));
-                    }
-                    let mut body = Vec::new();
-                    while !self.at(TokenKind::RBrace)
-                        && !self.at_keyword(Keyword::Case)
-                        && !self.at_keyword(Keyword::Default)
-                        && !self.at(TokenKind::Eof)
-                    {
-                        body.push(self.stmt()?);
-                    }
-                    cases.push(SwitchCase { labels, body });
-                }
+                let cases = self.until(
+                    |p| p.at(TokenKind::RBrace) || p.at(TokenKind::Eof),
+                    Parser::switch_case,
+                )?;
                 let end = self.expect(TokenKind::RBrace)?;
                 Ok(Stmt { kind: StmtKind::Switch { scrutinee, cases }, span: start.to(end) })
             }
@@ -713,15 +717,16 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Keyword(Keyword::Assert) => {
                 self.bump();
-                let cond = self.expr()?;
-                let message = if self.eat(TokenKind::Colon) { Some(self.expr()?) } else { None };
+                let cond = Box::new(self.expr()?);
+                let message =
+                    if self.eat(TokenKind::Colon) { Some(Box::new(self.expr()?)) } else { None };
                 let end = self.expect(TokenKind::Semi)?;
                 Ok(Stmt { kind: StmtKind::Assert { cond, message }, span: start.to(end) })
             }
             TokenKind::Keyword(Keyword::Synchronized) => {
                 self.bump();
                 self.expect(TokenKind::LParen)?;
-                let target = self.expr()?;
+                let target = Box::new(self.expr()?);
                 self.expect(TokenKind::RParen)?;
                 let body = self.block()?;
                 let span = start.to(body.span);
@@ -730,18 +735,13 @@ impl<'a> Parser<'a> {
             TokenKind::Keyword(Keyword::Try) => {
                 self.bump();
                 let body = self.block()?;
-                let mut catches = Vec::new();
-                while self.at_keyword(Keyword::Catch) {
-                    self.bump();
-                    self.expect(TokenKind::LParen)?;
-                    let ty = self.type_ref()?;
-                    let (name, _) = self.expect_ident()?;
-                    self.expect(TokenKind::RParen)?;
-                    let cbody = self.block()?;
-                    catches.push(CatchClause { ty, name, body: cbody });
-                }
-                let finally =
-                    if self.eat_keyword(Keyword::Finally) { Some(self.block()?) } else { None };
+                let catches =
+                    self.until(|p| !p.at_keyword(Keyword::Catch), Parser::catch_clause)?;
+                let finally = if self.eat_keyword(Keyword::Finally) {
+                    Some(Box::new(self.block()?))
+                } else {
+                    None
+                };
                 let end = finally
                     .as_ref()
                     .map(|b| b.span)
@@ -778,6 +778,44 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One `case`/`default` group: its labels and the statements up to the
+    /// next label.
+    fn switch_case(&mut self) -> Result<SwitchCase> {
+        let is_label = |p: &Self| p.at_keyword(Keyword::Case) || p.at_keyword(Keyword::Default);
+        let labels = self.until(
+            |p| !is_label(p),
+            |p| {
+                // Called at `case` or `default`.
+                let label = if p.eat_keyword(Keyword::Case) {
+                    Some(p.expr()?)
+                } else {
+                    p.bump();
+                    None
+                };
+                p.expect(TokenKind::Colon)?;
+                Ok(label)
+            },
+        )?;
+        if labels.is_empty() {
+            return Err(self.unexpected("`case` or `default`"));
+        }
+        let body = self.until(
+            |p| p.at(TokenKind::RBrace) || is_label(p) || p.at(TokenKind::Eof),
+            Parser::stmt,
+        )?;
+        Ok(SwitchCase { labels, body })
+    }
+
+    fn catch_clause(&mut self) -> Result<CatchClause> {
+        self.bump();
+        self.expect(TokenKind::LParen)?;
+        let ty = self.type_ref()?;
+        let (name, _) = self.expect_ident()?;
+        self.expect(TokenKind::RParen)?;
+        let body = self.block()?;
+        Ok(CatchClause { ty, name, body })
+    }
+
     fn if_stmt(&mut self, start: Span) -> Result<Stmt> {
         self.expect_keyword(Keyword::If)?;
         self.expect(TokenKind::LParen)?;
@@ -810,40 +848,36 @@ impl<'a> Parser<'a> {
 
         // A local declaration either is a for-each's `Type name :` or
         // starts a classic for's initializer.
-        let mut init = Vec::new();
-        if self.local_var_decl_follows() || self.at_keyword(Keyword::Final) {
+        let init = if self.local_var_decl_follows() || self.at_keyword(Keyword::Final) {
             let i_start = self.peek().span;
             self.eat_keyword(Keyword::Final);
             let ty = self.type_ref()?;
             let (name, name_span) = self.expect_ident()?;
             if self.eat(TokenKind::Colon) {
-                let iterable = self.expr()?;
+                let iterable = Box::new(self.expr()?);
                 self.expect(TokenKind::RParen)?;
                 let body = Box::new(self.stmt()?);
                 let span = start.to(body.span);
                 return Ok(Stmt { kind: StmtKind::ForEach { ty, name, iterable, body }, span });
             }
-            init.push(self.local_var_init(i_start, ty, name, name_span)?);
-        } else if !self.at(TokenKind::Semi) {
-            let e = self.expr()?;
-            let sp = e.span;
-            init.push(Stmt { kind: StmtKind::Expr(e), span: sp });
-            while self.eat(TokenKind::Comma) {
-                let e = self.expr()?;
-                let sp = e.span;
-                init.push(Stmt { kind: StmtKind::Expr(e), span: sp });
-            }
-        }
+            vec![self.local_var_init(i_start, ty, name, name_span)?]
+        } else if self.at(TokenKind::Semi) {
+            Vec::new()
+        } else {
+            self.comma_separated(|p| {
+                let e = p.expr()?;
+                let span = e.span;
+                Ok(Stmt { kind: StmtKind::Expr(e), span })
+            })?
+        };
         self.expect(TokenKind::Semi)?;
-        let cond = if self.at(TokenKind::Semi) { None } else { Some(self.expr()?) };
+        let cond = if self.at(TokenKind::Semi) { None } else { Some(Box::new(self.expr()?)) };
         self.expect(TokenKind::Semi)?;
-        let mut update = Vec::new();
-        if !self.at(TokenKind::RParen) {
-            update.push(self.expr()?);
-            while self.eat(TokenKind::Comma) {
-                update.push(self.expr()?);
-            }
-        }
+        let update = if self.at(TokenKind::RParen) {
+            Vec::new()
+        } else {
+            self.comma_separated(Parser::expr)?
+        };
         self.expect(TokenKind::RParen)?;
         let body = Box::new(self.stmt()?);
         let span = start.to(body.span);
@@ -876,7 +910,7 @@ impl<'a> Parser<'a> {
         let init = if self.eat(TokenKind::Assign) {
             let e = self.expr()?;
             end = e.span;
-            Some(e)
+            Some(Box::new(e))
         } else {
             None
         };
@@ -1038,7 +1072,7 @@ impl<'a> Parser<'a> {
         let mut lhs = first?;
         while self.binary_follows(min_prec) {
             if self.eat_keyword(Keyword::Instanceof) {
-                let ty = self.type_ref()?;
+                let ty = Box::new(self.type_ref()?);
                 let span = lhs.span;
                 lhs = self.mk(ExprKind::InstanceOf { expr: Box::new(lhs), ty }, span);
                 continue;
@@ -1078,7 +1112,7 @@ impl<'a> Parser<'a> {
         // cast-able token.
         if self.at(TokenKind::LParen) && self.cast_follows() {
             self.bump();
-            let ty = self.type_ref()?;
+            let ty = Box::new(self.type_ref()?);
             self.expect(TokenKind::RParen)?;
             let e = self.unary()?;
             let span = start.to(e.span);
@@ -1232,15 +1266,11 @@ impl<'a> Parser<'a> {
 
     fn call_args(&mut self) -> Result<Vec<Expr>> {
         self.expect(TokenKind::LParen)?;
-        let mut args = Vec::new();
-        if !self.at(TokenKind::RParen) {
-            loop {
-                args.push(self.expr()?);
-                if !self.eat(TokenKind::Comma) {
-                    break;
-                }
-            }
-        }
+        let args = if self.at(TokenKind::RParen) {
+            Vec::new()
+        } else {
+            self.comma_separated(Parser::expr)?
+        };
         self.expect(TokenKind::RParen)?;
         Ok(args)
     }
@@ -1263,7 +1293,7 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Keyword(Keyword::New) => {
                 self.bump();
-                let ty = self.type_ref()?;
+                let ty = Box::new(self.type_ref()?);
                 let args = self.call_args()?;
                 let span = start.to(self.prev_span());
                 Ok(self.mk(ExprKind::New { ty, args }, span))

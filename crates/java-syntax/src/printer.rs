@@ -1,9 +1,11 @@
 //! Pretty-printer emitting Java source from the AST.
 //!
 //! Used by the corpus generator (to materialize synthetic programs), by the
-//! spec applier (to write inferred annotations back into source), and by the
-//! round-trip property tests (`parse(print(ast))` structurally equals `ast`
-//! modulo spans and expression ids).
+//! spec applier (to write inferred annotations back into source), by the
+//! store's fingerprints, and by the round-trip tests: `parse(print(ast))`
+//! equals `ast` modulo spans and expression ids, so two trees never print
+//! to the same text. The printer adds the parentheses the grammar needs
+//! and no others.
 
 use crate::ast::*;
 use std::fmt::Write as _;
@@ -11,6 +13,15 @@ use std::fmt::Write as _;
 /// Pretty-prints a compilation unit to Java source.
 pub fn print_unit(unit: &CompilationUnit) -> String {
     let mut p = Printer::default();
+    p.unit(unit);
+    p.out
+}
+
+/// Pretty-prints a compilation unit with every method body left out, as
+/// if each method were abstract: the text `print_unit` gives for a copy of
+/// `unit` whose bodies are all `None`, without making that copy.
+pub fn print_unit_interface(unit: &CompilationUnit) -> String {
+    let mut p = Printer { elide_bodies: true, ..Printer::default() };
     p.unit(unit);
     p.out
 }
@@ -40,6 +51,8 @@ pub fn print_stmt(stmt: &Stmt) -> String {
 struct Printer {
     out: String,
     indent: usize,
+    /// Print each method as if its body were `None`.
+    elide_bodies: bool,
 }
 
 impl Printer {
@@ -210,7 +223,7 @@ impl Printer {
         }
         self.word(")");
         self.type_list("throws", &m.throws);
-        match &m.body {
+        match m.body.as_ref().filter(|_| !self.elide_bodies) {
             Some(b) => {
                 self.word(" ");
                 self.block(b);
@@ -443,19 +456,35 @@ impl Printer {
                 self.word(")");
             }
             ExprKind::Assign { lhs, op, rhs } => {
-                self.expr(lhs);
+                self.expr_prec(lhs, 2);
                 let _ = write!(self.out, " {op} ");
                 self.expr(rhs);
             }
             ExprKind::Binary { op, lhs, rhs } => {
                 let prec = bin_prec(*op);
-                self.expr_prec(lhs, prec);
+                // `x instanceof T < y` would read `T<` as the start of
+                // type arguments.
+                let raw_type_then_lt = *op == BinaryOp::Lt
+                    && matches!(&lhs.kind, ExprKind::InstanceOf { ty, .. }
+                        if matches!(&**ty, TypeRef::Named { args, .. } if args.is_empty()));
+                if raw_type_then_lt {
+                    self.parens(lhs);
+                } else {
+                    self.expr_prec(lhs, prec);
+                }
                 let _ = write!(self.out, " {op} ");
                 self.expr_prec(rhs, prec + 1);
             }
             ExprKind::Unary { op, expr } => {
                 let _ = write!(self.out, "{op}");
-                self.expr_prec(expr, 13);
+                // `-` then `-a` or `--a` would lex as `--`.
+                let minus_next =
+                    matches!(expr.kind, ExprKind::Unary { op: UnaryOp::Neg | UnaryOp::PreDec, .. });
+                if *op == UnaryOp::Neg && minus_next {
+                    self.parens(expr);
+                } else {
+                    self.expr_prec(expr, 13);
+                }
             }
             ExprKind::Postfix { inc, expr } => {
                 self.expr_prec(expr, 14);
@@ -463,18 +492,28 @@ impl Printer {
             }
             ExprKind::Cast { ty, expr } => {
                 let _ = write!(self.out, "({ty}) ");
-                self.expr_prec(expr, 13);
+                // Only a primitive type makes `(T) -a` a cast; after a
+                // class type it is a subtraction.
+                let signed = matches!(
+                    expr.kind,
+                    ExprKind::Unary { op: UnaryOp::Neg | UnaryOp::PreInc | UnaryOp::PreDec, .. }
+                );
+                if signed && !names_primitive(ty) {
+                    self.parens(expr);
+                } else {
+                    self.expr_prec(expr, 13);
+                }
             }
             ExprKind::InstanceOf { expr, ty } => {
-                self.expr_prec(expr, 7);
+                self.expr_prec(expr, 9);
                 let _ = write!(self.out, " instanceof {ty}");
             }
             ExprKind::Conditional { cond, then_expr, else_expr } => {
-                self.expr_prec(cond, 2);
+                self.expr_prec(cond, 3);
                 self.word(" ? ");
                 self.expr(then_expr);
                 self.word(" : ");
-                self.expr(else_expr);
+                self.expr_prec(else_expr, 2);
             }
             ExprKind::ArrayAccess { array, index } => {
                 self.expr_prec(array, 15);
@@ -489,12 +528,25 @@ impl Printer {
     /// than the context requires.
     fn expr_prec(&mut self, e: &Expr, min_prec: u8) {
         if expr_prec(e) < min_prec {
-            self.word("(");
-            self.expr(e);
-            self.word(")");
+            self.parens(e);
         } else {
             self.expr(e);
         }
+    }
+
+    fn parens(&mut self, e: &Expr) {
+        self.word("(");
+        self.expr(e);
+        self.word(")");
+    }
+}
+
+/// Whether `ty` prints starting with a primitive type's keyword.
+fn names_primitive(ty: &TypeRef) -> bool {
+    match ty {
+        TypeRef::Primitive(_) => true,
+        TypeRef::Array(elem) => names_primitive(elem),
+        _ => false,
     }
 }
 
@@ -526,43 +578,44 @@ mod tests {
         format!("{:?}", parse(src).map(strip_unit).unwrap())
     }
 
-    fn strip_unit(mut u: CompilationUnit) -> CompilationUnit {
-        fn walk_expr(e: &mut Expr) {
-            e.span = crate::span::Span::DUMMY;
-            e.id = ExprId(0);
-            match &mut e.kind {
-                ExprKind::FieldAccess { receiver, .. } => walk_expr(receiver),
-                ExprKind::Call { receiver, args, .. } => {
-                    if let Some(r) = receiver {
-                        walk_expr(r);
-                    }
-                    args.iter_mut().for_each(walk_expr);
+    fn walk_expr(e: &mut Expr) {
+        e.span = crate::span::Span::DUMMY;
+        e.id = ExprId(0);
+        match &mut e.kind {
+            ExprKind::FieldAccess { receiver, .. } => walk_expr(receiver),
+            ExprKind::Call { receiver, args, .. } => {
+                if let Some(r) = receiver {
+                    walk_expr(r);
                 }
-                ExprKind::New { args, .. } => args.iter_mut().for_each(walk_expr),
-                ExprKind::Assign { lhs, rhs, .. } => {
-                    walk_expr(lhs);
-                    walk_expr(rhs);
-                }
-                ExprKind::Binary { lhs, rhs, .. } => {
-                    walk_expr(lhs);
-                    walk_expr(rhs);
-                }
-                ExprKind::Unary { expr, .. }
-                | ExprKind::Postfix { expr, .. }
-                | ExprKind::Cast { expr, .. }
-                | ExprKind::InstanceOf { expr, .. } => walk_expr(expr),
-                ExprKind::Conditional { cond, then_expr, else_expr } => {
-                    walk_expr(cond);
-                    walk_expr(then_expr);
-                    walk_expr(else_expr);
-                }
-                ExprKind::ArrayAccess { array, index } => {
-                    walk_expr(array);
-                    walk_expr(index);
-                }
-                ExprKind::Literal(_) | ExprKind::Name(_) | ExprKind::This => {}
+                args.iter_mut().for_each(walk_expr);
             }
+            ExprKind::New { args, .. } => args.iter_mut().for_each(walk_expr),
+            ExprKind::Assign { lhs, rhs, .. } => {
+                walk_expr(lhs);
+                walk_expr(rhs);
+            }
+            ExprKind::Binary { lhs, rhs, .. } => {
+                walk_expr(lhs);
+                walk_expr(rhs);
+            }
+            ExprKind::Unary { expr, .. }
+            | ExprKind::Postfix { expr, .. }
+            | ExprKind::Cast { expr, .. }
+            | ExprKind::InstanceOf { expr, .. } => walk_expr(expr),
+            ExprKind::Conditional { cond, then_expr, else_expr } => {
+                walk_expr(cond);
+                walk_expr(then_expr);
+                walk_expr(else_expr);
+            }
+            ExprKind::ArrayAccess { array, index } => {
+                walk_expr(array);
+                walk_expr(index);
+            }
+            ExprKind::Literal(_) | ExprKind::Name(_) | ExprKind::This => {}
         }
+    }
+
+    fn strip_unit(mut u: CompilationUnit) -> CompilationUnit {
         fn walk_stmt(s: &mut Stmt) {
             s.span = crate::span::Span::DUMMY;
             match &mut s.kind {
@@ -727,45 +780,44 @@ class App {
         assert_eq!(normalize(src), normalize(&printed), "printed:\n{printed}");
     }
 
+    /// Each source prints as the given text, which parses back to the
+    /// source's tree. The later rows are the shapes where the grammar
+    /// needs more than operator precedence.
     #[test]
     fn parenthesization_preserves_shape() {
-        for src in ["(1 + 2) * 3", "-(a + b)", "a - (b - c)", "(a ? b : c).toString()", "!(a && b)"]
-        {
-            let e = parse_expr(src).unwrap();
-            let printed = print_expr(&e);
-            let re = parse_expr(&printed).unwrap();
-            assert_eq!(
-                format!("{:?}", strip(e)),
-                format!("{:?}", strip(re)),
-                "source `{src}` printed as `{printed}`"
-            );
-        }
-        fn strip(mut e: Expr) -> Expr {
-            fn go(e: &mut Expr) {
-                e.span = crate::span::Span::DUMMY;
-                e.id = ExprId(0);
-                match &mut e.kind {
-                    ExprKind::Binary { lhs, rhs, .. } => {
-                        go(lhs);
-                        go(rhs);
-                    }
-                    ExprKind::Unary { expr, .. } => go(expr),
-                    ExprKind::Conditional { cond, then_expr, else_expr } => {
-                        go(cond);
-                        go(then_expr);
-                        go(else_expr);
-                    }
-                    ExprKind::Call { receiver, args, .. } => {
-                        if let Some(r) = receiver {
-                            go(r);
-                        }
-                        args.iter_mut().for_each(go);
-                    }
-                    _ => {}
-                }
-            }
-            go(&mut e);
-            e
+        for (src, printed) in [
+            ("(1 + 2) * 3", "(1 + 2) * 3"),
+            ("-(a + b)", "-(a + b)"),
+            ("a - (b - c)", "a - (b - c)"),
+            ("(a ? b : c).toString()", "(a ? b : c).toString()"),
+            ("!(a && b)", "!(a && b)"),
+            ("(a & b) instanceof Integer", "(a & b) instanceof Integer"),
+            ("(a == b) instanceof Boolean", "(a == b) instanceof Boolean"),
+            ("a < b instanceof Row", "a < b instanceof Row"),
+            ("- -a", "-(-a)"),
+            ("- --a", "-(--a)"),
+            ("-(++a)", "-++a"),
+            ("--(-a)", "---a"),
+            ("(a ? b : c) ? d : e", "(a ? b : c) ? d : e"),
+            ("c ? x : (y = z)", "c ? x : (y = z)"),
+            ("c ? (y = z) : x", "c ? y = z : x"),
+            ("(a ? b : c) = d", "a ? b : c = d"),
+            ("(a = b) = c", "(a = b) = c"),
+            ("(T) (-a)", "(T) (-a)"),
+            ("(T[]) (++a)", "(T[]) (++a)"),
+            ("(T) !a", "(T) !a"),
+            ("(int) -a", "(int) -a"),
+            ("(int[]) --a", "(int[]) --a"),
+            ("(x instanceof A) < b > c", "(x instanceof A) < b > c"),
+            ("x instanceof A<B> < b", "x instanceof A<B> < b"),
+            ("x instanceof A[] < b", "x instanceof A[] < b"),
+        ] {
+            let mut e = parse_expr(src).unwrap();
+            assert_eq!(print_expr(&e), printed, "printing `{src}`");
+            let mut re = parse_expr(printed).unwrap();
+            walk_expr(&mut e);
+            walk_expr(&mut re);
+            assert_eq!(e, re, "`{printed}` does not parse back to `{src}`");
         }
     }
 
