@@ -1,7 +1,6 @@
 //! Tunable parameters of the inference (the paper's `h`, `t` and `MaxIters`)
-//! plus the robustness knobs (model-size cap, degraded-mode fallback, and
-//! the deterministic fault-injection switches the harness in
-//! `corpus::faults` drives).
+//! plus the robustness knobs (model-size cap and the deterministic
+//! fault-injection switches the harness in `corpus::faults` drives).
 
 use analysis::types::MethodId;
 use factor_graph::BpOptions;

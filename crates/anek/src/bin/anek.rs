@@ -19,7 +19,7 @@
 //!           instead; --cross-validate runs bitstate, PLURAL and the
 //!           PROT001 lint side by side and reports per-method verdict
 //!           disagreements
-//! lint      run the deterministic dataflow lints (DF/PROT/SPEC rules) and
+//! lint      run the deterministic dataflow lints (PROT/SPEC rules) and
 //!           optionally the IR verifier; exit non-zero on errors
 //! pipeline  infer, apply, re-check; print the annotated program (or write
 //!           one file per parsed input into --out DIR) and report both

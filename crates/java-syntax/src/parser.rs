@@ -1073,7 +1073,7 @@ impl<'a> Parser<'a> {
         while self.binary_follows(min_prec) {
             if self.eat_keyword(Keyword::Instanceof) {
                 let ty = Box::new(self.type_ref()?);
-                let span = lhs.span;
+                let span = lhs.span.to(self.prev_span());
                 lhs = self.mk(ExprKind::InstanceOf { expr: Box::new(lhs), ty }, span);
                 continue;
             }
@@ -1174,6 +1174,10 @@ impl<'a> Parser<'a> {
                     | TokenKind::Comma
                     | TokenKind::Question
                     | TokenKind::Keyword(_) => {}
+                    // An array type argument, `List<int[]>`.
+                    TokenKind::LBracket if self.peek_at(i + 1).kind == TokenKind::RBracket => {
+                        i += 1;
+                    }
                     _ => return false,
                 }
                 i += 1;
@@ -1455,10 +1459,15 @@ mod tests {
     fn parses_casts_and_instanceof() {
         let e = parse_expr("(Row) obj").unwrap();
         assert!(matches!(e.kind, ExprKind::Cast { .. }));
+        let e = parse_expr("(List<int[]>) x").unwrap();
+        assert!(matches!(e.kind, ExprKind::Cast { .. }));
         let e = parse_expr("obj instanceof Row").unwrap();
         assert!(matches!(e.kind, ExprKind::InstanceOf { .. }));
-        // Parenthesized expression, not a cast.
+        assert_eq!((e.span.start.offset, e.span.end.offset), (0, 18));
+        // Parenthesized expressions, not casts.
         let e = parse_expr("(a) + b").unwrap();
+        assert!(matches!(e.kind, ExprKind::Binary { op: BinaryOp::Add, .. }));
+        let e = parse_expr("(a < b[0]) + c").unwrap();
         assert!(matches!(e.kind, ExprKind::Binary { op: BinaryOp::Add, .. }));
     }
 

@@ -2,53 +2,38 @@
 //!
 //! Analyses implement [`Analysis`]: a lattice of facts with a join, plus
 //! transfer functions over [`Event`]s and [`Terminator`]s. [`solve`] runs a
-//! worklist to the least fixpoint in either direction, with an iteration cap
-//! acting as a widening guard against non-monotone (buggy) transfer
-//! functions. The solver's result is independent of worklist order for
-//! monotone transfers — [`solve_with_seed`] exposes a knob the property
+//! forward worklist from the entry block to the least fixpoint, with an
+//! iteration cap acting as a widening guard against non-monotone (buggy)
+//! transfer functions. The solver's result is independent of worklist order
+//! for monotone transfers — [`solve_with_seed`] exposes a knob the property
 //! tests use to demonstrate exactly that.
 
 use analysis::cfg::{BlockId, BranchTest, Cfg, Terminator};
 use analysis::events::Event;
 
-/// Which way facts propagate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// Facts flow from entry towards exit.
-    Forward,
-    /// Facts flow from exit towards entry.
-    Backward,
-}
-
-/// A monotone dataflow problem over a [`Cfg`].
+/// A forward monotone dataflow problem over a [`Cfg`].
 pub trait Analysis {
     /// The lattice element computed per program point.
     type Fact: Clone + PartialEq;
-
-    /// Whether the analysis runs forward or backward.
-    fn direction(&self) -> Direction;
 
     /// The least element (identity of [`Analysis::join`]); the initial value
     /// of every non-boundary program point. Conventionally "unreachable".
     fn bottom(&self, cfg: &Cfg) -> Self::Fact;
 
-    /// The fact holding at the boundary (entry block for forward analyses,
-    /// exit block for backward ones).
+    /// The fact holding at the start of the entry block.
     fn boundary(&self, cfg: &Cfg) -> Self::Fact;
 
     /// Joins `other` into `into`, returning whether `into` changed.
     fn join(&self, into: &mut Self::Fact, other: &Self::Fact) -> bool;
 
-    /// Transfers one event (in execution order for forward analyses, reverse
-    /// order for backward ones).
+    /// Transfers one event, in execution order.
     fn transfer_event(&self, fact: &mut Self::Fact, event: &Event);
 
     /// Transfers a block terminator (e.g. the operand use of `return x;`).
     fn transfer_term(&self, _fact: &mut Self::Fact, _term: &Terminator) {}
 
     /// Refines the fact flowing along a branch edge. `taken` is true on the
-    /// then-edge. Only consulted by forward analyses. Defaults to a clone
-    /// (no refinement).
+    /// then-edge. Defaults to a clone (no refinement).
     fn flow_branch(&self, fact: &Self::Fact, _test: &BranchTest, _taken: bool) -> Self::Fact {
         fact.clone()
     }
@@ -65,8 +50,8 @@ pub struct SolveStats {
     pub widened: bool,
 }
 
-/// Per-block fixpoint facts (always in *program* order: `entry[b]` holds at
-/// the start of block `b`, `exit[b]` at its end, for both directions).
+/// Per-block fixpoint facts: `entry[b]` holds at the start of block `b`,
+/// `exit[b]` at its end.
 #[derive(Debug, Clone)]
 pub struct Solution<F> {
     /// Fact at each block's start.
@@ -96,26 +81,11 @@ pub fn solve_with_seed<A: Analysis>(
     seed: Option<u64>,
 ) -> Solution<A::Fact> {
     let n = cfg.blocks.len();
-    let reachable = cfg.reachable();
-    let preds = predecessors(cfg, &reachable);
-    let forward = analysis.direction() == Direction::Forward;
-
     let mut start: Vec<A::Fact> = (0..n).map(|_| analysis.bottom(cfg)).collect();
     let mut end: Vec<A::Fact> = (0..n).map(|_| analysis.bottom(cfg)).collect();
-    let boundary_block = if forward { cfg.entry } else { cfg.exit };
-    {
-        let b = analysis.boundary(cfg);
-        if forward {
-            analysis.join(&mut start[boundary_block], &b);
-        } else {
-            analysis.join(&mut end[boundary_block], &b);
-        }
-    }
+    analysis.join(&mut start[cfg.entry], &analysis.boundary(cfg));
 
-    let mut worklist: Vec<BlockId> = reachable.clone();
-    if !forward {
-        worklist.reverse();
-    }
+    let mut worklist: Vec<BlockId> = cfg.reachable();
     let mut queued = vec![false; n];
     for &b in &worklist {
         queued[b] = true;
@@ -145,35 +115,18 @@ pub fn solve_with_seed<A: Analysis>(
         }
         stats.transfers += 1;
 
-        if forward {
-            let mut fact = start[b].clone();
-            for e in &cfg.blocks[b].events {
-                analysis.transfer_event(&mut fact, e);
-            }
-            if let Some(t) = &cfg.blocks[b].term {
-                analysis.transfer_term(&mut fact, t);
-            }
-            end[b] = fact;
-            for (succ, refined) in forward_edges(analysis, cfg, b, &end[b]) {
-                if analysis.join(&mut start[succ], &refined) && !queued[succ] {
-                    queued[succ] = true;
-                    worklist.push(succ);
-                }
-            }
-        } else {
-            let mut fact = end[b].clone();
-            if let Some(t) = &cfg.blocks[b].term {
-                analysis.transfer_term(&mut fact, t);
-            }
-            for e in cfg.blocks[b].events.iter().rev() {
-                analysis.transfer_event(&mut fact, e);
-            }
-            start[b] = fact;
-            for &p in &preds[b] {
-                if analysis.join(&mut end[p], &start[b]) && !queued[p] {
-                    queued[p] = true;
-                    worklist.push(p);
-                }
+        let mut fact = start[b].clone();
+        for e in &cfg.blocks[b].events {
+            analysis.transfer_event(&mut fact, e);
+        }
+        if let Some(t) = &cfg.blocks[b].term {
+            analysis.transfer_term(&mut fact, t);
+        }
+        end[b] = fact;
+        for (succ, refined) in forward_edges(analysis, cfg, b, &end[b]) {
+            if analysis.join(&mut start[succ], &refined) && !queued[succ] {
+                queued[succ] = true;
+                worklist.push(succ);
             }
         }
     }
@@ -197,17 +150,6 @@ fn forward_edges<A: Analysis>(
     }
 }
 
-/// Predecessor lists restricted to reachable blocks.
-fn predecessors(cfg: &Cfg, reachable: &[BlockId]) -> Vec<Vec<BlockId>> {
-    let mut preds = vec![Vec::new(); cfg.blocks.len()];
-    for &b in reachable {
-        for s in cfg.successors(b) {
-            preds[s].push(b);
-        }
-    }
-    preds
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,9 +164,6 @@ mod tests {
     impl Analysis for ReachingBlocks {
         type Fact = Option<BTreeSet<usize>>; // None = unreachable (bottom)
 
-        fn direction(&self) -> Direction {
-            Direction::Forward
-        }
         fn bottom(&self, _cfg: &Cfg) -> Self::Fact {
             None
         }

@@ -29,15 +29,10 @@ impl fmt::Display for Severity {
 
 /// Stable rule identifiers.
 ///
-/// * `DF00x` — dataflow lints over the event CFG.
 /// * `PROT00x` — deterministic protocol-usage lints.
 /// * `SPEC00x` — spec-consistency lints (declared `@Perm` vs. dataflow facts).
 /// * `IR00x` — internal-representation verifier failures.
 pub mod rules {
-    /// Use of a local variable before it is definitely assigned.
-    pub const USE_BEFORE_ASSIGN: &str = "DF001";
-    /// A store into a local that is never read afterwards.
-    pub const DEAD_STORE: &str = "DF002";
     /// A protocol violation: a call whose receiver may be in a state the
     /// callee's precondition excludes (e.g. `next()` without `hasNext()`).
     pub const PROTOCOL_VIOLATION: &str = "PROT001";
@@ -136,11 +131,16 @@ impl Diagnostic {
     }
 
     /// Renders the diagnostic for a terminal, with a caret snippet when the
-    /// defining source is available.
+    /// defining source is available. The location reads `FILE:LINE:COL`
+    /// when the file is known and `LINE:COL` otherwise.
     pub fn render(&self, source: Option<&str>) -> String {
         let mut out = format!("{}[{}]: {}\n", self.severity, self.rule, self.message);
         if !self.span.is_dummy() || !self.method.is_empty() {
             out.push_str("  --> ");
+            if !self.file.is_empty() {
+                out.push_str(&self.file);
+                out.push(':');
+            }
             out.push_str(&self.span.to_string());
             if !self.method.is_empty() {
                 out.push_str(&format!(" ({})", self.method));
@@ -228,6 +228,8 @@ mod tests {
         assert!(r.starts_with("warning[PROT001]:"), "{r}");
         assert!(r.contains("--> 2:16 (W.first)"), "{r}");
         assert!(r.contains("note: receiver"), "{r}");
+        let r = d.in_file("W.java").render(None);
+        assert!(r.contains("--> W.java:2:16 (W.first)"), "{r}");
     }
 
     #[test]
@@ -281,7 +283,8 @@ mod tests {
         let early = Span::new(Pos::new(1, 1, 2), Pos::new(2, 1, 3));
         let late = Span::new(Pos::new(9, 2, 1), Pos::new(10, 2, 2));
         let mut v = vec![
-            Diagnostic::new(rules::DEAD_STORE, Severity::Warning, "b", early).in_file("z.java"),
+            Diagnostic::new(rules::READONLY_WRITES, Severity::Warning, "b", early)
+                .in_file("z.java"),
             Diagnostic::new(rules::PROTOCOL_VIOLATION, Severity::Warning, "c", late)
                 .in_file("a.java"),
         ];
@@ -295,13 +298,13 @@ mod tests {
         let early = Span::new(Pos::new(1, 1, 2), Pos::new(2, 1, 3));
         let late = Span::new(Pos::new(9, 2, 1), Pos::new(10, 2, 2));
         let mut v = vec![
-            Diagnostic::new(rules::DEAD_STORE, Severity::Warning, "b", late),
+            Diagnostic::new(rules::BAD_CFG, Severity::Warning, "b", late),
             Diagnostic::new(rules::PROTOCOL_VIOLATION, Severity::Warning, "c", early),
-            Diagnostic::new(rules::USE_BEFORE_ASSIGN, Severity::Warning, "a", early),
+            Diagnostic::new(rules::CHECK_MAY_VIOLATION, Severity::Warning, "a", early),
         ];
         sort_diagnostics(&mut v);
-        assert_eq!(v[0].rule, rules::USE_BEFORE_ASSIGN);
+        assert_eq!(v[0].rule, rules::CHECK_MAY_VIOLATION);
         assert_eq!(v[1].rule, rules::PROTOCOL_VIOLATION);
-        assert_eq!(v[2].rule, rules::DEAD_STORE);
+        assert_eq!(v[2].rule, rules::BAD_CFG);
     }
 }

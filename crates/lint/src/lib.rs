@@ -2,12 +2,11 @@
 //!
 //! Two halves, both reporting through the structured [`diag`] engine:
 //!
-//! 1. A generic **monotone dataflow framework** ([`dataflow`]) over the
-//!    event CFG, instantiated with four lints: definite assignment
-//!    (`DF001`), dead stores (`DF002`), deterministic protocol usage —
-//!    `next()` without `hasNext()` — independent of the probabilistic
-//!    inference (`PROT001`), and consistency between declared `@Perm`
-//!    specifications and dataflow facts (`SPEC001`–`SPEC004`).
+//! 1. A generic forward **monotone dataflow framework** ([`dataflow`]) over
+//!    the event CFG, instantiated with two lints: deterministic protocol
+//!    usage — `next()` without `hasNext()` — independent of the
+//!    probabilistic inference (`PROT001`), and consistency between declared
+//!    `@Perm` specifications and dataflow facts (`SPEC001`–`SPEC004`).
 //! 2. An **IR verifier** ([`verify`]) in the style of LLVM's, checking the
 //!    structural invariants of CFGs (`IR001`), PFGs (`IR002`) and emitted
 //!    constraint systems (`IR003`) that the pipeline stages assume of each
@@ -17,17 +16,13 @@
 //! functions are also called directly by `anek::pipeline` at stage
 //! boundaries (always in debug builds, behind `--verify-ir` in release).
 
-mod assign;
 pub mod dataflow;
 pub mod diag;
-mod liveness;
-mod locals;
 mod protocol;
 mod spec_check;
-mod uses;
 pub mod verify;
 
-pub use dataflow::{solve, solve_with_seed, Analysis, Direction, Solution, SolveStats};
+pub use dataflow::{solve, solve_with_seed, Analysis, Solution, SolveStats};
 pub use diag::{rules, sort_diagnostics, to_json_array, Diagnostic, Severity};
 
 use analysis::cfg::Cfg;
@@ -110,9 +105,6 @@ pub fn lint_units(
 
     for m in &methods {
         let name = m.id.to_string();
-        let locals = locals::LocalTable::build(m.decl);
-        diags.extend(assign::DefiniteAssignment::new(&locals, &m.cfg).report(&m.cfg, &name));
-        diags.extend(liveness::Liveness::new(&locals, &m.cfg).report(&m.cfg, &name));
         diags.extend(protocol::report(&protocol_analysis, &m.cfg, &name));
         if let Some(spec) = program_specs.get(&m.id) {
             if !spec.is_empty() {

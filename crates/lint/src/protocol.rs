@@ -13,7 +13,7 @@
 //! `@FalseIndicates` on `hasNext`) refine the receiver's state set along the
 //! branch edges of the event CFG.
 
-use crate::dataflow::{solve, Analysis, Direction};
+use crate::dataflow::{solve, Analysis};
 use crate::diag::{rules, Diagnostic, Severity};
 use analysis::cfg::{BranchTest, Cfg, Terminator};
 use analysis::events::{Event, EventKind, Place};
@@ -126,10 +126,6 @@ impl<'a> ProtocolAnalysis<'a> {
 
 impl Analysis for ProtocolAnalysis<'_> {
     type Fact = Fact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, _cfg: &Cfg) -> Fact {
         None

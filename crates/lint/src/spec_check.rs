@@ -9,7 +9,7 @@
 //!   a unique object is unshared, so the lock is pointless (paper H5 treats
 //!   sync targets as thread-shared).
 
-use crate::dataflow::{solve, Analysis, Direction};
+use crate::dataflow::{solve, Analysis};
 use crate::diag::{rules, Diagnostic, Severity};
 use analysis::cfg::{Cfg, Terminator};
 use analysis::events::{Event, EventKind, Place};
@@ -140,10 +140,6 @@ impl Freshness<'_> {
 
 impl Analysis for Freshness<'_> {
     type Fact = FreshFact;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
 
     fn bottom(&self, _cfg: &Cfg) -> FreshFact {
         None

@@ -79,41 +79,6 @@ fn figure_programs_verify_clean() {
 }
 
 #[test]
-fn definite_assignment_catches_maybe_unassigned() {
-    let diags = lint_source(
-        "class A { void m(Collection<Integer> c, boolean b) {
-            Iterator<Integer> it;
-            if (b) { it = c.iterator(); }
-            while (it.hasNext()) { it.next(); }
-        } }",
-    );
-    assert!(diags.iter().any(|d| d.rule == rules::USE_BEFORE_ASSIGN), "{diags:?}");
-    // Assigned on both arms: clean.
-    let diags = lint_source(
-        "class A { void m(Collection<Integer> c, Collection<Integer> d, boolean b) {
-            Iterator<Integer> it;
-            if (b) { it = c.iterator(); } else { it = d.iterator(); }
-            while (it.hasNext()) { it.next(); }
-        } }",
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn dead_store_catches_overwritten_iterator() {
-    let diags = lint_source(
-        "class A { void m(Collection<Integer> c, Iterator<Integer> p) {
-            Iterator<Integer> it = c.iterator();
-            it = p;
-            while (it.hasNext()) { it.next(); }
-        } }",
-    );
-    let dead: Vec<_> = diags.iter().filter(|d| d.rule == rules::DEAD_STORE).collect();
-    assert_eq!(dead.len(), 1, "{diags:?}");
-    assert!(dead[0].message.contains("`it`"));
-}
-
-#[test]
 fn spec_consistency_checks_fire() {
     // SPEC001: pure receiver writing a field of this.
     let diags = lint_source(

@@ -7,7 +7,7 @@
 use analysis::cfg::{Block, BlockId, Cfg, Terminator};
 use analysis::events::Event;
 use java_syntax::Span;
-use lint::{solve, solve_with_seed, Analysis, Direction};
+use lint::{solve, solve_with_seed, Analysis};
 use prng::{forall, Rng};
 use std::collections::BTreeSet;
 
@@ -16,7 +16,6 @@ use std::collections::BTreeSet;
 /// off the terminator's shape — deterministic per block, since a block's
 /// terminator never changes during a solve.
 struct GenKill {
-    direction: Direction,
     /// (gen, kill) per terminator-shape bucket.
     tables: Vec<(BTreeSet<u8>, BTreeSet<u8>)>,
 }
@@ -27,9 +26,6 @@ struct Reachability;
 impl Analysis for Reachability {
     type Fact = Option<BTreeSet<usize>>;
 
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
     fn bottom(&self, _cfg: &Cfg) -> Self::Fact {
         None
     }
@@ -54,7 +50,7 @@ impl Analysis for Reachability {
 }
 
 impl GenKill {
-    fn new(rng: &mut Rng, blocks: usize, direction: Direction) -> GenKill {
+    fn new(rng: &mut Rng, blocks: usize) -> GenKill {
         let tables = (0..blocks)
             .map(|_| {
                 let mut gen = BTreeSet::new();
@@ -70,16 +66,13 @@ impl GenKill {
                 (gen, kill)
             })
             .collect();
-        GenKill { direction, tables }
+        GenKill { tables }
     }
 }
 
 impl Analysis for GenKill {
     type Fact = Option<BTreeSet<u8>>;
 
-    fn direction(&self) -> Direction {
-        self.direction
-    }
     fn bottom(&self, _cfg: &Cfg) -> Self::Fact {
         None
     }
@@ -154,16 +147,14 @@ fn solver_is_order_independent_on_random_cfgs() {
     forall("order-independence", 60, |rng| {
         let extra = rng.gen_index(0..12);
         let cfg = random_cfg(rng, extra);
-        for direction in [Direction::Forward, Direction::Backward] {
-            let analysis = GenKill::new(rng, cfg.blocks.len(), direction);
-            let base = solve(&analysis, &cfg);
-            assert!(!base.stats.widened, "finite lattice must converge");
-            for _ in 0..4 {
-                let seed = rng.next_u64();
-                let alt = solve_with_seed(&analysis, &cfg, Some(seed));
-                assert_eq!(alt.entry, base.entry, "entry facts differ for seed {seed}");
-                assert_eq!(alt.exit, base.exit, "exit facts differ for seed {seed}");
-            }
+        let analysis = GenKill::new(rng, cfg.blocks.len());
+        let base = solve(&analysis, &cfg);
+        assert!(!base.stats.widened, "finite lattice must converge");
+        for _ in 0..4 {
+            let seed = rng.next_u64();
+            let alt = solve_with_seed(&analysis, &cfg, Some(seed));
+            assert_eq!(alt.entry, base.entry, "entry facts differ for seed {seed}");
+            assert_eq!(alt.exit, base.exit, "exit facts differ for seed {seed}");
         }
     });
 }
@@ -173,7 +164,7 @@ fn solution_is_a_true_fixpoint() {
     forall("fixpoint", 60, |rng| {
         let extra = rng.gen_index(0..12);
         let cfg = random_cfg(rng, extra);
-        let analysis = GenKill::new(rng, cfg.blocks.len(), Direction::Forward);
+        let analysis = GenKill::new(rng, cfg.blocks.len());
         let sol = solve(&analysis, &cfg);
         // Re-transferring every reachable block must reproduce its exit
         // fact, and every successor's entry must already absorb it.

@@ -162,5 +162,5 @@ fn garbled_truncated_and_malformed_sources_give_the_pinned_outcomes() {
     for src in &deep {
         h.outcome(&parse(src));
     }
-    assert_eq!(h.0, 0x521f_bf4d_6e80_d774, "outcome hash changed: {:#018x}", h.0);
+    assert_eq!(h.0, 0x266c_6845_5e38_9034, "outcome hash changed: {:#018x}", h.0);
 }

@@ -56,6 +56,21 @@ const FIRST: &str =
 const GUARDED: &str = "class Guarded { Object first(Collection<Integer> c) { \
     Iterator<Integer> it = c.iterator(); if (it.hasNext()) { return it.next(); } return null; } }";
 
+/// A maybe-unassigned iterator and a dead store, both read only after
+/// `hasNext()`: no protocol bug, and `anek lint` has no rule for either.
+const STALE: &str = "class Stale { \
+    void maybe(Collection<Integer> c, boolean b) { Iterator<Integer> it; \
+        if (b) { it = c.iterator(); } while (it.hasNext()) { it.next(); } } \
+    void overwrite(Collection<Integer> c, Iterator<Integer> p) { \
+        Iterator<Integer> it = c.iterator(); it = p; while (it.hasNext()) { it.next(); } } }";
+
+/// Whether a caret diagnostic's `-->` line in `out`'s stdout names `file`.
+fn caret_names(out: &Output, file: &str) -> bool {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .any(|l| l.trim_start().starts_with("--> ") && l.contains(file))
+}
+
 /// Number of `.java` files in `dir`.
 fn java_files(dir: &Path) -> usize {
     std::fs::read_dir(dir)
@@ -262,12 +277,20 @@ fn lint_and_check_exit_one_on_a_protocol_bug_and_zero_without() {
     let dir = temp_dir("verdicts");
     let bug = write(&dir, "First.java", FIRST);
     let clean = write(&dir, "Drain.java", DRAIN);
+    let stale = write(&dir, "Stale.java", STALE);
     let out = anek().arg("lint").arg(&bug).output().expect("run");
     assert_eq!(code(&out), 1, "stdout: {}", String::from_utf8_lossy(&out.stdout));
     assert!(String::from_utf8_lossy(&out.stdout).contains("PROT001"));
+    assert!(caret_names(&out, "First.java:"), "{}", String::from_utf8_lossy(&out.stdout));
     let out = anek().arg("lint").arg(&clean).output().expect("run");
     assert_eq!(code(&out), 0, "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    let out = anek().arg("lint").arg(&stale).output().expect("run");
+    assert_eq!(code(&out), 0, "stdout: {}", String::from_utf8_lossy(&out.stdout));
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("DF0"));
 
+    let out = anek().arg("check").arg(&bug).output().expect("run");
+    assert_eq!(code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(caret_names(&out, "First.java:"), "{}", String::from_utf8_lossy(&out.stdout));
     let out = anek().args(["check", "--json"]).arg(&bug).output().expect("run");
     assert_eq!(code(&out), 1, "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(String::from_utf8_lossy(&out.stdout).contains(r#""rule":"CHK001""#));
