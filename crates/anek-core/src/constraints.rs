@@ -8,8 +8,95 @@
 //! `1-h` otherwise (Eq. 6) — which is precisely what lets ANEK produce
 //! specifications for buggy programs.
 
-use factor_graph::{Factor, FactorGraph, VarId};
+use factor_graph::{Factor, FactorGraph, Table, VarId};
 use spec_lang::PermissionKind;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+
+/// The predicate of one constraint below. With an arity and a strength it
+/// fixes a factor's table, which [`shared_table`] tabulates once per
+/// process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Shape {
+    /// Exactly one variable holds: a slot's kinds or states, selectors.
+    ExactlyOne,
+    /// The two variables agree: L1's branch form, states through a split,
+    /// H2.
+    Equal,
+    /// Eq. 2's legal weakening: each kind the node holds (`a[0..5]`)
+    /// weakens to a kind the edge holds (`a[5..10]`), unless the edge holds
+    /// none.
+    Weakening,
+    /// Eq. 2's exclusivity: the edges' `unique`/`full` pairs (`a[0..2]`,
+    /// `a[2..4]`) are not both writers.
+    Exclusive,
+    /// L2's selector implication: `a[0]` implies `a[1] == a[2]`.
+    Implied,
+    /// At least one variable holds: L3's writers, H5.
+    AnyOf,
+    /// A unary prior: potential `h` for true and `1 - h` for false, as
+    /// `Factor::unary` tabulates it.
+    Prior,
+}
+
+impl Shape {
+    fn holds(self, a: &[bool]) -> bool {
+        match self {
+            Shape::ExactlyOne => a.iter().filter(|b| **b).count() == 1,
+            Shape::Equal => a[0] == a[1],
+            Shape::Weakening => {
+                for (i, nk) in PermissionKind::ALL.iter().enumerate() {
+                    if !a[i] {
+                        continue;
+                    }
+                    let edge_ok = PermissionKind::ALL
+                        .iter()
+                        .enumerate()
+                        .any(|(j, ek)| a[5 + j] && (nk.can_weaken_to(*ek) || nk == ek));
+                    if !edge_ok && a[5..10].iter().any(|b| *b) {
+                        return false;
+                    }
+                }
+                true
+            }
+            Shape::Exclusive => !((a[0] || a[1]) && (a[2] || a[3])),
+            Shape::Implied => !a[0] || a[1] == a[2],
+            Shape::AnyOf | Shape::Prior => a.iter().any(|b| *b),
+        }
+    }
+
+    fn tabulate(self, arity: usize, h: f64) -> Table {
+        match self {
+            Shape::Prior => Table::unary(h),
+            _ => Table::soft(arity, h, |a| self.holds(a)),
+        }
+    }
+}
+
+/// The table of `shape` over `arity` variables at strength `h`, tabulated
+/// on its first use in this process and shared by every factor after.
+///
+/// Strengths come from the [`crate::InferConfig`], so a run draws all its
+/// factors from a few dozen tables: tabulating them once takes the cost of
+/// building a model from the size of its tables to the number of its
+/// factors. The memo only grows.
+fn shared_table(shape: Shape, arity: usize, h: f64) -> Arc<Table> {
+    type Memo = Mutex<HashMap<(Shape, usize, u64), Arc<Table>>>;
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    // A panic while the lock is held (tabulating an invalid strength or
+    // arity) happens before the insert, so a poisoned memo is still valid.
+    let mut memo = MEMO.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner);
+    let table = memo
+        .entry((shape, arity, h.to_bits()))
+        .or_insert_with(|| Arc::new(shape.tabulate(arity, h)));
+    Arc::clone(table)
+}
+
+/// Adds the factor of `shape` at strength `h` over `scope`.
+fn add(g: &mut FactorGraph, shape: Shape, scope: Vec<VarId>, h: f64) {
+    let table = shared_table(shape, scope.len(), h);
+    g.add_factor(Factor::new(scope, table));
+}
 
 /// The variables modelling one PFG node or edge: five kind variables plus
 /// one variable per abstract state of the slot's type.
@@ -23,10 +110,9 @@ pub struct SlotVars {
 
 impl SlotVars {
     /// Allocates fresh variables in `g` for a slot.
-    pub fn alloc(g: &mut FactorGraph, label: &str, states: &[String]) -> SlotVars {
-        let kinds = PermissionKind::ALL.map(|k| g.add_var(format!("{label}:{k}")));
-        let states =
-            states.iter().map(|s| (s.clone(), g.add_var(format!("{label}:{s}")))).collect();
+    pub fn alloc(g: &mut FactorGraph, states: &[String]) -> SlotVars {
+        let kinds = PermissionKind::ALL.map(|_| g.add_var());
+        let states = states.iter().map(|s| (s.clone(), g.add_var())).collect();
         SlotVars { kinds, states }
     }
 
@@ -55,14 +141,13 @@ impl SlotVars {
 /// variable should hold per slot. (Figure 8's priors treat kinds/states as
 /// near-exclusive; this factor makes the modelling assumption explicit.)
 pub fn exactly_one(g: &mut FactorGraph, slot: &SlotVars, h: f64) {
-    let kind_vars: Vec<VarId> = slot.kinds.to_vec();
-    g.add_factor(Factor::soft(kind_vars, h, |a| a.iter().filter(|b| **b).count() == 1));
+    add(g, Shape::ExactlyOne, slot.kinds.to_vec(), h);
     if slot.states.len() > 1 {
         let state_vars: Vec<VarId> = slot.states.iter().map(|(_, v)| *v).collect();
-        g.add_factor(Factor::soft(state_vars, h, |a| a.iter().filter(|b| **b).count() == 1));
+        add(g, Shape::ExactlyOne, state_vars, h);
     } else if let Some((_, v)) = slot.states.first() {
         // Single-state (ALIVE-only) types are simply alive.
-        g.add_factor(Factor::unary(*v, 0.95));
+        add(g, Shape::Prior, vec![*v], 0.95);
     }
 }
 
@@ -70,7 +155,7 @@ pub fn exactly_one(g: &mut FactorGraph, slot: &SlotVars, h: f64) {
 /// permission and state, with high probability `h1`, variable by variable.
 pub fn l1_equal(g: &mut FactorGraph, node: &SlotVars, edge: &SlotVars, h: f64) {
     for (a, b) in node.paired(edge) {
-        g.add_factor(Factor::soft(vec![a, b], h, |v| v[0] == v[1]));
+        add(g, Shape::Equal, vec![a, b], h);
     }
 }
 
@@ -83,26 +168,11 @@ pub fn l1_split(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f6
     for edge in edges {
         let mut scope: Vec<VarId> = node.kinds.to_vec();
         scope.extend(edge.kinds.iter().copied());
-        g.add_factor(Factor::soft(scope, h, |a| {
-            // a[0..5] = node kinds, a[5..10] = edge kinds.
-            for (i, nk) in PermissionKind::ALL.iter().enumerate() {
-                if !a[i] {
-                    continue;
-                }
-                let edge_ok = PermissionKind::ALL
-                    .iter()
-                    .enumerate()
-                    .any(|(j, ek)| a[5 + j] && (nk.can_weaken_to(*ek) || nk == ek));
-                if !edge_ok && a[5..10].iter().any(|b| *b) {
-                    return false;
-                }
-            }
-            true
-        }));
+        add(g, Shape::Weakening, scope, h);
         // States flow through the split unchanged.
         for (name, v) in &node.states {
             if let Some(ev) = edge.state(name) {
-                g.add_factor(Factor::soft(vec![*v, ev], h, |a| a[0] == a[1]));
+                add(g, Shape::Equal, vec![*v, ev], h);
             }
         }
     }
@@ -116,11 +186,7 @@ pub fn l1_split(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f6
                 edges[j].kind(PermissionKind::Unique),
                 edges[j].kind(PermissionKind::Full),
             ];
-            g.add_factor(Factor::soft(scope, h, |a| {
-                let writer_i = a[0] || a[1];
-                let writer_j = a[2] || a[3];
-                !(writer_i && writer_j)
-            }));
+            add(g, Shape::Exclusive, scope, h);
         }
     }
 }
@@ -162,7 +228,7 @@ pub fn l2_call_merge(
     // States: equality with the callee's post edge only.
     for (name, v) in &node.states {
         if let Some(ev) = edges[post_edge].state(name) {
-            g.add_factor(Factor::soft(vec![*v, ev], h, |a| a[0] == a[1]));
+            add(g, Shape::Equal, vec![*v, ev], h);
         }
     }
 }
@@ -170,50 +236,43 @@ pub fn l2_call_merge(
 /// Kinds-half of L2: the node's kind vector equals one incoming edge's,
 /// with a boolean selector per edge (exactly one holds) and scope-3
 /// implication factors.
-fn l2_kinds_one_of(
-    g: &mut FactorGraph,
-    node: &SlotVars,
-    edges: &[&SlotVars],
-    h: f64,
-) -> Vec<VarId> {
-    let kind_sel = add_selectors(g, edges.len(), h, "selK");
+fn l2_kinds_one_of(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f64) {
+    let kind_sel = add_selectors(g, edges.len(), h);
     for (i, e) in edges.iter().enumerate() {
         for (nv, ev) in node.kinds.iter().zip(e.kinds.iter()) {
-            g.add_factor(Factor::soft(vec![kind_sel[i], *nv, *ev], h, |a| !a[0] || a[1] == a[2]));
+            add(g, Shape::Implied, vec![kind_sel[i], *nv, *ev], h);
         }
     }
-    kind_sel
 }
 
 /// States-half of L2 with an independent selector.
 fn l2_states_one_of(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f64) {
-    let shared: Vec<String> = node
+    let shared: Vec<&str> = node
         .states
         .iter()
-        .map(|(n, _)| n.clone())
+        .map(|(n, _)| n.as_str())
         .filter(|n| edges.iter().all(|e| e.state(n).is_some()))
         .collect();
     if shared.is_empty() {
         return;
     }
-    let state_sel = add_selectors(g, edges.len(), h, "selS");
+    let state_sel = add_selectors(g, edges.len(), h);
     for (i, e) in edges.iter().enumerate() {
         for name in &shared {
             let nv = node.state(name).expect("shared state");
             let ev = e.state(name).expect("shared state");
-            g.add_factor(Factor::soft(vec![state_sel[i], nv, ev], h, |a| !a[0] || a[1] == a[2]));
+            add(g, Shape::Implied, vec![state_sel[i], nv, ev], h);
         }
     }
 }
 
 /// Allocates `m` selector variables with a soft exactly-one factor.
-fn add_selectors(g: &mut FactorGraph, m: usize, h: f64, tag: &str) -> Vec<VarId> {
-    let base = g.num_vars();
-    let sels: Vec<VarId> = (0..m).map(|i| g.add_var(format!("{tag}{base}_{i}"))).collect();
+fn add_selectors(g: &mut FactorGraph, m: usize, h: f64) -> Vec<VarId> {
+    let sels: Vec<VarId> = (0..m).map(|_| g.add_var()).collect();
     if m > 1 {
-        g.add_factor(Factor::soft(sels.clone(), h, |a| a.iter().filter(|b| **b).count() == 1));
+        add(g, Shape::ExactlyOne, sels.clone(), h);
     } else if let Some(&s) = sels.first() {
-        g.add_factor(Factor::unary(s, 0.95));
+        add(g, Shape::Prior, vec![s], 0.95);
     }
     sels
 }
@@ -221,37 +280,37 @@ fn add_selectors(g: &mut FactorGraph, m: usize, h: f64, tag: &str) -> Vec<VarId>
 /// L3: the receiver of a field write cannot be read-only — `immutable` and
 /// `pure` get a very low probability, and some writing kind must hold.
 pub fn l3_field_write(g: &mut FactorGraph, receiver: &SlotVars, p_readonly: f64) {
-    g.add_factor(Factor::unary(receiver.kind(PermissionKind::Immutable), p_readonly));
-    g.add_factor(Factor::unary(receiver.kind(PermissionKind::Pure), p_readonly));
+    add(g, Shape::Prior, vec![receiver.kind(PermissionKind::Immutable)], p_readonly);
+    add(g, Shape::Prior, vec![receiver.kind(PermissionKind::Pure)], p_readonly);
     let writers = vec![
         receiver.kind(PermissionKind::Unique),
         receiver.kind(PermissionKind::Full),
         receiver.kind(PermissionKind::Share),
     ];
-    g.add_factor(Factor::soft(writers, 1.0 - p_readonly, |a| a.iter().any(|b| *b)));
+    add(g, Shape::AnyOf, writers, 1.0 - p_readonly);
     // Break the symmetry among the writers: `full` is the idiomatic PLURAL
     // spec for a writing receiver (exclusive writer, readers tolerated).
-    g.add_factor(Factor::unary(receiver.kind(PermissionKind::Full), 0.65));
+    add(g, Shape::Prior, vec![receiver.kind(PermissionKind::Full)], 0.65);
 }
 
 /// H1 / H3: elevated probability of `unique` on a constructor result or a
 /// `create*` method's return value.
 pub fn h_unique_result(g: &mut FactorGraph, slot: &SlotVars, p_unique: f64) {
-    g.add_factor(Factor::unary(slot.kind(PermissionKind::Unique), p_unique));
+    add(g, Shape::Prior, vec![slot.kind(PermissionKind::Unique)], p_unique);
 }
 
 /// H2: a parameter's pre and post *kinds* (not states) agree with high
 /// probability.
 pub fn h2_pre_post(g: &mut FactorGraph, pre: &SlotVars, post: &SlotVars, h: f64) {
     for (a, b) in pre.kinds.iter().zip(post.kinds.iter()) {
-        g.add_factor(Factor::soft(vec![*a, *b], h, |v| v[0] == v[1]));
+        add(g, Shape::Equal, vec![*a, *b], h);
     }
 }
 
 /// H4: `set*` receivers are unlikely to be read-only kinds.
 pub fn h4_setter(g: &mut FactorGraph, receiver: &SlotVars, p_readonly: f64) {
-    g.add_factor(Factor::unary(receiver.kind(PermissionKind::Immutable), p_readonly));
-    g.add_factor(Factor::unary(receiver.kind(PermissionKind::Pure), p_readonly));
+    add(g, Shape::Prior, vec![receiver.kind(PermissionKind::Immutable)], p_readonly);
+    add(g, Shape::Prior, vec![receiver.kind(PermissionKind::Pure)], p_readonly);
 }
 
 /// H5: targets of `synchronized` blocks are `full`, `share` or `pure` with
@@ -262,13 +321,13 @@ pub fn h5_thread_shared(g: &mut FactorGraph, target: &SlotVars, h: f64) {
         target.kind(PermissionKind::Share),
         target.kind(PermissionKind::Pure),
     ];
-    g.add_factor(Factor::soft(scope, h, |a| a.iter().any(|b| *b)));
+    add(g, Shape::AnyOf, scope, h);
 }
 
 /// Installs priors from a known probability (clamped away from 0/1 so that
 /// conflicting evidence can still coexist — the heart of the approach).
 pub fn prior(g: &mut FactorGraph, var: VarId, p: f64) {
-    g.add_factor(Factor::unary(var, p.clamp(0.02, 0.98)));
+    add(g, Shape::Prior, vec![var], p.clamp(0.02, 0.98));
 }
 
 #[cfg(test)]
@@ -276,25 +335,78 @@ mod tests {
     use super::*;
     use factor_graph::BpOptions;
 
-    fn alloc(g: &mut FactorGraph, label: &str) -> SlotVars {
-        SlotVars::alloc(g, label, &["ALIVE".to_string(), "HASNEXT".to_string(), "END".to_string()])
+    fn alloc(g: &mut FactorGraph) -> SlotVars {
+        SlotVars::alloc(g, &["ALIVE".to_string(), "HASNEXT".to_string(), "END".to_string()])
+    }
+
+    /// Every wide constraint's shared table is, bit for bit, the table a
+    /// fresh `Factor::soft` tabulates from the predicate its emitter
+    /// passed before tables were shared; so are the pairwise equalities'
+    /// and the priors'.
+    #[test]
+    fn shared_tables_equal_fresh_tabulations() {
+        let one_hot = |a: &[bool]| a.iter().filter(|b| **b).count() == 1;
+        let weakening = |a: &[bool]| {
+            for (i, nk) in PermissionKind::ALL.iter().enumerate() {
+                if !a[i] {
+                    continue;
+                }
+                let edge_ok = PermissionKind::ALL
+                    .iter()
+                    .enumerate()
+                    .any(|(j, ek)| a[5 + j] && (nk.can_weaken_to(*ek) || nk == ek));
+                if !edge_ok && a[5..10].iter().any(|b| *b) {
+                    return false;
+                }
+            }
+            true
+        };
+        let exclusive = |a: &[bool]| {
+            let writer_i = a[0] || a[1];
+            let writer_j = a[2] || a[3];
+            !(writer_i && writer_j)
+        };
+        let implied = |a: &[bool]| !a[0] || a[1] == a[2];
+        let any = |a: &[bool]| a.iter().any(|b| *b);
+        let equal = |a: &[bool]| a[0] == a[1];
+        let bits = |t: &[f64]| t.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        let check = |shape: Shape, arity: usize, h: f64, pred: &dyn Fn(&[bool]) -> bool| {
+            let scope: Vec<VarId> = (0..arity as u32).map(VarId).collect();
+            let fresh = Factor::soft(scope, h, pred);
+            let shared = shared_table(shape, arity, h);
+            assert_eq!(bits(shared.cells()), bits(fresh.table()), "{shape:?}/{arity} at {h}");
+        };
+        for h in [0.9, 0.98, 0.51] {
+            check(Shape::Weakening, 10, h, &weakening);
+            check(Shape::Exclusive, 4, h, &exclusive);
+            check(Shape::Implied, 3, h, &implied);
+            // L3's writers and H5's targets.
+            check(Shape::AnyOf, 3, h, &any);
+            check(Shape::Equal, 2, h, &equal);
+            // A slot's five kinds, its states, an L2 node's selectors.
+            for arity in 2..=8 {
+                check(Shape::ExactlyOne, arity, h, &one_hot);
+            }
+            let prior = shared_table(Shape::Prior, 1, h);
+            assert_eq!(bits(prior.cells()), bits(Factor::unary(VarId(0), h).table()));
+        }
     }
 
     #[test]
     fn slot_alloc_creates_eight_vars() {
         let mut g = FactorGraph::new();
-        let s = alloc(&mut g, "n0");
+        let s = alloc(&mut g);
         assert_eq!(g.num_vars(), 8);
         assert!(s.state("HASNEXT").is_some());
         assert!(s.state("OPEN").is_none());
-        assert_eq!(g.var_name(s.kind(PermissionKind::Unique)), "n0:unique");
+        assert_eq!(s.kind(PermissionKind::Unique), VarId(0));
     }
 
     #[test]
     fn l1_equal_propagates_evidence() {
         let mut g = FactorGraph::new();
-        let n = alloc(&mut g, "n");
-        let e = alloc(&mut g, "e");
+        let n = alloc(&mut g);
+        let e = alloc(&mut g);
         prior(&mut g, n.kind(PermissionKind::Full), 0.95);
         l1_equal(&mut g, &n, &e, 0.9);
         let m = g.solve(&BpOptions::default());
@@ -304,9 +416,9 @@ mod tests {
     #[test]
     fn l1_split_permits_full_plus_pure_from_unique() {
         let mut g = FactorGraph::new();
-        let n = alloc(&mut g, "n");
-        let e1 = alloc(&mut g, "e1");
-        let e2 = alloc(&mut g, "e2");
+        let n = alloc(&mut g);
+        let e1 = alloc(&mut g);
+        let e2 = alloc(&mut g);
         prior(&mut g, n.kind(PermissionKind::Unique), 0.95);
         // Evidence that e1 must be full (a callee needs it).
         prior(&mut g, e1.kind(PermissionKind::Full), 0.95);
@@ -324,8 +436,8 @@ mod tests {
     #[test]
     fn l1_split_states_flow_through() {
         let mut g = FactorGraph::new();
-        let n = alloc(&mut g, "n");
-        let e = alloc(&mut g, "e");
+        let n = alloc(&mut g);
+        let e = alloc(&mut g);
         prior(&mut g, n.state("HASNEXT").unwrap(), 0.95);
         l1_split(&mut g, &n, &[&e], 0.9);
         let m = g.solve(&BpOptions::default());
@@ -335,9 +447,9 @@ mod tests {
     #[test]
     fn l2_or_equality_merges_incoming() {
         let mut g = FactorGraph::new();
-        let n = alloc(&mut g, "n");
-        let a = alloc(&mut g, "a");
-        let b = alloc(&mut g, "b");
+        let n = alloc(&mut g);
+        let a = alloc(&mut g);
+        let b = alloc(&mut g);
         prior(&mut g, a.kind(PermissionKind::Share), 0.9);
         prior(&mut g, b.kind(PermissionKind::Share), 0.9);
         l2_incoming(&mut g, &n, &[&a, &b], 0.9);
@@ -351,7 +463,7 @@ mod tests {
     #[test]
     fn l3_pushes_receiver_to_writer() {
         let mut g = FactorGraph::new();
-        let r = alloc(&mut g, "recv");
+        let r = alloc(&mut g);
         l3_field_write(&mut g, &r, 0.05);
         exactly_one(&mut g, &r, 0.9);
         let m = g.solve(&BpOptions::default());
@@ -367,7 +479,7 @@ mod tests {
     #[test]
     fn h5_disfavors_unique() {
         let mut g = FactorGraph::new();
-        let t = alloc(&mut g, "lock");
+        let t = alloc(&mut g);
         h5_thread_shared(&mut g, &t, 0.9);
         exactly_one(&mut g, &t, 0.9);
         let m = g.solve(&BpOptions::default());
@@ -380,7 +492,7 @@ mod tests {
     #[test]
     fn prior_clamps_extremes() {
         let mut g = FactorGraph::new();
-        let s = alloc(&mut g, "x");
+        let s = alloc(&mut g);
         prior(&mut g, s.kind(PermissionKind::Unique), 1.0);
         prior(&mut g, s.kind(PermissionKind::Pure), 0.0);
         let m = g.solve(&BpOptions::default());

@@ -19,13 +19,14 @@
 //! the chunk changed the method's inputs — its program-callee summaries or
 //! its own caller-evidence store. If they did, the stale speculation is
 //! discarded and the method is re-solved inline against the merged state.
-//! A method's marginals are a pure function of exactly those inputs (the
-//! skeleton is immutable, stamping reads only callee summaries and own
-//! evidence, and BP is deterministic), so the committed sequence of solves
-//! is precisely the one the classic sequential worklist performs — the
-//! final specs, summaries and confidence are byte-identical for every
-//! `threads` value, including `1` (which skips speculation entirely and
-//! degenerates to plain sequential Gauss-Seidel with zero wasted work).
+//! A method's marginals are a pure function of exactly those inputs (every
+//! build of its skeleton is the same, stamping reads only callee summaries
+//! and own evidence, and BP is deterministic), so the committed sequence
+//! of solves is precisely the one the classic sequential worklist performs
+//! — the final specs, summaries and confidence are byte-identical for
+//! every `threads` value, including `1` (which skips speculation entirely
+//! and degenerates to plain sequential Gauss-Seidel with zero wasted
+//! work).
 //!
 //! A chunk never holds two methods joined by a call edge: it ends after a
 //! few multiples of the thread count, or just before the first method that
@@ -43,11 +44,18 @@
 //! thread), so message arrays are recycled across all the solves of a run
 //! instead of reallocated per solve.
 //!
-//! Each method's static model skeleton (variables, L1–L3, heuristics,
-//! own-spec and API priors) is built and compiled once, lazily at its first
-//! solve; every re-solve only re-derives the dynamic unary priors
-//! (`MethodSkeleton::stamp`), so the per-iteration cost is message passing,
-//! not model construction.
+//! A solve that misses the store builds the method's PFG and static model
+//! skeleton (variables, L1–L3, heuristics, own-spec and API priors), stamps
+//! the dynamic unary priors on it (`MethodSkeleton::stamp`), runs BP, reads
+//! the summary and call evidence out, and drops both: no PFG or skeleton
+//! outlives its solve, so inference holds at most one model per worker, as
+//! ANEK-INFER's one-model-at-a-time loop does. Between solves a method keeps
+//! only its body's location, its existing spec and, from one up-front PFG
+//! build, its program callees and INIT summary. Rebuilding is cheap because
+//! every factor draws its table from a per-process memo
+//! (`constraints::shared_table`): a build costs about one allocation per
+//! factor, not one tabulation, and at that price rebuilding on every solve
+//! costs less than the build-once cache it replaced.
 
 use crate::config::InferConfig;
 use crate::memo::{self, CacheKey, InferCache, KeyHasher, SolvedRecord};
@@ -57,7 +65,7 @@ use crate::summary::{MethodSummary, SlotProbs};
 use analysis::pfg::{Pfg, PfgNodeKind};
 use analysis::types::{Callee, MethodId, ProgramIndex};
 use factor_graph::{GuardEvents, Scratch};
-use java_syntax::ast::CompilationUnit;
+use java_syntax::ast::{CompilationUnit, MethodDecl};
 use java_syntax::ExprId;
 use spec_lang::{
     spec_of_method, ApiRegistry, MethodSpec, PermissionKind, SpecTarget, StateRegistry, StateSpace,
@@ -65,7 +73,7 @@ use spec_lang::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One completed model solve (see [`SolvedRecord`]) plus, when a cache is
@@ -234,46 +242,19 @@ pub fn merged_states(units: &[CompilationUnit], api: &ApiRegistry) -> StateRegis
     reg
 }
 
-/// One analyzable method: its PFG, existing spec, flags and the compiled
-/// static skeleton of its probabilistic model. The skeleton is built lazily
-/// on first solve — under a small `MaxIters` most methods are never solved,
-/// and paying compilation for all of them up front would dwarf the solves.
-struct MethodUnit {
-    pfg: Arc<Pfg>,
+/// One analyzable method between its solves: where its body is and its
+/// existing spec. A solve that misses the store builds the method's PFG and
+/// skeleton from these and drops both with the solve.
+struct MethodUnit<'a> {
+    type_name: &'a str,
+    decl: &'a MethodDecl,
     spec: MethodSpec,
-    is_constructor: bool,
-    skeleton: OnceLock<Result<MethodSkeleton, String>>,
 }
 
-impl MethodUnit {
-    /// The compiled skeleton, built on first use (any thread may win the
-    /// race; the build is a pure function of static inputs, so every
-    /// contender produces the identical value).
-    ///
-    /// A panic during the build is caught *inside* the `OnceLock`
-    /// initializer and cached as an error — re-solves of the method see the
-    /// identical message instead of a poisoned lock, which keeps the
-    /// outcome table byte-identical for every thread count.
-    fn skeleton(
-        &self,
-        ctx: ModelCtx<'_>,
-        cfg: &InferConfig,
-    ) -> Result<&MethodSkeleton, InferError> {
-        self.skeleton
-            .get_or_init(|| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    MethodSkeleton::build(
-                        ctx,
-                        Arc::clone(&self.pfg),
-                        &self.spec,
-                        self.is_constructor,
-                        cfg,
-                    )
-                }))
-                .map_err(|p| panic_message(p.as_ref()))
-            })
-            .as_ref()
-            .map_err(|message| InferError::SolvePanicked { message: message.clone() })
+impl MethodUnit<'_> {
+    /// The method's PFG, as every build of it in a run gives it.
+    fn pfg(&self, index: &ProgramIndex, api: &ApiRegistry, cfg: &InferConfig) -> Pfg {
+        Pfg::build_with_refinement(index, api, self.type_name, self.decl, cfg.branch_sensitive)
     }
 }
 
@@ -371,8 +352,8 @@ pub fn infer_with_store(
     let interface_fp = cache.map(|_| memo::interface_fingerprint(units, api)).unwrap_or_default();
     let config_fp = cache.map(|_| memo::config_fingerprint(cfg)).unwrap_or_default();
 
-    // ---- Gather analyzable methods, build PFGs + model skeletons ----
-    let mut meta: Vec<(MethodId, &str, &java_syntax::ast::MethodDecl, usize)> = Vec::new();
+    // ---- Gather analyzable methods ----
+    let mut meta: Vec<(MethodId, &str, &MethodDecl, usize)> = Vec::new();
     let mut pre_annotated = BTreeSet::new();
     for (unit_idx, unit) in units.iter().enumerate() {
         for t in &unit.types {
@@ -390,7 +371,7 @@ pub fn infer_with_store(
         }
     }
     // ---- Bit-vector screening pre-pass (`--screen`) ----
-    // Runs *before* any PFG or skeleton exists: methods the bitstate
+    // Runs *before* any PFG is built: methods the bitstate
     // interpreter proves protocol-conformant, and that are isolated in the
     // program call graph (their solves would publish no evidence and no
     // summary anyone reads), are dropped from the worklist entirely. The
@@ -430,47 +411,36 @@ pub fn infer_with_store(
             .collect(),
         None => BTreeMap::new(),
     };
-    // PFG construction is independent per method — the one-time setup cost
-    // parallelizes trivially. Every run builds every PFG, store or not: a
-    // PFG is a cheap pure function of the method's source. Skeletons
-    // compile lazily on first solve.
+    // The up-front pass, independent per method and so run in parallel:
+    // build each PFG once, keep its program callees and INIT summary, and
+    // drop it. Every run makes this pass, store or not: a PFG is a cheap
+    // pure function of the method's source.
     let mut no_state = vec![(); threads];
     let (built, _) = map_parallel(&meta, &mut no_state, |(_, type_name, m, _), _| {
-        let spec = spec_of_method(m).unwrap_or_default();
-        let pfg =
-            Arc::new(Pfg::build_with_refinement(&index, api, type_name, m, cfg.branch_sensitive));
-        MethodUnit { pfg, spec, is_constructor: m.is_constructor(), skeleton: OnceLock::new() }
+        let mu = MethodUnit { type_name, decl: m, spec: spec_of_method(m).unwrap_or_default() };
+        let pfg = mu.pfg(&index, api, cfg);
+        let summary = initial_summary(ctx, &pfg, &mu.spec, cfg);
+        (mu, program_callees(&pfg), summary)
     });
-    let mut methods: BTreeMap<MethodId, MethodUnit> = BTreeMap::new();
-    for (id, mu) in order.iter().cloned().zip(built) {
-        methods.insert(id, mu);
-    }
 
     // ---- Call maps: callers (who must be re-analyzed when a summary
     //      changes) and callees (what a method's solve reads — its dynamic
     //      priors are a function of exactly its program-callee summaries
-    //      plus its own caller-evidence store) ----
+    //      plus its own caller-evidence store); and INIT (Figure 9
+    //      lines 2–6): summaries from priors ----
+    let mut methods: BTreeMap<MethodId, MethodUnit<'_>> = BTreeMap::new();
     let mut callers: BTreeMap<MethodId, BTreeSet<MethodId>> = BTreeMap::new();
     let mut callees: BTreeMap<MethodId, BTreeSet<MethodId>> = BTreeMap::new();
-    for (id, mu) in &methods {
-        for n in mu.pfg.call_nodes() {
-            let callee = match &n.kind {
-                PfgNodeKind::CallPre { callee, .. }
-                | PfgNodeKind::CallPost { callee, .. }
-                | PfgNodeKind::CallResult { callee, .. } => callee,
-                _ => continue,
-            };
-            if let Callee::Program(c) = callee {
-                callers.entry(c.clone()).or_default().insert(id.clone());
-                callees.entry(id.clone()).or_default().insert(c.clone());
-            }
-        }
-    }
-
-    // ---- INIT (Figure 9 lines 2–6): summaries from priors ----
     let mut summaries: BTreeMap<MethodId, MethodSummary> = BTreeMap::new();
-    for (id, mu) in &methods {
-        summaries.insert(id.clone(), initial_summary(ctx, mu, cfg));
+    for (id, (mu, deps, summary)) in order.iter().cloned().zip(built) {
+        for c in &deps {
+            callers.entry(c.clone()).or_default().insert(id.clone());
+        }
+        if !deps.is_empty() {
+            callees.insert(id.clone(), deps);
+        }
+        summaries.insert(id.clone(), summary);
+        methods.insert(id, mu);
     }
 
     // ---- The worklist loop (lines 8–21), drained in generations ----
@@ -572,7 +542,8 @@ pub fn infer_with_store(
             if cfg.faults.should_panic(id) {
                 panic!("injected fault: scripted panic in solve of {id}");
             }
-            let skeleton = mu.skeleton(ctx, cfg)?;
+            let pfg = Arc::new(mu.pfg(&index, api, cfg));
+            let skeleton = MethodSkeleton::build(ctx, pfg, &mu.spec, mu.decl.is_constructor(), cfg);
             let vars = skeleton.compiled().num_vars();
             if vars > cfg.max_model_vars {
                 return Err(InferError::ModelTooLarge { vars, limit: cfg.max_model_vars });
@@ -955,7 +926,7 @@ fn screen_methods(
     index: &ProgramIndex,
     api: &ApiRegistry,
     cfg: &InferConfig,
-    meta: &[(MethodId, &str, &java_syntax::ast::MethodDecl, usize)],
+    meta: &[(MethodId, &str, &MethodDecl, usize)],
     pre_annotated: &BTreeSet<MethodId>,
     threads: usize,
 ) -> BTreeSet<MethodId> {
@@ -1015,9 +986,26 @@ fn screen_methods(
         .collect()
 }
 
+/// The program methods a PFG's call sites call.
+fn program_callees(pfg: &Pfg) -> BTreeSet<MethodId> {
+    pfg.call_nodes()
+        .filter_map(|n| match &n.kind {
+            PfgNodeKind::CallPre { callee: Callee::Program(c), .. }
+            | PfgNodeKind::CallPost { callee: Callee::Program(c), .. }
+            | PfgNodeKind::CallResult { callee: Callee::Program(c), .. } => Some(c.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
 /// The INIT summary: spec-derived high/low priors where an annotation
 /// exists, uniform elsewhere.
-fn initial_summary(ctx: ModelCtx<'_>, mu: &MethodUnit, cfg: &InferConfig) -> MethodSummary {
+fn initial_summary(
+    ctx: ModelCtx<'_>,
+    pfg: &Pfg,
+    spec: &MethodSpec,
+    cfg: &InferConfig,
+) -> MethodSummary {
     let slot_for = |ty: &str, atom: Option<&spec_lang::PermAtom>| -> SlotProbs {
         let mut slot = SlotProbs::uniform(ctx.states_of(Some(ty)));
         if let Some(atom) = atom {
@@ -1033,8 +1021,7 @@ fn initial_summary(ctx: ModelCtx<'_>, mu: &MethodUnit, cfg: &InferConfig) -> Met
         }
         slot
     };
-    let params = mu
-        .pfg
+    let params = pfg
         .params
         .iter()
         .map(|p| {
@@ -1042,16 +1029,15 @@ fn initial_summary(ctx: ModelCtx<'_>, mu: &MethodUnit, cfg: &InferConfig) -> Met
                 if p.name == "this" { SpecTarget::This } else { SpecTarget::Param(p.name.clone()) };
             (
                 p.name.clone(),
-                slot_for(&p.type_name, mu.spec.requires.for_target(&target)),
-                slot_for(&p.type_name, mu.spec.ensures.for_target(&target)),
+                slot_for(&p.type_name, spec.requires.for_target(&target)),
+                slot_for(&p.type_name, spec.ensures.for_target(&target)),
             )
         })
         .collect();
-    let result = mu
-        .pfg
+    let result = pfg
         .result
         .as_ref()
-        .map(|(ty, _)| slot_for(ty, mu.spec.ensures.for_target(&SpecTarget::Result)));
+        .map(|(ty, _)| slot_for(ty, spec.ensures.for_target(&SpecTarget::Result)));
     MethodSummary { params, result }
 }
 

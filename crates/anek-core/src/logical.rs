@@ -83,8 +83,8 @@ pub fn solve_logical(
     let mut pfgs: Vec<(MethodId, Pfg, Vec<SlotVars>, Vec<SlotVars>)> = Vec::new();
 
     // Helper mirrors of slot allocation that also track preferred values.
-    let alloc = |g: &mut FactorGraph, prefer: &mut Vec<bool>, label: &str, states: &[String]| {
-        let sv = SlotVars::alloc(g, label, states);
+    let alloc = |g: &mut FactorGraph, prefer: &mut Vec<bool>, states: &[String]| {
+        let sv = SlotVars::alloc(g, states);
         // default preference: pure + ALIVE true, everything else false.
         while prefer.len() < g.num_vars() {
             prefer.push(false);
@@ -109,16 +109,15 @@ pub fn solve_logical(
                     .iter()
                     .map(|n| {
                         let st = ctx.states_of(n.type_name.as_deref());
-                        alloc(&mut g, &mut prefer_true, &format!("{id}:n{}", n.id), &st)
+                        alloc(&mut g, &mut prefer_true, &st)
                     })
                     .collect();
                 let edge_vars: Vec<SlotVars> = pfg
                     .edges
                     .iter()
-                    .enumerate()
-                    .map(|(i, (a, _))| {
+                    .map(|(a, _)| {
                         let st = ctx.states_of(pfg.nodes[*a].type_name.as_deref());
-                        alloc(&mut g, &mut prefer_true, &format!("{id}:e{i}"), &st)
+                        alloc(&mut g, &mut prefer_true, &st)
                     })
                     .collect();
                 pfgs.push((id, pfg, node_vars, edge_vars));
@@ -215,9 +214,7 @@ pub fn solve_logical(
                 }
             } else if ins.len() > 1 {
                 let mk_selectors = |g: &mut FactorGraph, hard: &mut Vec<Factor>| -> Vec<VarId> {
-                    let base = g.num_vars();
-                    let sels: Vec<VarId> =
-                        (0..ins.len()).map(|i| g.add_var(format!("hsel{base}_{i}"))).collect();
+                    let sels: Vec<VarId> = (0..ins.len()).map(|_| g.add_var()).collect();
                     hard.push(Factor::from_fn(sels.clone(), |a| {
                         if a.iter().filter(|b| **b).count() == 1 {
                             1.0

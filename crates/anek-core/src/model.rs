@@ -317,19 +317,20 @@ fn read_call_evidence_from(
 }
 
 /// A method's *static* model — everything that never changes between
-/// re-solves of the Figure 9 worklist — compiled once into the flat BP
-/// arena. Re-solving a method is then just [`MethodSkeleton::stamp`] (derive
-/// the current summary/evidence unary priors) + [`MethodSkeleton::solve`],
-/// with no PFG clone, no factor re-tabulation and no graph recompilation.
+/// re-solves of the Figure 9 worklist — compiled into the flat BP arena.
+/// Solving it is [`MethodSkeleton::stamp`] (derive the current
+/// summary/evidence unary priors) + [`MethodSkeleton::solve`]; the worklist
+/// builds one per solve and drops it once the solve's record is read out.
 ///
 /// The skeleton keeps only the compiled form of its factor graph
 /// (variables, L1–L3, heuristics, own-spec and API-callee priors): the
-/// [`FactorGraph`] it was built from, with its variable names and a second
-/// copy of every potential, is dropped once compiled. A [`MethodModel`]
-/// keeps its graph for callers that inspect it.
+/// [`FactorGraph`] it was built from is dropped once compiled. Every factor
+/// draws its table from a per-process memo, so a build tabulates nothing
+/// and the compile takes each wide table's fold program from the table. A
+/// [`MethodModel`] keeps its graph for callers that inspect it.
 #[derive(Debug)]
 pub struct MethodSkeleton {
-    /// The underlying PFG, shared with whoever built it.
+    /// The underlying PFG.
     pub pfg: Arc<Pfg>,
     /// Variables per PFG node.
     pub node_vars: Vec<SlotVars>,
@@ -470,19 +471,12 @@ pub(crate) fn emit_skeleton(
     let node_vars: Vec<SlotVars> = pfg
         .nodes
         .iter()
-        .map(|n| {
-            let states = ctx.states_of(n.type_name.as_deref());
-            SlotVars::alloc(g, &format!("{}:n{}", pfg.method, n.id), &states)
-        })
+        .map(|n| SlotVars::alloc(g, &ctx.states_of(n.type_name.as_deref())))
         .collect();
     let edge_vars: Vec<SlotVars> = pfg
         .edges
         .iter()
-        .enumerate()
-        .map(|(i, (a, _))| {
-            let states = ctx.states_of(pfg.nodes[*a].type_name.as_deref());
-            SlotVars::alloc(g, &format!("{}:e{i}", pfg.method, i = i), &states)
-        })
+        .map(|(a, _)| SlotVars::alloc(g, &ctx.states_of(pfg.nodes[*a].type_name.as_deref())))
         .collect();
 
     for slot in node_vars.iter().chain(edge_vars.iter()) {
@@ -674,8 +668,8 @@ pub(crate) fn emit_skeleton(
             tag!(g, FactorFamily::FaultNaN);
         }
     }
-    for i in 0..cfg.faults.oversize_extra(&pfg.method) {
-        g.add_var(format!("{}:fault-pad{i}", pfg.method));
+    for _ in 0..cfg.faults.oversize_extra(&pfg.method) {
+        g.add_var();
     }
     debug_assert_eq!(families.len(), g.num_factors() - base);
 

@@ -138,40 +138,47 @@ fn skeleton_resolve_equals_fresh_model_rebuild_bit_for_bit() {
             let spec = spec_of_method(m).unwrap_or_default();
             let pfg = Pfg::build(&index, &api, &t.name, m);
 
-            // Incremental path: compiled skeleton + stamped dynamic priors.
-            let skeleton = anek_core::MethodSkeleton::build(
-                ctx,
-                Arc::new(Pfg::build(&index, &api, &t.name, m)),
-                &spec,
-                m.is_constructor(),
-                &cfg,
-            );
-            let extras = skeleton.stamp(ctx, &result.summaries, &[]);
-            let incremental = skeleton.solve(&extras, &cfg);
+            // Incremental path: compiled skeleton + stamped dynamic priors,
+            // built twice — a solve rebuilds its skeleton, and the second
+            // build takes every table and fold program from the first's.
+            let stamped = || {
+                let skeleton = anek_core::MethodSkeleton::build(
+                    ctx,
+                    Arc::new(Pfg::build(&index, &api, &t.name, m)),
+                    &spec,
+                    m.is_constructor(),
+                    &cfg,
+                );
+                let extras = skeleton.stamp(ctx, &result.summaries, &[]);
+                skeleton.solve(&extras, &cfg)
+            };
+            let (first, second) = (stamped(), stamped());
 
             // Fresh path: rebuild the whole model and solve its graph.
             let model =
                 MethodModel::build(ctx, pfg, &spec, m.is_constructor(), &result.summaries, &cfg);
             let fresh = model.graph.solve(&cfg.bp);
 
-            assert_eq!(
-                incremental.as_slice().len(),
-                fresh.as_slice().len(),
-                "{}.{}: variable counts differ",
-                t.name,
-                m.name
-            );
-            for (i, (a, b)) in incremental.as_slice().iter().zip(fresh.as_slice()).enumerate() {
+            for (build, incremental) in [("first", &first), ("second", &second)] {
                 assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "{}.{} var {i}: incremental {a:e} != fresh {b:e}",
+                    incremental.as_slice().len(),
+                    fresh.as_slice().len(),
+                    "{}.{} ({build} build): variable counts differ",
                     t.name,
                     m.name
                 );
+                for (i, (a, b)) in incremental.as_slice().iter().zip(fresh.as_slice()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{}.{} var {i} ({build} build): incremental {a:e} != fresh {b:e}",
+                        t.name,
+                        m.name
+                    );
+                }
+                assert_eq!(incremental.iterations, fresh.iterations);
+                assert_eq!(incremental.converged, fresh.converged);
             }
-            assert_eq!(incremental.iterations, fresh.iterations);
-            assert_eq!(incremental.converged, fresh.converged);
         }
     }
 }

@@ -1,14 +1,18 @@
 //! Micro-benchmarks of the pipeline components: lexing/parsing, PFG
-//! construction, belief propagation, checking and Gaussian elimination.
+//! construction, model skeleton builds, belief propagation, checking and
+//! Gaussian elimination.
 //! Runs on the in-tree [`bench::microbench`] harness (no Criterion in the
 //! offline build).
 
 use anek::analysis::{Pfg, ProgramIndex};
+use anek::anek_core::{merged_states, InferConfig, MethodSkeleton, ModelCtx};
 use anek::factor_graph::{BpOptions, CompiledGraph, Factor, FactorGraph};
+use anek::java_syntax::CompilationUnit;
 use anek::plural::{check, local_infer_pfg, SpecTable};
-use anek::spec_lang::standard_api;
+use anek::spec_lang::{spec_of_method, standard_api};
 use bench::microbench::Bench;
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn bench_parser(b: &mut Bench) {
     let src = corpus::FIGURE3;
@@ -31,10 +35,42 @@ fn bench_pfg(b: &mut Bench) {
     });
 }
 
+/// One `MethodSkeleton::build` per bodied method of the small corpus: the
+/// model emission and compile a worklist solve pays on a store miss. The
+/// PFGs are built once, outside the timed loop.
+fn bench_skeleton(b: &mut Bench) {
+    let corpus = corpus::generator::generate(&corpus::PmdConfig::small());
+    let api = standard_api();
+    let index = ProgramIndex::build(corpus.units.iter());
+    let states = merged_states(&corpus.units, &api);
+    let ctx = ModelCtx { index: &index, api: &api, states: &states };
+    let cfg = InferConfig::default();
+    let methods: Vec<_> = corpus
+        .units
+        .iter()
+        .flat_map(CompilationUnit::methods)
+        .filter(|(_, m)| m.body.is_some())
+        .map(|(t, m)| {
+            let pfg = Arc::new(Pfg::build(&index, &api, &t.name, m));
+            (pfg, spec_of_method(m).unwrap_or_default(), m.is_constructor())
+        })
+        .collect();
+    b.bench_function("skeleton_build_small_corpus", || {
+        methods
+            .iter()
+            .map(|(pfg, spec, ctor)| {
+                MethodSkeleton::build(ctx, Arc::clone(pfg), spec, *ctor, &cfg)
+                    .compiled()
+                    .num_edges()
+            })
+            .sum::<usize>()
+    });
+}
+
 fn bench_bp(b: &mut Bench) {
     // A representative loopy graph: 30-variable cycle with priors.
     let mut g = FactorGraph::new();
-    let vars: Vec<_> = (0..30).map(|i| g.add_var(format!("v{i}"))).collect();
+    let vars: Vec<_> = (0..30).map(|_| g.add_var()).collect();
     for (i, v) in vars.iter().enumerate() {
         if i % 5 == 0 {
             g.add_factor(Factor::unary(*v, 0.9));
@@ -54,7 +90,7 @@ fn bench_bp(b: &mut Bench) {
     });
 
     let mut g = FactorGraph::new();
-    let vars: Vec<_> = (0..16).map(|i| g.add_var(format!("v{i}"))).collect();
+    let vars: Vec<_> = (0..16).map(|_| g.add_var()).collect();
     for w in vars.windows(2) {
         g.add_factor(Factor::soft(vec![w[0], w[1]], 0.8, |x| x[0] == x[1]));
     }
@@ -85,6 +121,7 @@ fn main() {
     let mut b = Bench::new("components");
     bench_parser(&mut b);
     bench_pfg(&mut b);
+    bench_skeleton(&mut b);
     bench_bp(&mut b);
     bench_checker(&mut b);
     bench_gaussian(&mut b);

@@ -110,10 +110,12 @@ impl Marginals {
 /// A factor graph over Bernoulli variables.
 ///
 /// Build it by interleaving [`FactorGraph::add_var`] and
-/// [`FactorGraph::add_factor`], then call one of the solvers.
+/// [`FactorGraph::add_factor`], then call one of the solvers. Variables are
+/// numbered, not named: a graph is a transient build product, and what a
+/// variable stands for is the builder's to record.
 #[derive(Debug, Clone, Default)]
 pub struct FactorGraph {
-    names: Vec<String>,
+    n_vars: usize,
     factors: Vec<Factor>,
 }
 
@@ -123,23 +125,18 @@ impl FactorGraph {
         FactorGraph::default()
     }
 
-    /// Adds a variable with a diagnostic name, returning its id. Variables
-    /// start with a uniform (uninformative) prior; add a
-    /// [`Factor::unary`] to encode a prior belief (paper §3.2).
-    pub fn add_var(&mut self, name: impl Into<String>) -> VarId {
-        let id = VarId(self.names.len() as u32);
-        self.names.push(name.into());
+    /// Adds a variable, returning its id. Variables start with a uniform
+    /// (uninformative) prior; add a [`Factor::unary`] to encode a prior
+    /// belief (paper §3.2).
+    pub fn add_var(&mut self) -> VarId {
+        let id = VarId(self.n_vars as u32);
+        self.n_vars += 1;
         id
-    }
-
-    /// The diagnostic name of a variable.
-    pub fn var_name(&self, var: VarId) -> &str {
-        &self.names[var.0 as usize]
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
-        self.names.len()
+        self.n_vars
     }
 
     /// Number of factors.
@@ -154,7 +151,7 @@ impl FactorGraph {
     /// Panics if the factor references a variable not in this graph.
     pub fn add_factor(&mut self, factor: Factor) {
         for v in factor.scope() {
-            assert!((v.0 as usize) < self.names.len(), "factor references unknown variable {v}");
+            assert!((v.0 as usize) < self.n_vars, "factor references unknown variable {v}");
         }
         self.factors.push(factor);
     }
@@ -194,7 +191,7 @@ impl FactorGraph {
     /// Panics if the graph has more than 24 variables — enumeration is
     /// `O(2^n)` and only intended for validation on small graphs.
     pub fn solve_exact(&self) -> Marginals {
-        let n = self.names.len();
+        let n = self.n_vars;
         assert!(n <= 24, "exact enumeration limited to 24 variables, got {n}");
         let mut weight_true = vec![0.0f64; n];
         let mut total = 0.0f64;
@@ -245,7 +242,7 @@ mod tests {
     #[test]
     fn single_prior_is_returned_exactly() {
         let mut g = FactorGraph::new();
-        let x = g.add_var("x");
+        let x = g.add_var();
         g.add_factor(Factor::unary(x, 0.9));
         let m = g.solve(&BpOptions::default());
         assert!(close(m.prob(x), 0.9, 1e-9));
@@ -257,8 +254,8 @@ mod tests {
     fn soft_equality_pulls_towards_evidence() {
         // x has prior 0.9; y tied to x with strength 0.8.
         let mut g = FactorGraph::new();
-        let x = g.add_var("x");
-        let y = g.add_var("y");
+        let x = g.add_var();
+        let y = g.add_var();
         g.add_factor(Factor::unary(x, 0.9));
         g.add_factor(Factor::soft(vec![x, y], 0.8, |a| a[0] == a[1]));
         let exact = g.solve_exact();
@@ -273,7 +270,7 @@ mod tests {
     fn bp_matches_exact_on_chain() {
         // x0 -(0.9)- x1 -(0.9)- x2 with prior on x0.
         let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..3).map(|i| g.add_var(format!("x{i}"))).collect();
+        let xs: Vec<_> = (0..3).map(|_| g.add_var()).collect();
         g.add_factor(Factor::unary(xs[0], 0.95));
         for w in xs.windows(2) {
             g.add_factor(Factor::soft(vec![w[0], w[1]], 0.9, |a| a[0] == a[1]));
@@ -291,7 +288,7 @@ mod tests {
         // The paper's key scenario (§1): one constraint says HASNEXT, many
         // say ALIVE. Model one variable pulled both ways.
         let mut g = FactorGraph::new();
-        let x = g.add_var("state_is_hasnext");
+        let x = g.add_var();
         g.add_factor(Factor::unary(x, 0.9)); // the buggy call site
         for _ in 0..4 {
             g.add_factor(Factor::unary(x, 0.1)); // the consistent sites
@@ -306,7 +303,7 @@ mod tests {
     fn loopy_graph_stays_bounded_and_close() {
         // A 4-cycle of soft equalities with one informative prior.
         let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..4).map(|i| g.add_var(format!("x{i}"))).collect();
+        let xs: Vec<_> = (0..4).map(|_| g.add_var()).collect();
         g.add_factor(Factor::unary(xs[0], 0.9));
         for i in 0..4 {
             let a = xs[i];
@@ -328,7 +325,7 @@ mod tests {
     fn exactly_one_style_factor() {
         // Soft one-hot over 3 vars plus a strong prior on var 0.
         let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..3).map(|i| g.add_var(format!("k{i}"))).collect();
+        let xs: Vec<_> = (0..3).map(|_| g.add_var()).collect();
         g.add_factor(Factor::soft(xs.clone(), 0.95, |a| a.iter().filter(|b| **b).count() == 1));
         g.add_factor(Factor::unary(xs[0], 0.9));
         let m = g.solve_exact();
@@ -340,8 +337,8 @@ mod tests {
     #[test]
     fn zero_potential_assignments_are_excluded() {
         let mut g = FactorGraph::new();
-        let x = g.add_var("x");
-        let y = g.add_var("y");
+        let x = g.add_var();
+        let y = g.add_var();
         // Hard XOR via from_fn (0 potential on violating rows).
         g.add_factor(Factor::from_fn(vec![x, y], |a| if a[0] != a[1] { 1.0 } else { 0.0 }));
         g.add_factor(Factor::unary(x, 0.9));
@@ -352,8 +349,8 @@ mod tests {
     #[test]
     fn unconstrained_variable_is_uniform() {
         let mut g = FactorGraph::new();
-        let x = g.add_var("x");
-        let y = g.add_var("y");
+        let x = g.add_var();
+        let y = g.add_var();
         g.add_factor(Factor::unary(x, 0.7));
         g.add_factor(Factor::unary(y, 0.5));
         let m = g.solve(&BpOptions::default());
@@ -361,18 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn var_names_are_kept() {
-        let mut g = FactorGraph::new();
-        let x = g.add_var("PRE original unique");
-        assert_eq!(g.var_name(x), "PRE original unique");
-        assert_eq!(g.num_vars(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "unknown variable")]
     fn foreign_variable_rejected() {
         let mut g = FactorGraph::new();
-        let _x = g.add_var("x");
+        let _x = g.add_var();
         g.add_factor(Factor::unary(VarId(5), 0.5));
     }
 }

@@ -37,9 +37,10 @@
 //! each fold is hash-consed on its two operands and its scope position, so
 //! a fold over equal operands is computed once: the 1,024-entry L1-split
 //! table of the paper's Eq. 2 needs 247 folds instead of 3,048. A program
-//! depends only on the table's bits, so each distinct table's program is
-//! built once per process and shared by every factor and graph with an
-//! equal table. Unary and pairwise factors fold straight from their rows,
+//! lives with its [`Table`](crate::Table): it is built at the first
+//! compile that needs it and shared by every factor and graph holding that
+//! table, so a caller that tabulates each distinct table once builds each
+//! program once. Unary and pairwise factors fold straight from their rows,
 //! with the same arithmetic. The kernel computes marginals only
 //! ([`CompiledGraph::solve`]): sum-product, the paper's Eq. 4–6.
 //!
@@ -67,7 +68,7 @@
 //! recycled instead of reallocated per solve.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::Arc;
 
 use crate::factor::VarId;
 use crate::graph::{BpOptions, FactorGraph, GuardEvents, Marginals};
@@ -76,11 +77,12 @@ use crate::graph::{BpOptions, FactorGraph, GuardEvents, Marginals};
 ///
 /// The compiled graph holds every potential the solver reads, once: the
 /// rows of the unary and pairwise factors, and one shared fold program
-/// per distinct wider table. Compilation is one linear pass plus a lookup
-/// of each wide table's program; callers that solve the same graph
-/// repeatedly — possibly with different stamped extras — should compile
-/// once, drop the [`FactorGraph`], and reuse the compiled graph (and hand
-/// the solver a recycled [`Scratch`]).
+/// per distinct wider [`Table`](crate::Table). Compilation is one linear
+/// pass that copies the small rows and takes each wide table's program
+/// from the table; callers that solve the same graph repeatedly — possibly
+/// with different stamped extras — should compile once, drop the
+/// [`FactorGraph`], and reuse the compiled graph (and hand the solver a
+/// recycled [`Scratch`]).
 #[derive(Debug, Clone)]
 pub struct CompiledGraph {
     n_vars: usize,
@@ -92,7 +94,8 @@ pub struct CompiledGraph {
     f_table: Vec<u32>,
     /// The rows of the unary and pairwise factors, concatenated.
     tables: Vec<f64>,
-    /// The graph's distinct fold programs, in order of first use.
+    /// The fold programs of the graph's distinct wide tables, in order of
+    /// first use.
     programs: Vec<Arc<FoldProgram>>,
     /// Per edge: the variable it connects.
     edge_var: Vec<u32>,
@@ -129,7 +132,7 @@ struct Fold {
 /// key is the same float operation on the same operands, so each message
 /// keeps its bits; only the work shrinks.
 #[derive(Debug)]
-struct FoldProgram {
+pub(crate) struct FoldProgram {
     leaves: Vec<f64>,
     folds: Vec<Fold>,
     /// Per target, from the top scope position down: the slots of its
@@ -140,7 +143,7 @@ struct FoldProgram {
 impl FoldProgram {
     /// The program of an arity-`n` table (`1 << n` cells, bit `j` of a
     /// cell index the value of scope position `j`).
-    fn build(table: &[f64], n: usize) -> FoldProgram {
+    pub(crate) fn build(table: &[f64], n: usize) -> FoldProgram {
         let mut leaves = Vec::new();
         let mut leaf_slot: HashMap<u64, u32> = HashMap::new();
         // The table folded over every position above the current target.
@@ -178,24 +181,6 @@ impl FoldProgram {
             }
         }
         FoldProgram { leaves, folds, targets }
-    }
-
-    /// The shared program of `table`, built on its first use in this
-    /// process.
-    ///
-    /// Programs are memoized by the table's bits: models draw their wide
-    /// factors from a few (predicate, strength) pairs, so a handful of
-    /// programs serves every graph, and a graph's construction pays a
-    /// lookup instead of a build. The memo only grows.
-    fn shared(table: &[f64], n: usize) -> Arc<FoldProgram> {
-        type Memo = Mutex<HashMap<Box<[u64]>, Arc<FoldProgram>>>;
-        static MEMO: OnceLock<Memo> = OnceLock::new();
-        let bits: Box<[u64]> = table.iter().map(|c| c.to_bits()).collect();
-        // A panic while the lock is held (in `build`) happens before the
-        // insert, so a poisoned memo is still a valid one.
-        let mut memo =
-            MEMO.get_or_init(Mutex::default).lock().unwrap_or_else(PoisonError::into_inner);
-        Arc::clone(memo.entry(bits).or_insert_with(|| Arc::new(FoldProgram::build(table, n))))
     }
 
     /// Runs the program against a factor's incoming message pairs (pair
@@ -380,11 +365,11 @@ impl CompiledGraph {
                 f_table.push(tables.len() as u32);
                 tables.extend_from_slice(table);
             } else {
-                let program = FoldProgram::shared(table, n);
-                let at = match programs.iter().position(|p| Arc::ptr_eq(p, &program)) {
+                let program = f.shared_table().program();
+                let at = match programs.iter().position(|p| Arc::ptr_eq(p, program)) {
                     Some(at) => at,
                     None => {
-                        programs.push(program);
+                        programs.push(Arc::clone(program));
                         programs.len() - 1
                     }
                 };
@@ -716,11 +701,11 @@ pub enum BeliefTerm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factor::Factor;
+    use crate::factor::{Factor, Table};
 
     fn loopy_fixture() -> FactorGraph {
         let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..6).map(|i| g.add_var(format!("x{i}"))).collect();
+        let xs: Vec<_> = (0..6).map(|_| g.add_var()).collect();
         g.add_factor(Factor::unary(xs[0], 0.9));
         g.add_factor(Factor::unary(xs[3], 0.2));
         for i in 0..6 {
@@ -798,7 +783,7 @@ mod tests {
                 ms[at] = *rng.pick(&[1e-300, 1.0 - 1e-16]);
             }
             let mut g = FactorGraph::new();
-            let scope = (0..n).map(|i| g.add_var(format!("x{i}"))).collect();
+            let scope = (0..n).map(|_| g.add_var()).collect();
             g.add_factor(Factor::from_raw_parts(scope, table.clone()));
             let compiled = CompiledGraph::compile(&g);
             let mut local = vec![0.0; 2 * n];
@@ -814,31 +799,39 @@ mod tests {
         });
     }
 
-    /// The per-edge weakening factor of the paper's Eq. 2 over a node's
-    /// five kind variables and an edge's five (kinds ordered unique, full,
+    /// The per-edge weakening table of the paper's Eq. 2 over a node's five
+    /// kind variables and an edge's five (kinds ordered unique, full,
     /// immutable, share, pure): each kind the node holds must weaken to a
     /// kind the edge holds, unless the edge holds none.
-    fn l1_split(scope: Vec<VarId>, h: f64) -> Factor {
+    fn l1_split(h: f64) -> Arc<Table> {
         // Per node kind, the edge kinds it may weaken to, as a bit mask.
         const WEAKENS: [u32; 5] = [0b11111, 0b11110, 0b10100, 0b11000, 0b10000];
-        Factor::soft(scope, h, |a| {
+        Arc::new(Table::soft(10, h, |a| {
             let edge = (0..5).filter(|&j| a[5 + j]).fold(0, |m, j| m | 1 << j);
             edge == 0 || (0..5).all(|i| !a[i] || WEAKENS[i] & edge != 0)
-        })
+        }))
     }
 
     #[test]
-    fn equal_tables_share_one_program() {
-        let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..15).map(|i| g.add_var(format!("x{i}"))).collect();
-        g.add_factor(l1_split(xs[..10].to_vec(), 0.98));
-        g.add_factor(l1_split(xs[5..].to_vec(), 0.98));
-        g.add_factor(l1_split([&xs[..5], &xs[10..]].concat(), 0.9));
+    fn shared_tables_share_one_program() {
+        let (strong, weak) = (l1_split(0.98), l1_split(0.9));
+        let build = || {
+            let mut g = FactorGraph::new();
+            let xs: Vec<_> = (0..15).map(|_| g.add_var()).collect();
+            g.add_factor(Factor::new(xs[..10].to_vec(), Arc::clone(&strong)));
+            g.add_factor(Factor::new(xs[5..].to_vec(), Arc::clone(&strong)));
+            g.add_factor(Factor::new([&xs[..5], &xs[10..]].concat(), Arc::clone(&weak)));
+            g
+        };
+        let g = build();
         let compiled = CompiledGraph::compile(&g);
         assert_eq!(compiled.programs.len(), 2, "one program per distinct table");
         assert_eq!(compiled.f_table, [0, 0, 1]);
         let folds = compiled.programs[0].folds.len();
         assert!(folds < 300, "the L1-split table takes {folds} folds");
+        // A second graph over the same tables reuses their programs.
+        let again = CompiledGraph::compile(&build());
+        assert!(again.programs.iter().zip(&compiled.programs).all(|(a, b)| Arc::ptr_eq(a, b)));
 
         let mut rng = prng::Rng::new(16);
         let mut vals = Vec::new();
@@ -876,7 +869,7 @@ mod tests {
         // An evidence-free soft one-hot group: all members must stay at
         // their common symmetric marginal, bit for bit.
         let mut g = FactorGraph::new();
-        let xs: Vec<_> = (0..4).map(|i| g.add_var(format!("k{i}"))).collect();
+        let xs: Vec<_> = (0..4).map(|_| g.add_var()).collect();
         g.add_factor(Factor::soft(xs.clone(), 0.9, |a| a.iter().filter(|b| **b).count() == 1));
         let m = g.solve(&BpOptions::default());
         let p0 = m.prob(xs[0]);

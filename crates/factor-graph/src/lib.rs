@@ -13,8 +13,8 @@
 //! use factor_graph::{BpOptions, Factor, FactorGraph};
 //!
 //! let mut g = FactorGraph::new();
-//! let x = g.add_var("x");
-//! let y = g.add_var("y");
+//! let x = g.add_var();
+//! let y = g.add_var();
 //! g.add_factor(Factor::unary(x, 0.9));                       // prior belief
 //! g.add_factor(Factor::soft(vec![x, y], 0.8, |a| a[0] == a[1])); // soft equality
 //! let m = g.solve(&BpOptions::default());
@@ -27,6 +27,6 @@ pub mod factor;
 pub mod graph;
 pub mod kernel;
 
-pub use factor::{Factor, VarId, MAX_SCOPE};
+pub use factor::{Factor, Table, VarId, MAX_SCOPE};
 pub use graph::{BpOptions, FactorGraph, GuardEvents, Marginals};
 pub use kernel::{BeliefTerm, CompiledGraph, Scratch};

@@ -12,8 +12,8 @@ use factor_graph::{BpOptions, Factor, FactorGraph};
 #[test]
 fn all_zero_factor_table_yields_uniform_marginals() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
-    let b = g.add_var("b");
+    let a = g.add_var();
+    let b = g.add_var();
     // A pairwise factor with zero mass everywhere: every message it emits
     // sums to zero and must be clamped, not divided by.
     g.add_factor(Factor::from_raw_parts(vec![a, b], vec![0.0, 0.0, 0.0, 0.0]));
@@ -30,7 +30,7 @@ fn all_zero_factor_table_yields_uniform_marginals() {
 #[test]
 fn nan_factor_table_is_clamped_and_counted() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
+    let a = g.add_var();
     g.add_factor(Factor::from_raw_parts(vec![a], vec![f64::NAN, f64::NAN]));
     g.add_factor(Factor::unary(a, 0.8));
     let m = g.solve(&BpOptions::default());
@@ -45,7 +45,7 @@ fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
     for n in 1..=12 {
         for (what, cell) in [("all-zero", 0.0), ("NaN", f64::NAN)] {
             let mut g = FactorGraph::new();
-            let scope: Vec<_> = (0..n).map(|i| g.add_var(format!("x{i}"))).collect();
+            let scope: Vec<_> = (0..n).map(|_| g.add_var()).collect();
             g.add_factor(Factor::from_raw_parts(scope.clone(), vec![cell; 1 << n]));
             g.add_factor(Factor::unary(scope[0], 0.8));
             let m = g.solve(&BpOptions::default());
@@ -59,8 +59,8 @@ fn degenerate_tables_are_clamped_and_counted_at_every_arity() {
 #[test]
 fn healthy_graph_reports_zero_guard_events() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
-    let b = g.add_var("b");
+    let a = g.add_var();
+    let b = g.add_var();
     g.add_factor(Factor::unary(a, 0.9));
     g.add_factor(Factor::from_fn(vec![a, b], |bits| if bits[0] == bits[1] { 0.9 } else { 0.1 }));
     let m = g.solve(&BpOptions::default());
@@ -74,9 +74,9 @@ fn guards_do_not_change_healthy_marginals() {
     // exact enumeration solver to BP-tree accuracy, proving the guard
     // branch left the arithmetic untouched.
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
-    let b = g.add_var("b");
-    let c = g.add_var("c");
+    let a = g.add_var();
+    let b = g.add_var();
+    let c = g.add_var();
     g.add_factor(Factor::unary(a, 0.7));
     g.add_factor(Factor::from_fn(vec![a, b], |bits| if bits[0] == bits[1] { 0.8 } else { 0.2 }));
     g.add_factor(Factor::from_fn(vec![b, c], |bits| if bits[0] == bits[1] { 0.6 } else { 0.4 }));
@@ -97,7 +97,7 @@ fn guards_do_not_change_healthy_marginals() {
 fn update_budget_caps_work_deterministically() {
     // A frustrated loop that needs many sweeps to settle.
     let mut g = FactorGraph::new();
-    let vars: Vec<_> = (0..6).map(|i| g.add_var(format!("v{i}"))).collect();
+    let vars: Vec<_> = (0..6).map(|_| g.add_var()).collect();
     for i in 0..6 {
         let (x, y) = (vars[i], vars[(i + 1) % 6]);
         g.add_factor(Factor::from_fn(
@@ -126,7 +126,7 @@ fn update_budget_caps_work_deterministically() {
 #[test]
 fn zero_update_budget_returns_priors_without_panic() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
+    let a = g.add_var();
     g.add_factor(Factor::unary(a, 0.9));
     let m = g.solve(&BpOptions { update_budget: Some(0), ..BpOptions::default() });
     assert!(m.prob(a).is_finite());

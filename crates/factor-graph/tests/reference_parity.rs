@@ -116,7 +116,7 @@ mod reference {
 /// wider soft constraints, in interleaved insertion order.
 fn random_graph(rng: &mut Rng, n_vars: usize, n_factors: usize) -> FactorGraph {
     let mut g = FactorGraph::new();
-    let vars: Vec<VarId> = (0..n_vars).map(|i| g.add_var(format!("v{i}"))).collect();
+    let vars: Vec<VarId> = (0..n_vars).map(|_| g.add_var()).collect();
     for _ in 0..n_factors {
         match rng.gen_index(0..4) {
             0 => {
@@ -252,13 +252,13 @@ const WIDE: [(Predicate, f64); 4] = [
 /// already in the tree to fresh ones.
 fn random_factor_tree(rng: &mut Rng, n_factors: usize) -> FactorGraph {
     let mut g = FactorGraph::new();
-    let mut vars = vec![g.add_var("r")];
+    let mut vars = vec![g.add_var()];
     for _ in 0..n_factors {
         let anchor = *rng.pick(&vars);
         match rng.gen_index(0..3) {
             0 => g.add_factor(Factor::unary(anchor, 0.05 + 0.9 * rng.gen_f64())),
             1 => {
-                let v = g.add_var(format!("v{}", vars.len()));
+                let v = g.add_var();
                 vars.push(v);
                 let h = 0.55 + 0.44 * rng.gen_f64();
                 g.add_factor(Factor::soft(vec![anchor, v], h, |x| x[0] == x[1]));
@@ -266,7 +266,7 @@ fn random_factor_tree(rng: &mut Rng, n_factors: usize) -> FactorGraph {
             _ => {
                 let mut scope = vec![anchor];
                 for _ in 1..rng.gen_index(3..7) {
-                    let v = g.add_var(format!("v{}", vars.len()));
+                    let v = g.add_var();
                     vars.push(v);
                     scope.push(v);
                 }
@@ -316,7 +316,7 @@ fn shared_tables_match_reference_on_factor_trees() {
 /// A random tree: each variable links to one earlier variable.
 fn random_tree(rng: &mut Rng, n_vars: usize) -> FactorGraph {
     let mut g = FactorGraph::new();
-    let vars: Vec<VarId> = (0..n_vars).map(|i| g.add_var(format!("t{i}"))).collect();
+    let vars: Vec<VarId> = (0..n_vars).map(|_| g.add_var()).collect();
     g.add_factor(Factor::unary(vars[0], 0.05 + 0.9 * rng.gen_f64()));
     for i in 1..n_vars {
         let parent = vars[rng.gen_index(0..i)];

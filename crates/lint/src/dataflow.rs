@@ -1,7 +1,8 @@
 //! A generic monotone dataflow framework over the event CFG.
 //!
-//! Analyses implement [`Analysis`]: a lattice of facts with a join, plus
-//! transfer functions over [`Event`]s and [`Terminator`]s. [`solve`] runs a
+//! Analyses implement [`Analysis`]: a lattice of facts with a join, a
+//! transfer function over [`Event`]s and a refinement of branch edges.
+//! [`solve`] runs a
 //! forward worklist from the entry block to the least fixpoint, with an
 //! iteration cap acting as a widening guard against non-monotone (buggy)
 //! transfer functions. The solver's result is independent of worklist order
@@ -29,9 +30,6 @@ pub trait Analysis {
     /// Transfers one event, in execution order.
     fn transfer_event(&self, fact: &mut Self::Fact, event: &Event);
 
-    /// Transfers a block terminator (e.g. the operand use of `return x;`).
-    fn transfer_term(&self, _fact: &mut Self::Fact, _term: &Terminator) {}
-
     /// Refines the fact flowing along a branch edge. `taken` is true on the
     /// then-edge. Defaults to a clone (no refinement).
     fn flow_branch(&self, fact: &Self::Fact, _test: &BranchTest, _taken: bool) -> Self::Fact {
@@ -42,8 +40,6 @@ pub trait Analysis {
 /// Solver bookkeeping, reported alongside the facts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SolveStats {
-    /// Number of block transfers performed.
-    pub transfers: usize,
     /// Whether the widening guard tripped (the fixpoint was *not* reached —
     /// a transfer function is non-monotone or the lattice has an infinite
     /// ascending chain).
@@ -92,7 +88,7 @@ pub fn solve_with_seed<A: Analysis>(
     }
     let mut rng_state = seed.unwrap_or(0);
     let mut visits = vec![0usize; n];
-    let mut stats = SolveStats { transfers: 0, widened: false };
+    let mut stats = SolveStats { widened: false };
 
     while !worklist.is_empty() {
         let idx = match seed {
@@ -113,14 +109,10 @@ pub fn solve_with_seed<A: Analysis>(
             stats.widened = true;
             continue;
         }
-        stats.transfers += 1;
 
         let mut fact = start[b].clone();
         for e in &cfg.blocks[b].events {
             analysis.transfer_event(&mut fact, e);
-        }
-        if let Some(t) = &cfg.blocks[b].term {
-            analysis.transfer_term(&mut fact, t);
         }
         end[b] = fact;
         for (succ, refined) in forward_edges(analysis, cfg, b, &end[b]) {

@@ -114,8 +114,8 @@ fn pfg_cycle_not_through_merge_is_caught() {
 #[test]
 fn factor_table_length_mismatch_is_caught() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
-    let b = g.add_var("b");
+    let a = g.add_var();
+    let b = g.add_var();
     // A 2-variable factor needs 4 entries; hand it 3.
     g.push_factor_unchecked(Factor::from_raw_parts(vec![a, b], vec![0.5, 0.5, 0.5]));
     let diags = verify_factor_graph(&g, "m");
@@ -128,7 +128,7 @@ fn factor_table_length_mismatch_is_caught() {
 #[test]
 fn factor_bad_entries_and_scopes_are_caught() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
+    let a = g.add_var();
     // Negative potential.
     g.push_factor_unchecked(Factor::from_raw_parts(vec![a], vec![-1.0, 0.5]));
     // Duplicate variable in scope.
@@ -144,8 +144,8 @@ fn factor_bad_entries_and_scopes_are_caught() {
 #[test]
 fn well_formed_factor_graph_is_clean() {
     let mut g = FactorGraph::new();
-    let a = g.add_var("a");
-    let b = g.add_var("b");
+    let a = g.add_var();
+    let b = g.add_var();
     g.add_factor(Factor::from_fn(vec![a, b], |vals| if vals[0] == vals[1] { 0.9 } else { 0.1 }));
     assert!(verify_factor_graph(&g, "m").is_empty());
 }

@@ -5,18 +5,18 @@
 //! finite lattice.
 
 use analysis::cfg::{Block, BlockId, Cfg, Terminator};
-use analysis::events::Event;
-use java_syntax::Span;
+use analysis::events::{Event, EventKind, Operand, Place};
+use java_syntax::{ExprId, Span};
 use lint::{solve, solve_with_seed, Analysis};
 use prng::{forall, Rng};
 use std::collections::BTreeSet;
 
 /// A random gen/kill bit-vector analysis. The `Analysis` transfers see only
-/// events and terminators (not block ids), so the gen/kill table is keyed
-/// off the terminator's shape — deterministic per block, since a block's
-/// terminator never changes during a solve.
+/// events (not block ids), so every generated block holds one synthetic
+/// event whose `id` is the block's index, and the gen/kill table is keyed
+/// off that id.
 struct GenKill {
-    /// (gen, kill) per terminator-shape bucket.
+    /// (gen, kill) per block, indexed by its event's id.
     tables: Vec<(BTreeSet<u8>, BTreeSet<u8>)>,
 }
 
@@ -93,20 +93,11 @@ impl Analysis for GenKill {
             }
         }
     }
-    fn transfer_event(&self, _fact: &mut Self::Fact, _event: &Event) {}
-    fn transfer_term(&self, fact: &mut Self::Fact, term: &Terminator) {
-        // Key the gen/kill table off the terminator's shape: the first
-        // target of the terminator indexes the table. Deterministic per
-        // block (a block's terminator never changes), monotone (gen/kill
-        // over a powerset), and independent of solve order.
-        let key = match term {
-            Terminator::Goto(t) => *t,
-            Terminator::Branch { then_blk, .. } => *then_blk,
-            Terminator::Return(_) => 0,
-            Terminator::Exit => 1,
-        } % self.tables.len();
+    fn transfer_event(&self, fact: &mut Self::Fact, event: &Event) {
+        // Monotone (gen/kill over a powerset), and a function of the block
+        // alone, so independent of solve order.
         if let Some(set) = fact.as_mut() {
-            let (gen, kill) = &self.tables[key];
+            let (gen, kill) = &self.tables[event.id.0 as usize];
             for k in kill {
                 set.remove(k);
             }
@@ -116,10 +107,11 @@ impl Analysis for GenKill {
 }
 
 /// A random CFG: entry 0, exit 1, plus `extra` inner blocks with random
-/// Goto/Branch/Return terminators. All blocks sealed; events empty.
+/// Goto/Branch/Return terminators. All blocks sealed; each holds one
+/// synthetic event whose id is the block's index.
 fn random_cfg(rng: &mut Rng, extra: usize) -> Cfg {
     let n = extra + 2;
-    let mk = |term| Block { events: vec![], term: Some(term), span: Span::DUMMY };
+    let mk = |term| Block { events: Vec::new(), term: Some(term), span: Span::DUMMY };
     let inner = |rng: &mut Rng| 2 + rng.gen_index(0..extra.max(1)) % extra.max(1);
     let mut blocks = Vec::with_capacity(n);
     // Entry jumps somewhere (or straight to a return when there are no
@@ -138,6 +130,11 @@ fn random_cfg(rng: &mut Rng, extra: usize) -> Cfg {
             _ => Terminator::Goto(inner(rng)),
         };
         blocks.push(mk(t));
+    }
+    for (b, block) in blocks.iter_mut().enumerate() {
+        let target = Operand { place: Place::This, type_name: None };
+        let kind = EventKind::Sync { target };
+        block.events.push(Event { id: ExprId(b as u32), span: Span::DUMMY, kind });
     }
     Cfg { blocks, entry: 0, exit: 1 }
 }
@@ -170,8 +167,8 @@ fn solution_is_a_true_fixpoint() {
         // fact, and every successor's entry must already absorb it.
         for b in cfg.reachable() {
             let mut fact = sol.entry[b].clone();
-            if let Some(t) = &cfg.blocks[b].term {
-                analysis.transfer_term(&mut fact, t);
+            for e in &cfg.blocks[b].events {
+                analysis.transfer_event(&mut fact, e);
             }
             assert_eq!(fact, sol.exit[b], "block {b} not at fixpoint");
             for s in cfg.successors(b) {

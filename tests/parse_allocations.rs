@@ -1,5 +1,5 @@
 //! Parsing allocates what the AST keeps and almost nothing else, and the
-//! AST keeps little.
+//! AST keeps little; inference holds one method's model at a time.
 //!
 //! A counting global allocator (per thread, so the harness's own threads
 //! do not disturb it) counts the blocks `java_syntax::parse` allocates and
@@ -10,11 +10,16 @@
 //! extra block. A block that grows or shrinks in place (`realloc`) is
 //! still one block, counted at its final size.
 //!
+//! The allocator also keeps the thread's live bytes and their peak, which
+//! bound what single-threaded inference holds at once.
+//!
 //! The input is the benchmark's `pmd_full` corpus: the PMD-shaped
 //! generator at 12 classes and 78 methods, seed 42, printed back to Java.
 
+use anek::anek_core::InferConfig;
 use anek::corpus::{generate, PmdConfig};
-use anek::java_syntax::{parse, print_unit};
+use anek::java_syntax::{parse, print_unit, CompilationUnit};
+use anek::Pipeline;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -24,10 +29,21 @@ thread_local! {
     static ALLOCS: Cell<usize> = const { Cell::new(0) };
     static FREES: Cell<usize> = const { Cell::new(0) };
     static FREED_BYTES: Cell<usize> = const { Cell::new(0) };
+    // Signed: a block allocated on another thread may be freed on this one.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>, by: usize) {
     let _ = counter.try_with(|c| c.set(c.get() + by));
+}
+
+/// Moves the thread's live bytes by `by`, raising the peak with them.
+fn live_by(by: isize) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + by);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
@@ -36,21 +52,25 @@ fn bump(counter: &'static std::thread::LocalKey<Cell<usize>>, by: usize) {
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
+        live_by(layout.size() as isize);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(&ALLOCS, 1);
+        live_by(layout.size() as isize);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        live_by(new_size as isize - layout.size() as isize);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         bump(&FREES, 1);
         bump(&FREED_BYTES, layout.size());
+        live_by(-(layout.size() as isize));
         System.dealloc(ptr, layout);
     }
 }
@@ -60,6 +80,15 @@ static GLOBAL: Counting = Counting;
 
 fn counts() -> (usize, usize, usize) {
     (ALLOCS.with(Cell::get), FREES.with(Cell::get), FREED_BYTES.with(Cell::get))
+}
+
+/// The most bytes the thread held live while `f` ran, above what it held
+/// when `f` started.
+fn peak_above_start<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+    let out = f();
+    (out, (PEAK.with(Cell::get) - start) as usize)
 }
 
 /// The benchmark's `pmd_full` sources.
@@ -126,4 +155,27 @@ fn pmd_full_asts_own_at_most_340_000_bytes() {
     let source_bytes: usize = sources.iter().map(String::len).sum();
     eprintln!("ASTs of {source_bytes} source bytes own {owned} bytes in {blocks} blocks");
     assert!(owned <= 340_000, "the pmd_full ASTs own {owned} bytes");
+}
+
+/// Inference builds each method's PFG and model skeleton inside the solve
+/// and drops both with it, so at one thread (where every allocation is on
+/// the calling thread and the count is exact) the run holds one model at a
+/// time: `pmd_full`, drained as the benchmark drains it (`max_iters` three
+/// solves per bodied method), peaks 438,018 bytes above the heap it started
+/// with, where a run that kept every PFG and skeleton until the end peaked
+/// at 1,507,917.
+#[test]
+fn pmd_full_inference_peaks_at_most_750_000_bytes_above_its_start() {
+    let sources = pmd_full_sources();
+    let units: Vec<_> =
+        sources.iter().map(|s| parse(s).expect("generated sources parse")).collect();
+    let bodied =
+        units.iter().flat_map(CompilationUnit::methods).filter(|(_, m)| m.body.is_some()).count();
+    let config = InferConfig { max_iters: 3 * bodied, threads: 1, ..InferConfig::default() };
+    let pipeline = Pipeline::from_sources(&sources).expect("parses").with_config(config);
+    let (result, peak) = peak_above_start(|| pipeline.infer());
+    assert_eq!(result.failed_count(), 0);
+    assert_eq!(result.solves, 166, "the drained pmd_full worklist");
+    eprintln!("pmd_full inference peaked {peak} bytes above its starting heap");
+    assert!(peak <= 750_000, "pmd_full inference peaked {peak} bytes above its start");
 }

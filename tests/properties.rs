@@ -86,7 +86,7 @@ fn bp_close_to_exact_on_random_chains() {
         let n_strengths = rng.gen_index(1..5);
         let strengths: Vec<f64> = (0..n_strengths).map(|_| 0.55 + rng.gen_f64() * 0.40).collect();
         let mut g = FactorGraph::new();
-        let vars: Vec<_> = (0..priors.len()).map(|i| g.add_var(format!("v{i}"))).collect();
+        let vars: Vec<_> = (0..priors.len()).map(|_| g.add_var()).collect();
         for (v, p) in vars.iter().zip(&priors) {
             g.add_factor(Factor::unary(*v, *p));
         }
