@@ -8,7 +8,7 @@
 # invariants through its exit status. The determinism checks (threads 1 vs
 # 4 on the small and mixed-protocol corpora, trace identity, screening
 # equivalence) are Tier-1 tests, so `cargo test` runs them in both modes;
-# `paper_check` holds the one check that needs the paper-scale corpus.
+# `paper_tables` holds the checks that need the paper-scale corpus.
 
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -58,11 +58,11 @@ if [[ $fast -eq 0 ]]; then
   trap 'rm -rf "$tmp"' EXIT
   in_tmp() { (cd "$tmp" && "$root/target/release/$1" "${@:2}" >/dev/null); }
 
-  step "Table 2 at small scale (table2 --small)"
-  in_tmp table2 --small
+  step "paper tables at small scale (paper_tables --small)"
+  in_tmp paper_tables --small
   step "bench regression check (threads-1 counts exact, wall within 20%)"
-  # table2 runs with tracing off, so passing the wall-clock bound also
-  # shows that the disabled trace path costs nothing.
+  # paper_tables runs with tracing off, so passing the wall-clock bound
+  # also shows that the disabled trace path costs nothing.
   ./target/release/bench_gate "$tmp/BENCH_infer.json" tests/golden/bench_baseline_small.json
 
   step "check-engine bench (check_bench --small)"
@@ -73,10 +73,12 @@ if [[ $fast -eq 0 ]]; then
   # byte-identical replay against a serial session, the query p99 bound.
   in_tmp serve_load --small
 
-  step "paper-scale check (paper_check)"
-  # With inferred specs the checker flags exactly the planted bugs, and
-  # bitstate, PLURAL and the PROT001 lint disagree only where documented.
-  ./target/release/paper_check
+  step "paper tables at paper scale (paper_tables)"
+  # Every deterministic cell equals tests/golden/paper_tables.json; with
+  # branch-sensitive inferred specs the checker flags exactly the planted
+  # bugs; bitstate, PLURAL and the PROT001 lint disagree only where
+  # documented; threads 2 reproduces the canonical run.
+  in_tmp paper_tables
 fi
 
 step "all green"

@@ -187,6 +187,7 @@ pub fn infer_global(
         numeric_guard_events: marginals.guards.non_finite + marginals.guards.zero_sum,
         memo_hits: 0,
         memo_misses: 0,
+        replayed_solves: 0,
         callers: BTreeMap::new(),
         screened_methods: 0,
         deadline_hit: marginals.deadline_expired,

@@ -56,6 +56,17 @@
 //! (`constraints::shared_table`): a build costs about one allocation per
 //! factor, not one tabulation, and at that price rebuilding on every solve
 //! costs less than the build-once cache it replaced.
+//!
+//! Figure 9 line 19 also re-queues a method after its own summary changes,
+//! though the method's solve does not read that summary (unless it calls
+//! itself). When none of a method's inputs changed since its last
+//! committed solve that the deadline did not cut short, solving it again
+//! would repeat that solve bit for bit and publish nothing, so the solve
+//! is replayed instead: its iterations, updates, convergence and guard
+//! events are counted again and no PFG, skeleton or BP run is spent on it
+//! ([`InferResult::replayed_solves`]). Every result field, trace span and
+//! speculation counter is what the solve would have produced; with a cache
+//! attached the replay counts as the memo hit the cache would answer.
 
 use crate::config::InferConfig;
 use crate::memo::{self, CacheKey, InferCache, KeyHasher, SolvedRecord};
@@ -77,12 +88,16 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One completed model solve (see [`SolvedRecord`]) plus, when a cache is
-/// attached, the content key it is addressed by and whether it was replayed
-/// from the cache instead of computed.
+/// attached, the content key it is addressed by and whether the cache
+/// answered it instead of a computation.
 #[derive(Debug, Clone)]
 struct Solved {
     record: SolvedRecord,
     cache: Option<(CacheKey, bool)>,
+    /// True when none of the method's inputs changed since its last
+    /// committed solve: the record carries that solve's counters and no
+    /// summary or evidence, which that solve already published.
+    replayed: bool,
     /// True when the solve stopped because `BpOptions::deadline` passed.
     /// Kept outside [`SolvedRecord`] on purpose: deadline truncation is
     /// timing-dependent, so such a record must never enter the store (the
@@ -97,8 +112,13 @@ struct Solved {
 struct SolveHealth {
     converged: bool,
     iterations: usize,
+    updates: usize,
     guards: GuardEvents,
     deadline_expired: bool,
+    /// The solve ran to the end (the deadline did not cut it short) and
+    /// none of the method's inputs changed since: solving the method again
+    /// would repeat it, so that solve is replayed.
+    settled: bool,
 }
 
 /// A solve either completes (possibly with degradations recorded in its
@@ -174,6 +194,14 @@ pub struct InferResult {
     /// Warm incremental runs re-solve exactly the dirty cone, so this is
     /// the "methods actually re-analyzed" metric the tests assert shrinks.
     pub memo_misses: usize,
+    /// Committed solves of a method none of whose inputs (program-callee
+    /// summaries, own caller evidence) changed since its last committed
+    /// solve, as when Figure 9 line 19 re-queues a method after its own
+    /// summary changes. Such a solve would repeat that one bit for bit, so
+    /// its counters are replayed without building or solving a model; with
+    /// a cache attached it also counts as a memo hit, which is what the
+    /// cache would answer. Deterministic for any thread count.
+    pub replayed_solves: usize,
     /// The program call graph over analyzable methods: callee → callers.
     /// `anek serve` closes an edit's dirty cone over it.
     pub callers: BTreeMap<MethodId, BTreeSet<MethodId>>,
@@ -461,6 +489,7 @@ pub fn infer_with_store(
     let mut numeric_guard_events = 0usize;
     let mut memo_hits = 0usize;
     let mut memo_misses = 0usize;
+    let mut replayed_solves = 0usize;
     // Fault-isolation state: methods whose solve failed are frozen at their
     // last committed summary and never re-solved or re-queued; the health
     // of every other method's *latest committed* solve feeds the outcomes.
@@ -494,15 +523,31 @@ pub fn infer_with_store(
         MethodId,
         BTreeMap<(MethodId, ExprId), CallerEvidence>,
     >,
+                     last_health: &BTreeMap<MethodId, SolveHealth>,
                      scratch: &mut Scratch|
      -> SolveResult {
         let mu = &methods[id];
         // Injected slowness: a replayable stand-in for a pathologically
-        // slow model. Applied before the cache lookup so deadline tests
-        // behave the same against a warm store. Never changes the result,
-        // so it stays out of the content key (like `threads`).
+        // slow model. Applied before the replay and the cache lookup so
+        // deadline tests behave the same against a warm store. Never
+        // changes the result, so it stays out of the content key (like
+        // `threads`).
         if let Some(ms) = cfg.faults.slow_ms(id) {
             std::thread::sleep(Duration::from_millis(ms));
+        }
+        // Unchanged inputs: the solve would repeat the last committed one,
+        // whose summary and evidence are already published, so the replay
+        // carries neither and the merge publishes nothing for it.
+        if let Some(h) = last_health.get(id).filter(|h| h.settled) {
+            let record = SolvedRecord {
+                summary: MethodSummary::default(),
+                call_evidence: BTreeMap::new(),
+                iterations: h.iterations,
+                updates: h.updates,
+                converged: h.converged,
+                guards: h.guards,
+            };
+            return Ok(Solved { record, cache: None, replayed: true, deadline_expired: false });
         }
         // The full content key: the method's static key extended with its
         // dynamic inputs — exactly the program-callee summaries and own
@@ -535,7 +580,8 @@ pub fn infer_with_store(
         });
         if let (Some(c), Some(key)) = (cache, key) {
             if let Some(record) = c.solve_lookup(key) {
-                return Ok(Solved { record, cache: Some((key, true)), deadline_expired: false });
+                let cache = Some((key, true));
+                return Ok(Solved { record, cache, replayed: false, deadline_expired: false });
             }
         }
         catch_unwind(AssertUnwindSafe(|| -> SolveResult {
@@ -566,6 +612,7 @@ pub fn infer_with_store(
                     guards: marginals.guards,
                 },
                 cache,
+                replayed: false,
                 deadline_expired: marginals.deadline_expired,
             })
         }))
@@ -607,7 +654,7 @@ pub fn infer_with_store(
             let speculated: Option<Vec<SolveResult>> = (parallel && chunk.len() > 1).then(|| {
                 speculative_solves += chunk.len();
                 let (results, stall) = map_parallel(chunk, &mut scratch_pool, |id, s| {
-                    solve_one(id, &summaries, &evidence, s)
+                    solve_one(id, &summaries, &evidence, &last_health, s)
                 });
                 commit_stall += stall;
                 results
@@ -634,9 +681,11 @@ pub fn infer_with_store(
                         discarded_solves += 1;
                         was_discarded = true;
                         chunk_stalled = true;
-                        solve_one(id, &summaries, &evidence, &mut scratch_pool[0])
+                        solve_one(id, &summaries, &evidence, &last_health, &mut scratch_pool[0])
                     }
-                    None => solve_one(id, &summaries, &evidence, &mut scratch_pool[0]),
+                    None => {
+                        solve_one(id, &summaries, &evidence, &last_health, &mut scratch_pool[0])
+                    }
                 };
                 let s = match solved {
                     Ok(s) => s,
@@ -653,18 +702,15 @@ pub fn infer_with_store(
                 // point, so hits/misses (and the store contents) evolve exactly
                 // as in a single-threaded run. Discarded speculations are never
                 // inserted — only committed solves enter the store.
-                match &s.cache {
-                    Some((_, true)) => memo_hits += 1,
-                    Some((key, false)) => {
-                        memo_misses += 1;
-                        if let Some(c) = cache {
-                            c.solve_insert(*key, &s.record);
-                        }
-                    }
-                    None => {}
+                // A replay counts as the hit an attached cache would answer.
+                let (deadline_expired, replayed) = (s.deadline_expired, s.replayed);
+                let cache_hit = matches!(s.cache, Some((_, true))) || (replayed && cache.is_some());
+                memo_hits += usize::from(cache_hit);
+                replayed_solves += usize::from(replayed);
+                if let (Some(c), Some((key, false))) = (cache, s.cache) {
+                    memo_misses += 1;
+                    c.solve_insert(key, &s.record);
                 }
-                let cache_hit = matches!(s.cache, Some((_, true)));
-                let deadline_expired = s.deadline_expired;
                 if deadline_expired {
                     deadline_truncated_solves += 1;
                 }
@@ -680,8 +726,10 @@ pub fn infer_with_store(
                     SolveHealth {
                         converged: s.converged,
                         iterations: s.iterations,
+                        updates: s.updates,
                         guards: s.guards,
                         deadline_expired,
+                        settled: !deadline_expired,
                     },
                 );
                 if cfg.trace {
@@ -719,6 +767,9 @@ pub fn infer_with_store(
                         }
                     }
                     if changed {
+                        if let Some(h) = last_health.get_mut(&callee) {
+                            h.settled = false;
+                        }
                         dirty_evidence.insert(callee.clone());
                         if callee != *id {
                             to_queue.push(callee);
@@ -726,13 +777,18 @@ pub fn infer_with_store(
                     }
                 }
                 let old = &summaries[id];
-                if s.summary.max_delta(old) > cfg.summary_epsilon {
+                if !replayed && s.summary.max_delta(old) > cfg.summary_epsilon {
                     summaries.insert(id.clone(), s.summary);
                     dirty_summaries.insert(id.clone());
                     // Re-enqueue the method itself (per Figure 9 line 19) and
                     // its callers, whose models consumed the stale summary.
                     to_queue.push(id.clone());
                     if let Some(cs) = callers.get(id) {
+                        for c in cs {
+                            if let Some(h) = last_health.get_mut(c) {
+                                h.settled = false;
+                            }
+                        }
                         to_queue.extend(cs.iter().cloned());
                     }
                 }
@@ -757,7 +813,7 @@ pub fn infer_with_store(
         }
         let mut reasons: Vec<DegradeReason> = Vec::new();
         let health = last_health.get(id).copied();
-        if let Some(SolveHealth { converged, iterations, guards, deadline_expired }) = health {
+        if let Some(SolveHealth { converged, iterations, guards, deadline_expired, .. }) = health {
             if !converged {
                 reasons.push(DegradeReason::BpNonConverged { iterations });
             }
@@ -859,6 +915,7 @@ pub fn infer_with_store(
         numeric_guard_events,
         memo_hits,
         memo_misses,
+        replayed_solves,
         callers,
         screened_methods: screened.len(),
         deadline_hit: worklist_deadline || deadline_truncated_solves > 0,

@@ -49,16 +49,20 @@ pub struct LogicalResult {
     pub constraints: usize,
     /// Search steps spent (assignments tried).
     pub steps: u64,
-    /// Peak memory of the decision stack (domain snapshots), in bytes — the
-    /// paper's logical run "ran out of memory before a fixed point was
-    /// reached" on a 2 GB machine, so memory is a first-class budget here.
+    /// Peak memory of the decision stack, in bytes, charged as one
+    /// whole-domain snapshot per decision level (see [`MEMORY_LIMIT_BYTES`])
+    /// — the paper's logical run "ran out of memory before a fixed point
+    /// was reached" on a 2 GB machine, so memory is a first-class budget
+    /// here.
     pub peak_memory: u64,
     /// Wall-clock time.
     pub elapsed: Duration,
 }
 
 /// The paper's machine had 2 GB of RAM (§4); the decision stack of the
-/// whole-program search is capped accordingly.
+/// whole-program search is capped accordingly. The search keeps a trail of
+/// changed domains, not whole snapshots, but is charged as if it kept one
+/// snapshot per level, so it stops at the step such a stack outgrows 2 GB.
 pub const MEMORY_LIMIT_BYTES: u64 = 2_000_000_000;
 
 /// Runs the logical (deterministic, whole-program, heuristic-free) baseline.
@@ -399,16 +403,9 @@ pub fn solve_logical(
     let constraints = hard.len();
 
     // ---- Chronological backtracking with budget ----
-    let (outcome, peak_memory) = backtrack(variables, &hard, &prefer_true, budget);
+    let (outcome, steps, peak_memory) = backtrack(variables, &hard, &prefer_true, budget);
     let _ = cfg;
-    LogicalResult {
-        outcome,
-        variables,
-        constraints,
-        steps: STEPS.with(std::cell::Cell::get),
-        peak_memory,
-        elapsed: start.elapsed(),
-    }
+    LogicalResult { outcome, variables, constraints, steps, peak_memory, elapsed: start.elapsed() }
 }
 
 fn pair_vars(a: &SlotVars, b: &SlotVars) -> Vec<(VarId, VarId)> {
@@ -454,29 +451,37 @@ fn push_unit_atoms(hard: &mut Vec<Factor>, slot: &SlotVars, atom: &spec_lang::Pe
     }
 }
 
-thread_local! {
-    static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
 /// Domain bitmask: bit 0 = `false` allowed, bit 1 = `true` allowed.
 type Domain = u8;
 const D_FALSE: Domain = 0b01;
 const D_TRUE: Domain = 0b10;
 const D_BOTH: Domain = 0b11;
 
+/// The domains changed since some point of the search, each with the value
+/// it had before, oldest first.
+type Trail = Vec<(usize, Domain)>;
+
 /// Generalized-arc-consistency + backtracking solver over tabular hard
 /// constraints. `budget` bounds the number of factor revisions — exceeding
 /// it reports [`LogicalOutcome::DidNotFinish`], which is how the Table 2
-/// "Anek Logical: DNF" row arises at scale.
+/// "Anek Logical: DNF" row arises at scale. Returns the outcome, the steps
+/// spent and the peak decision-stack bytes.
+///
+/// Backtracking undoes a trail of the domains each decision level changed,
+/// which holds at most one entry per variable. The search is still charged
+/// what a stack of whole-domain snapshots would hold, `(levels + 1) ×
+/// variables` bytes, against [`MEMORY_LIMIT_BYTES`]: that stack is how a
+/// chronological solver without a trail backtracks, and the limit stands
+/// for the paper's 2 GB machine, so the search stops where such a solver
+/// would run out of memory.
 fn backtrack(
     n_vars: usize,
     hard: &[Factor],
     prefer_true: &[bool],
     budget: u64,
-) -> (LogicalOutcome, u64) {
-    STEPS.with(|s| s.set(0));
+) -> (LogicalOutcome, u64, u64) {
     if n_vars == 0 {
-        return (LogicalOutcome::Satisfiable { assignment: Vec::new() }, 0);
+        return (LogicalOutcome::Satisfiable { assignment: Vec::new() }, 0, 0);
     }
     let mut peak_memory: u64 = 0;
     // var -> factors mentioning it.
@@ -488,9 +493,14 @@ fn backtrack(
     }
     let mut steps: u64 = 0;
 
-    /// Prunes unsupported values of every variable in `f`'s scope.
-    /// Returns pruned vars, or `None` on domain wipeout.
-    fn revise(f: &Factor, domains: &mut [Domain], steps: &mut u64) -> Option<Vec<usize>> {
+    /// Prunes unsupported values of every variable in `f`'s scope, trailing
+    /// each change. Returns pruned vars, or `None` on domain wipeout.
+    fn revise(
+        f: &Factor,
+        domains: &mut [Domain],
+        trail: &mut Trail,
+        steps: &mut u64,
+    ) -> Option<Vec<usize>> {
         *steps += 1;
         let scope = f.scope();
         let k = scope.len();
@@ -521,6 +531,7 @@ fn backtrack(
                 return None;
             }
             if new != domains[vi] {
+                trail.push((vi, domains[vi]));
                 domains[vi] = new;
                 pruned.push(vi);
             }
@@ -535,6 +546,7 @@ fn backtrack(
         hard: &[Factor],
         factors_of: &[Vec<usize>],
         domains: &mut [Domain],
+        trail: &mut Trail,
         steps: &mut u64,
         budget: u64,
     ) -> bool {
@@ -548,7 +560,7 @@ fn backtrack(
             if *steps > budget {
                 return false;
             }
-            match revise(&hard[fi], domains, steps) {
+            match revise(&hard[fi], domains, trail, steps) {
                 None => return false,
                 Some(pruned) => {
                     for v in pruned {
@@ -566,92 +578,91 @@ fn backtrack(
     }
 
     let mut domains: Vec<Domain> = vec![D_BOTH; n_vars];
+    let mut trail: Trail = Vec::new();
     // Initial propagation over all factors (handles unit clauses and their
     // consequences through the equality chains).
     let all: Vec<usize> = (0..hard.len()).collect();
-    if !propagate(&all, hard, &factors_of, &mut domains, &mut steps, budget) {
-        STEPS.with(|s| s.set(steps));
+    if !propagate(&all, hard, &factors_of, &mut domains, &mut trail, &mut steps, budget) {
         let outcome = if steps > budget {
             LogicalOutcome::DidNotFinish
         } else {
             LogicalOutcome::Unsatisfiable
         };
-        return (outcome, peak_memory);
+        return (outcome, steps, peak_memory);
     }
+    trail.clear();
 
-    // Depth-first search with GAC maintenance; domains snapshotted per
-    // decision level.
+    // Depth-first search with GAC maintenance. A decision level records
+    // where the trail stood before its decision; backtracking to it undoes
+    // everything trailed since.
     struct Frame {
         var: usize,
-        saved: Vec<Domain>,
+        mark: usize,
         tried_other: bool,
     }
+    let value = |var: usize, preferred: bool| {
+        if prefer_true.get(var).copied().unwrap_or(false) == preferred {
+            D_TRUE
+        } else {
+            D_FALSE
+        }
+    };
+    let decide =
+        |var: usize, value: Domain, domains: &mut [Domain], trail: &mut Trail, steps: &mut u64| {
+            trail.push((var, domains[var]));
+            domains[var] = value;
+            propagate(&factors_of[var], hard, &factors_of, domains, trail, steps, budget)
+        };
+    let undo = |domains: &mut [Domain], trail: &mut Trail, mark: usize| {
+        for (var, old) in trail.drain(mark..).rev() {
+            domains[var] = old;
+        }
+    };
     let mut stack: Vec<Frame> = Vec::new();
     loop {
         let stack_bytes = (stack.len() as u64 + 1) * n_vars as u64;
         peak_memory = peak_memory.max(stack_bytes);
         if steps > budget || stack_bytes > MEMORY_LIMIT_BYTES {
-            STEPS.with(|s| s.set(steps));
-            return (LogicalOutcome::DidNotFinish, peak_memory);
+            return (LogicalOutcome::DidNotFinish, steps, peak_memory);
         }
         // Next undecided variable.
-        let var = domains.iter().position(|d| *d == D_BOTH);
-        let Some(var) = var else {
-            STEPS.with(|s| s.set(steps));
+        let Some(var) = domains.iter().position(|d| *d == D_BOTH) else {
             let assignment = domains.iter().map(|d| *d == D_TRUE).collect();
-            return (LogicalOutcome::Satisfiable { assignment }, peak_memory);
+            return (LogicalOutcome::Satisfiable { assignment }, steps, peak_memory);
         };
-        let prefer = prefer_true.get(var).copied().unwrap_or(false);
-        let value = if prefer { D_TRUE } else { D_FALSE };
-        let saved = domains.clone();
-        domains[var] = value;
-        let ok = propagate(&factors_of[var], hard, &factors_of, &mut domains, &mut steps, budget);
+        let mark = trail.len();
+        let mut tried_other = false;
+        let mut ok = decide(var, value(var, true), &mut domains, &mut trail, &mut steps);
+        if !ok && steps <= budget {
+            // First value failed: try the other at this level.
+            undo(&mut domains, &mut trail, mark);
+            tried_other = true;
+            ok = decide(var, value(var, false), &mut domains, &mut trail, &mut steps);
+        }
         if ok {
-            stack.push(Frame { var, saved, tried_other: false });
+            stack.push(Frame { var, mark, tried_other });
             continue;
         }
         if steps > budget {
-            STEPS.with(|s| s.set(steps));
-            return (LogicalOutcome::DidNotFinish, peak_memory);
+            return (LogicalOutcome::DidNotFinish, steps, peak_memory);
         }
-        // First value failed: try the other at this level.
-        domains = saved.clone();
-        domains[var] = if prefer { D_FALSE } else { D_TRUE };
-        let ok = propagate(&factors_of[var], hard, &factors_of, &mut domains, &mut steps, budget);
-        if ok {
-            stack.push(Frame { var, saved, tried_other: true });
-            continue;
-        }
-        if steps > budget {
-            STEPS.with(|s| s.set(steps));
-            return (LogicalOutcome::DidNotFinish, peak_memory);
-        }
-        // Both values failed: backtrack.
+        // Both values failed: backtrack to the latest level with a value
+        // left to try.
         loop {
             let Some(frame) = stack.pop() else {
-                STEPS.with(|s| s.set(steps));
-                return (LogicalOutcome::Unsatisfiable, peak_memory);
+                return (LogicalOutcome::Unsatisfiable, steps, peak_memory);
             };
             if frame.tried_other {
                 continue;
             }
-            let prefer = prefer_true.get(frame.var).copied().unwrap_or(false);
-            domains = frame.saved.clone();
-            domains[frame.var] = if prefer { D_FALSE } else { D_TRUE };
-            let ok = propagate(
-                &factors_of[frame.var],
-                hard,
-                &factors_of,
-                &mut domains,
-                &mut steps,
-                budget,
-            );
+            undo(&mut domains, &mut trail, frame.mark);
+            let ok =
+                decide(frame.var, value(frame.var, false), &mut domains, &mut trail, &mut steps);
             if steps > budget {
-                STEPS.with(|s| s.set(steps));
-                return (LogicalOutcome::DidNotFinish, peak_memory);
+                return (LogicalOutcome::DidNotFinish, steps, peak_memory);
             }
             if ok {
-                stack.push(Frame { var: frame.var, saved: frame.saved, tried_other: true });
+                stack.push(Frame { tried_other: true, ..frame });
                 break;
             }
         }
@@ -711,6 +722,29 @@ mod tests {
         );
         assert_eq!(r.outcome, LogicalOutcome::DidNotFinish);
         assert!(r.steps > 50);
+    }
+
+    /// The small corpus under the `paper_tables --small` budget and under a
+    /// budget it exceeds: outcome, steps, variables, constraints and the
+    /// charged decision-stack bytes. A search that snapshots every level's
+    /// domains gives the same values.
+    #[test]
+    fn small_corpus_search_is_pinned() {
+        let corpus = corpus::generate(&corpus::PmdConfig::small());
+        let api = standard_api();
+        let pin = |budget| {
+            let r = solve_logical(&corpus.units, &api, &InferConfig::default(), budget);
+            // A satisfiable outcome is pinned by its number of true values.
+            let outcome = match r.outcome {
+                LogicalOutcome::Satisfiable { assignment } => {
+                    format!("sat, {} true", assignment.iter().filter(|b| **b).count())
+                }
+                other => format!("{other:?}"),
+            };
+            (outcome, r.steps, r.variables, r.constraints, r.peak_memory)
+        };
+        assert_eq!(pin(200_000), ("sat, 1658 true".to_string(), 14_359, 5_492, 5_965, 4_404_584));
+        assert_eq!(pin(10_000), ("DidNotFinish".to_string(), 10_001, 5_492, 5_965, 867_736));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    reference machine.
 //!
 //! Run: `bench_gate <current BENCH_infer.json> <baseline json>` (`ci.sh`
-//! runs it on the file `table2 --small` writes).
+//! runs it on the file `paper_tables --small` writes).
 
 use anek::json::{self, Json};
 use std::process::ExitCode;

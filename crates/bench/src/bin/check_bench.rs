@@ -1,6 +1,5 @@
 //! `anek check` engine benchmark: the bit-vector typestate interpreter vs
-//! the PLURAL fractional-permission checker, plus the end-to-end effect of
-//! the `--screen` inference pre-pass.
+//! the PLURAL fractional-permission checker.
 //!
 //! Both engines consume the same front end (parse → `TypeEnv` →
 //! event-CFG), so the interesting number is the *steady-state per-method
@@ -13,19 +12,17 @@
 //! Run: `cargo run --release -p bench --bin check_bench [-- --small]`
 //!
 //! Writes `BENCH_check.json` (`"bench": "check"`): per-method ns for both
-//! engines, the screening hit-rate, and inference wall-clock with and
-//! without `--screen` at threads {1, 8}. The binary itself enforces the
-//! headline criterion: bitstate must be >= 100x faster per method than
-//! PLURAL once the shared front end is subtracted.
+//! engines. The screening pre-pass's end-to-end effect is `paper_tables`'s
+//! screening matrix. The binary itself enforces the headline criterion:
+//! bitstate must be >= 100x faster per method than PLURAL once the shared
+//! front end is subtracted.
 
 use anek::analysis::cfg::Cfg;
 use anek::analysis::types::{MethodId, ProgramIndex, TypeEnv};
-use anek::anek_core::{InferConfig, InferResult};
 use anek::bitstate::{Machine, MethodProgram, Scratch, Verdict};
 use anek::observe::json_str;
 use anek::plural::SpecTable;
 use anek::spec_lang::standard_api;
-use anek::Pipeline;
 use bench::Scale;
 use std::time::Instant;
 
@@ -126,36 +123,8 @@ fn main() {
         "  speedup: bitstate checking is {speedup:.0}x faster per method than plural::check\n"
     );
 
-    // ---- End-to-end inference with and without the screening pre-pass ----
-    let mut infer_runs: Vec<(usize, bool, InferResult)> = Vec::new();
-    for threads in [1usize, 8] {
-        for screen in [false, true] {
-            let mut cfg = InferConfig { threads, screen, ..InferConfig::default() };
-            cfg.max_iters = 3 * methods;
-            let result = Pipeline::new(corpus.units.clone()).with_config(cfg).infer();
-            println!(
-                "infer [threads={threads} screen={screen}]: {} solves, {} screened, {:?}",
-                result.solves, result.screened_methods, result.elapsed
-            );
-            infer_runs.push((threads, screen, result));
-        }
-    }
-    let screened =
-        infer_runs.iter().find(|(_, screen, _)| *screen).map_or(0, |(_, _, r)| r.screened_methods);
-    let rate = screened as f64 / methods as f64;
-    println!("\nscreening rate: {screened}/{methods} methods ({:.1}%)", rate * 100.0);
-
-    write_bench_json(
-        scale,
-        &corpus.stats,
-        bit_ns,
-        bit_e2e_ns,
-        plural_ns,
-        front_ns,
-        screened,
-        &infer_runs,
-    )
-    .expect("write BENCH_check.json");
+    write_bench_json(scale, &corpus.stats, bit_ns, bit_e2e_ns, plural_ns, front_ns)
+        .expect("write BENCH_check.json");
 
     // The headline criterion holds at paper scale, where the corpus has
     // the paper's mix of protocol-free and protocol-heavy methods; the
@@ -184,7 +153,6 @@ fn time<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-#[allow(clippy::too_many_arguments)]
 fn write_bench_json(
     scale: Scale,
     stats: &corpus::CorpusStats,
@@ -192,8 +160,6 @@ fn write_bench_json(
     bit_e2e_ns: f64,
     plural_ns: f64,
     front_ns: f64,
-    screened: usize,
-    infer_runs: &[(usize, bool, InferResult)],
 ) -> std::io::Result<()> {
     let mut s = String::new();
     s.push_str(&format!(
@@ -203,26 +169,9 @@ fn write_bench_json(
         stats.methods
     ));
     s.push_str(&format!(
-        "  \"bitstate_ns_per_method\": {bit_ns:.0},\n  \"bitstate_e2e_ns_per_method\": {bit_e2e_ns:.0},\n  \"plural_ns_per_method\": {plural_ns:.0},\n  \"frontend_ns_per_method\": {front_ns:.0},\n  \"speedup\": {:.1},\n",
+        "  \"bitstate_ns_per_method\": {bit_ns:.0},\n  \"bitstate_e2e_ns_per_method\": {bit_e2e_ns:.0},\n  \"plural_ns_per_method\": {plural_ns:.0},\n  \"frontend_ns_per_method\": {front_ns:.0},\n  \"speedup\": {:.1}\n}}\n",
         plural_ns / bit_ns
     ));
-    s.push_str(&format!(
-        "  \"screened_methods\": {screened},\n  \"screening_rate\": {:.4},\n  \"infer_runs\": [",
-        screened as f64 / stats.methods as f64
-    ));
-    for (i, (threads, screen, r)) in infer_runs.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"threads\": {threads}, \"screen\": {screen}, \"wall_ms\": {:.3}, \
-             \"solves\": {}, \"screened_methods\": {}}}",
-            r.elapsed.as_secs_f64() * 1e3,
-            r.solves,
-            r.screened_methods
-        ));
-    }
-    s.push_str("\n  ]\n}\n");
     std::fs::write("BENCH_check.json", &s)?;
     eprintln!("wrote BENCH_check.json");
     Ok(())

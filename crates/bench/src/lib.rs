@@ -1,26 +1,20 @@
 //! # bench
 //!
-//! The experiment harness: one binary per table and figure of the paper's
-//! evaluation (§4), plus Criterion micro-benchmarks. Run binaries with
+//! The experiment harness: `paper_tables` reproduces the paper's evaluation
+//! (§4) in one run, further binaries print its figures and ablations, and
+//! micro-benchmarks (`cargo bench -p bench`) time components. Run binaries with
 //! `cargo run --release -p bench --bin <name> [-- --small]`.
 //!
 //! | binary       | regenerates                                        |
 //! |--------------|----------------------------------------------------|
-//! | `table1`     | Table 1 — corpus statistics                        |
-//! | `table2`     | Table 2 — Original / Gold / Anek / Anek-Logical    |
-//! | `table3`     | Table 3 — ANEK vs PLURAL local inference           |
-//! | `table4`     | Table 4 — spec-quality comparison                  |
-//! | `figure3`    | §1's conflicting-evidence walkthrough              |
+//! | `paper_tables` | Tables 1–4, Figure 3's marginals, the §3.4 sweep, the screening matrix, Table 2's verdicts and the branch-sensitivity extension, checked against a golden |
 //! | `figure4`    | the five permission kinds and legal splits         |
 //! | `figure6`    | DOT of the `copy` method's PFG                     |
 //! | `figure7`    | DOT of the field-access PFG                        |
 //! | `figure8`    | prior distributions from an existing `@Perm`       |
-//! | `sweep_iters`| §3.4's accuracy-vs-iterations trade-off            |
 //! | `figure1`    | the iterator/stream protocol state machines        |
 //! | `ablation_modular` | modular ANEK-INFER vs whole-program `Φ_P`    |
 //! | `ablation_heuristics` | H3 on/off (`full` vs `unique`, §1)        |
-//! | `ablation_branch` | the branch-sensitivity future-work extension  |
-//! | `paper_check` | Table 2's verdicts as a check: exactly the planted bugs |
 
 #![warn(missing_docs)]
 
@@ -89,6 +83,13 @@ pub fn row(cols: &[&str], widths: &[usize]) {
         line.push_str(&format!("{c:<w$}  "));
     }
     println!("{}", line.trim_end());
+}
+
+/// Prints a table's header row and the rule under it.
+pub fn rule(cols: &[&str], widths: &[usize]) {
+    row(cols, widths);
+    let dashes: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+    row(&dashes.iter().map(String::as_str).collect::<Vec<_>>(), widths);
 }
 
 pub mod microbench;

@@ -65,9 +65,10 @@ fn warm_incremental_is_byte_identical_to_cold_at_both_thread_counts() {
             "threads={threads}: a cold run through a store must match a run without one"
         );
 
-        // Warm store: a full run on the *original* program. (A cold run may
-        // still record a few memo hits: the worklist can revisit a method
-        // whose dynamic inputs converged back to an identical key.)
+        // Warm store: a full run on the *original* program. (A cold run
+        // still records memo hits: a method re-queued after its own summary
+        // changed is solved again on unchanged inputs, and that solve is
+        // replayed; see the next test.)
         let warm_dir = temp_store(&format!("warm-{threads}"));
         let warm_store = Arc::new(Store::open(&warm_dir).expect("open warm store"));
         let warmup = run(&original, threads, Some(&warm_store));
@@ -93,6 +94,60 @@ fn warm_incremental_is_byte_identical_to_cold_at_both_thread_counts() {
 
         let _ = std::fs::remove_dir_all(&cold_dir);
         let _ = std::fs::remove_dir_all(&warm_dir);
+    }
+}
+
+/// Every field of a traced run except wall-clock times and what only a run
+/// with a store reports: the memo counters and the spans' cache-hit flags.
+fn observable(mut result: InferResult) -> String {
+    (result.elapsed, result.commit_stall) = Default::default();
+    (result.memo_hits, result.memo_misses) = (0, 0);
+    let trace = result.trace.as_mut().expect("traced run");
+    (trace.counters.memo_hits, trace.counters.memo_misses) = (0, 0);
+    trace.spans.iter_mut().for_each(|span| span.cache_hit = false);
+    format!("{result:?}")
+}
+
+#[test]
+fn unchanged_inputs_replay_what_a_cold_store_answers() {
+    let print = |units: &[java_syntax::CompilationUnit]| -> Vec<String> {
+        units.iter().map(java_syntax::print_unit).collect()
+    };
+    let small = print(&corpus::generate(&corpus::PmdConfig::small()).units);
+    let mixed = print(&corpus::generate_mixed(&corpus::MixedConfig::small()).units);
+    // The solves, BP iterations and message updates that re-solving every
+    // queued method reports. The store run replays too, so only these show
+    // that each replay stands in for a real solve.
+    let cases: [(&str, Vec<String>, &[&str], _); 2] = [
+        ("small", small, &[], (134, 4_088, 1_611_888)),
+        ("mixed", mixed, &["all"], (177, 6_682, 4_351_112)),
+    ];
+    for (name, sources, families, counts) in cases {
+        for threads in [1usize, 2] {
+            let dir = temp_store(&format!("replay-{name}-{threads}"));
+            let store = Arc::new(Store::open(&dir).expect("open store"));
+            let run = |store: Option<&Arc<Store>>| {
+                let mut pipeline = Pipeline::from_sources(&sources)
+                    .expect("corpus parses")
+                    .with_protocols(families)
+                    .expect("known family")
+                    .with_threads(threads)
+                    .with_trace(true);
+                pipeline.config.max_iters = 9360;
+                if let Some(store) = store {
+                    pipeline = pipeline.with_store(Arc::clone(store));
+                }
+                pipeline.infer()
+            };
+            let cold = run(Some(&store));
+            let bare = run(None);
+            assert!(bare.replayed_solves > 0, "{name}, threads {threads}: nothing replayed");
+            let got = (bare.solves, bare.bp_iterations, bare.message_updates);
+            assert_eq!(got, counts, "{name}, threads {threads}");
+            assert_eq!(bare.replayed_solves, cold.memo_hits, "{name}, threads {threads}");
+            assert_eq!(observable(bare), observable(cold), "{name}, threads {threads}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
