@@ -168,6 +168,59 @@ impl DiffTally {
     pub fn total(&self) -> usize {
         self.counts.values().sum()
     }
+
+    /// Table 4's shape claim: inferred specs that match the gold set,
+    /// add to it or tighten it outnumber wrong and removed ones, and some
+    /// match exactly. Names the part that fails, if one does.
+    pub fn broken_claim(&self) -> Option<String> {
+        let good = self.count(SpecDiff::Same)
+            + self.count(SpecDiff::AddedHelpful)
+            + self.count(SpecDiff::AddedConstraining)
+            + self.count(SpecDiff::MoreRestrictive);
+        let bad = self.count(SpecDiff::Wrong) + self.count(SpecDiff::Removed);
+        if good <= bad {
+            Some(format!(
+                "Table 4: Same + Added + More Restrictive ({good}) do not outnumber \
+                 Wrong + Removed ({bad})"
+            ))
+        } else if self.count(SpecDiff::Same) == 0 {
+            Some("Table 4: no inferred spec is the same as the gold one".to_string())
+        } else {
+            None
+        }
+    }
+}
+
+/// PLURAL's warning counts under Table 2's three annotation sets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WarningCounts {
+    /// With no annotations ("Original").
+    pub original: usize,
+    /// With the hand-written gold annotations.
+    pub gold: usize,
+    /// With ANEK's inferred annotations.
+    pub anek: usize,
+}
+
+impl WarningCounts {
+    /// Table 2's shape claim: annotating removes warnings (Original warns
+    /// more than Gold), and ANEK's specs warn at least as often as Gold and
+    /// at most once more per planted branch trap, plus one: ANEK is
+    /// branch-insensitive (§4.2). Names the part that fails, if one does.
+    pub fn broken_claim(&self, branch_traps: usize) -> Option<String> {
+        let WarningCounts { original, gold, anek } = *self;
+        if original <= gold {
+            Some(format!("Table 2: Original warns {original} times, not more than Gold's {gold}"))
+        } else if anek < gold || anek > gold + branch_traps + 1 {
+            Some(format!(
+                "Table 2: Anek warns {anek} times, outside Gold's {gold} to Gold + branch traps \
+                 + 1 = {}",
+                gold + branch_traps + 1
+            ))
+        } else {
+            None
+        }
+    }
 }
 
 impl fmt::Display for DiffTally {
@@ -183,6 +236,27 @@ impl fmt::Display for DiffTally {
 mod tests {
     use super::*;
     use spec_lang::parse_clause;
+
+    #[test]
+    fn shape_claims_name_what_breaks() {
+        let counts = WarningCounts { original: 45, gold: 3, anek: 4 };
+        assert_eq!(counts.broken_claim(1), None);
+        assert_eq!(WarningCounts { anek: 5, ..counts }.broken_claim(1), None);
+        let over = WarningCounts { anek: 6, ..counts }.broken_claim(1).unwrap();
+        assert!(over.contains("Anek warns 6 times"), "{over}");
+        assert!(WarningCounts { anek: 2, ..counts }.broken_claim(1).is_some());
+        let flat = WarningCounts { original: 3, ..counts }.broken_claim(1).unwrap();
+        assert!(flat.contains("Original warns 3 times"), "{flat}");
+
+        let mut tally = DiffTally::new();
+        tally.record(SpecDiff::Wrong);
+        tally.record(SpecDiff::AddedHelpful);
+        assert!(tally.broken_claim().unwrap().contains("do not outnumber"));
+        tally.record(SpecDiff::AddedHelpful);
+        assert!(tally.broken_claim().unwrap().contains("no inferred spec is the same"));
+        tally.record(SpecDiff::Same);
+        assert_eq!(tally.broken_claim(), None);
+    }
 
     fn spec(req: &str, ens: &str) -> MethodSpec {
         MethodSpec {

@@ -99,21 +99,28 @@ fn add(g: &mut FactorGraph, shape: Shape, scope: Vec<VarId>, h: f64) {
 }
 
 /// The variables modelling one PFG node or edge: five kind variables plus
-/// one variable per abstract state of the slot's type.
+/// one variable per abstract state of the slot's type, the state variables
+/// allocated in a run in the order of the type's state names.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlotVars {
     /// Kind variables, indexed per [`PermissionKind::ALL`].
     pub kinds: [VarId; 5],
-    /// State variables.
-    pub states: Vec<(String, VarId)>,
+    /// The slot type's state names, shared with its state space.
+    names: Arc<[Arc<str>]>,
+    /// The variable of the first state; the rest follow it.
+    first_state: u32,
 }
 
 impl SlotVars {
-    /// Allocates fresh variables in `g` for a slot.
-    pub fn alloc(g: &mut FactorGraph, states: &[String]) -> SlotVars {
+    /// Allocates fresh variables in `g` for a slot over `states`. The slot
+    /// shares the list of names rather than copying it.
+    pub fn alloc(g: &mut FactorGraph, states: &Arc<[Arc<str>]>) -> SlotVars {
         let kinds = PermissionKind::ALL.map(|_| g.add_var());
-        let states = states.iter().map(|s| (s.clone(), g.add_var())).collect();
-        SlotVars { kinds, states }
+        let first_state = g.num_vars() as u32;
+        for _ in states.iter() {
+            g.add_var();
+        }
+        SlotVars { kinds, names: Arc::clone(states), first_state }
     }
 
     /// The variable for a kind.
@@ -122,17 +129,23 @@ impl SlotVars {
         self.kinds[idx]
     }
 
+    /// The state variables with their names, in the state space's order.
+    pub fn states(&self) -> impl ExactSizeIterator<Item = (&Arc<str>, VarId)> {
+        let first = self.first_state;
+        self.names.iter().enumerate().map(move |(i, name)| (name, VarId(first + i as u32)))
+    }
+
     /// The variable for a state, if the slot's type has it.
     pub fn state(&self, s: &str) -> Option<VarId> {
-        self.states.iter().find(|(n, _)| n == s).map(|(_, v)| *v)
+        let i = self.names.iter().position(|n| **n == *s)?;
+        Some(VarId(self.first_state + i as u32))
     }
 
     /// All variables paired by position with another slot (kinds, then the
     /// states both slots share).
     fn paired<'a>(&'a self, other: &'a SlotVars) -> impl Iterator<Item = (VarId, VarId)> + 'a {
         let kinds = self.kinds.iter().copied().zip(other.kinds.iter().copied());
-        let states =
-            self.states.iter().filter_map(move |(name, v)| other.state(name).map(|o| (*v, o)));
+        let states = self.states().filter_map(move |(name, v)| other.state(name).map(|o| (v, o)));
         kinds.chain(states)
     }
 }
@@ -142,12 +155,12 @@ impl SlotVars {
 /// near-exclusive; this factor makes the modelling assumption explicit.)
 pub fn exactly_one(g: &mut FactorGraph, slot: &SlotVars, h: f64) {
     add(g, Shape::ExactlyOne, slot.kinds.to_vec(), h);
-    if slot.states.len() > 1 {
-        let state_vars: Vec<VarId> = slot.states.iter().map(|(_, v)| *v).collect();
-        add(g, Shape::ExactlyOne, state_vars, h);
-    } else if let Some((_, v)) = slot.states.first() {
+    let mut states = slot.states().map(|(_, v)| v);
+    if states.len() > 1 {
+        add(g, Shape::ExactlyOne, states.collect(), h);
+    } else if let Some(v) = states.next() {
         // Single-state (ALIVE-only) types are simply alive.
-        add(g, Shape::Prior, vec![*v], 0.95);
+        add(g, Shape::Prior, vec![v], 0.95);
     }
 }
 
@@ -170,9 +183,9 @@ pub fn l1_split(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f6
         scope.extend(edge.kinds.iter().copied());
         add(g, Shape::Weakening, scope, h);
         // States flow through the split unchanged.
-        for (name, v) in &node.states {
+        for (name, v) in node.states() {
             if let Some(ev) = edge.state(name) {
-                add(g, Shape::Equal, vec![*v, ev], h);
+                add(g, Shape::Equal, vec![v, ev], h);
             }
         }
     }
@@ -226,9 +239,9 @@ pub fn l2_call_merge(
 ) {
     l2_kinds_one_of(g, node, edges, h);
     // States: equality with the callee's post edge only.
-    for (name, v) in &node.states {
+    for (name, v) in node.states() {
         if let Some(ev) = edges[post_edge].state(name) {
-            add(g, Shape::Equal, vec![*v, ev], h);
+            add(g, Shape::Equal, vec![v, ev], h);
         }
     }
 }
@@ -248,9 +261,8 @@ fn l2_kinds_one_of(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h:
 /// States-half of L2 with an independent selector.
 fn l2_states_one_of(g: &mut FactorGraph, node: &SlotVars, edges: &[&SlotVars], h: f64) {
     let shared: Vec<&str> = node
-        .states
-        .iter()
-        .map(|(n, _)| n.as_str())
+        .states()
+        .map(|(n, _)| &**n)
         .filter(|n| edges.iter().all(|e| e.state(n).is_some()))
         .collect();
     if shared.is_empty() {
@@ -336,7 +348,7 @@ mod tests {
     use factor_graph::BpOptions;
 
     fn alloc(g: &mut FactorGraph) -> SlotVars {
-        SlotVars::alloc(g, &["ALIVE".to_string(), "HASNEXT".to_string(), "END".to_string()])
+        SlotVars::alloc(g, &Arc::from(["ALIVE".into(), "HASNEXT".into(), "END".into()]))
     }
 
     /// Every wide constraint's shared table is, bit for bit, the table a

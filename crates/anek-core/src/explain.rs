@@ -178,8 +178,8 @@ pub fn explain_method(
     let skeleton = MethodSkeleton::build(ctx, Arc::clone(&pfg), &own_spec, m.is_constructor(), cfg);
 
     // The run's final dynamic inputs, in the exact order `solve_one` fed
-    // them (BTreeMap iteration over (caller, site) keys), so Caller origins
-    // map back to caller ids positionally.
+    // them ((caller, site) key order), so Caller origins map back to
+    // caller ids positionally.
     let own_store = result.call_evidence.get(target);
     let own_evidence: Vec<CallerEvidence> =
         own_store.map(|s| s.values().cloned().collect()).unwrap_or_default();

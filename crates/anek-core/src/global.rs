@@ -13,14 +13,14 @@
 
 use crate::config::InferConfig;
 use crate::infer::{merged_states, InferResult};
-use crate::model::{emit_skeleton, ModelCtx};
+use crate::model::{emit_skeleton, read_slot_from, ModelCtx};
 use crate::outcome::{DegradeReason, MethodOutcome};
-use crate::summary::{MethodSummary, SlotProbs};
+use crate::summary::MethodSummary;
 use analysis::pfg::{CallRole, Pfg, PfgNodeKind};
 use analysis::types::{Callee, MethodId, ProgramIndex};
 use factor_graph::{FactorGraph, Marginals};
 use java_syntax::ast::CompilationUnit;
-use spec_lang::{spec_of_method, ApiRegistry, PermissionKind};
+use spec_lang::{spec_of_method, ApiRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
@@ -121,17 +121,8 @@ pub fn infer_global(
     let mut specs = BTreeMap::new();
     let mut confidence = BTreeMap::new();
     for (id, (pfg, node_vars)) in &per_method {
-        let read_slot = |node: usize, marginals: &Marginals| -> SlotProbs {
-            let vars = &node_vars[node];
-            let mut slot = SlotProbs::uniform(ctx.states_of(pfg.nodes[node].type_name.as_deref()));
-            for k in PermissionKind::ALL {
-                slot.set_kind(k, marginals.prob(vars.kind(k)));
-            }
-            for (name, v) in &vars.states {
-                slot.states.insert(name.clone(), marginals.prob(*v));
-            }
-            slot
-        };
+        let read_slot =
+            |node: usize, marginals: &Marginals| read_slot_from(node_vars, marginals, node);
         let summary = MethodSummary {
             params: pfg
                 .params

@@ -73,6 +73,7 @@ use crate::memo::{self, CacheKey, InferCache, KeyHasher, SolvedRecord};
 use crate::model::{CallerEvidence, MethodSkeleton, ModelCtx};
 use crate::outcome::{panic_message, DegradeReason, InferError, MethodOutcome};
 use crate::summary::{MethodSummary, SlotProbs};
+use crate::vec_map::VecMap;
 use analysis::pfg::{Pfg, PfgNodeKind};
 use analysis::types::{Callee, MethodId, ProgramIndex};
 use factor_graph::{GuardEvents, Scratch};
@@ -223,7 +224,7 @@ pub struct InferResult {
     /// the exact dynamic input a re-solve of any method consumes, which is
     /// what [`crate::explain_method`] replays to attribute a spec atom to
     /// its factors.
-    pub call_evidence: BTreeMap<MethodId, BTreeMap<(MethodId, ExprId), CallerEvidence>>,
+    pub call_evidence: BTreeMap<MethodId, VecMap<(MethodId, ExprId), CallerEvidence>>,
     /// The deterministic structured trace, present iff `InferConfig::trace`
     /// (see [`observe::Trace`] for the determinism contract per section).
     pub trace: Option<observe::Trace>,
@@ -475,7 +476,7 @@ pub fn infer_with_store(
     // Caller-side evidence per callee: (caller, call-site) -> observed
     // marginals. This is the second half of the PARAMARG binding — caller
     // demands aggregate onto callee summaries (the Figure 3 conflict story).
-    let mut evidence: BTreeMap<MethodId, BTreeMap<(MethodId, ExprId), CallerEvidence>> =
+    let mut evidence: BTreeMap<MethodId, VecMap<(MethodId, ExprId), CallerEvidence>> =
         BTreeMap::new();
     let mut pending: Vec<MethodId> = order.clone();
     let mut queued: BTreeSet<MethodId> = order.iter().cloned().collect();
@@ -519,10 +520,7 @@ pub fn infer_with_store(
     // the per-method boundary, and become structured `Failed` outcomes.
     let solve_one = |id: &MethodId,
                      summaries: &BTreeMap<MethodId, MethodSummary>,
-                     evidence: &BTreeMap<
-        MethodId,
-        BTreeMap<(MethodId, ExprId), CallerEvidence>,
-    >,
+                     evidence: &BTreeMap<MethodId, VecMap<(MethodId, ExprId), CallerEvidence>>,
                      last_health: &BTreeMap<MethodId, SolveHealth>,
                      scratch: &mut Scratch|
      -> SolveResult {
@@ -541,7 +539,7 @@ pub fn infer_with_store(
         if let Some(h) = last_health.get(id).filter(|h| h.settled) {
             let record = SolvedRecord {
                 summary: MethodSummary::default(),
-                call_evidence: BTreeMap::new(),
+                call_evidence: VecMap::default(),
                 iterations: h.iterations,
                 updates: h.updates,
                 converged: h.converged,
@@ -569,7 +567,7 @@ pub fn infer_with_store(
                 }
             }
             let own = evidence.get(id);
-            h.write_u64(own.map_or(0, BTreeMap::len) as u64);
+            h.write_u64(own.map_or(0, VecMap::len) as u64);
             for ((caller, site), ev) in own.into_iter().flatten() {
                 h.write_str(&caller.class);
                 h.write_str(&caller.method);
@@ -604,7 +602,7 @@ pub fn infer_with_store(
             let cache = if marginals.deadline_expired { None } else { key.map(|k| (k, false)) };
             Ok(Solved {
                 record: SolvedRecord {
-                    summary: skeleton.read_summary(ctx, &marginals),
+                    summary: skeleton.read_summary(&marginals),
                     call_evidence: skeleton.read_call_evidence(ctx, &marginals),
                     iterations: marginals.iterations,
                     updates: marginals.updates,
@@ -1064,19 +1062,14 @@ fn initial_summary(
     cfg: &InferConfig,
 ) -> MethodSummary {
     let slot_for = |ty: &str, atom: Option<&spec_lang::PermAtom>| -> SlotProbs {
-        let mut slot = SlotProbs::uniform(ctx.states_of(Some(ty)));
-        if let Some(atom) = atom {
-            for k in PermissionKind::ALL {
-                slot.set_kind(k, if k == atom.kind { cfg.p_spec_high } else { cfg.p_spec_low });
-            }
-            let st = atom.effective_state();
-            let names: Vec<String> = slot.states.keys().cloned().collect();
-            for name in names {
-                let p = if name == st { cfg.p_spec_high } else { cfg.p_spec_low };
-                slot.states.insert(name, p);
-            }
+        let states = ctx.states_of(Some(ty));
+        let Some(atom) = atom else { return SlotProbs::uniform(states.iter().cloned()) };
+        let p = |asserted: bool| if asserted { cfg.p_spec_high } else { cfg.p_spec_low };
+        let st = atom.effective_state();
+        SlotProbs {
+            kinds: PermissionKind::ALL.map(|k| p(k == atom.kind)),
+            states: states.iter().map(|name| (Arc::clone(name), p(**name == *st))).collect(),
         }
-        slot
     };
     let params = pfg
         .params

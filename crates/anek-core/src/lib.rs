@@ -15,6 +15,8 @@
 //! * [`logical`] — the deterministic whole-program baseline ("Anek Logical",
 //!   Table 2) that hard constraints, no heuristics, and a work budget.
 //! * [`compare`] — the Table 4 specification-quality categorization.
+//! * [`vec_map`] — the sorted-vector map that slot marginals and caller
+//!   evidence live in.
 //!
 //! ## Example
 //!
@@ -47,8 +49,9 @@ pub mod memo;
 pub mod model;
 pub mod outcome;
 pub mod summary;
+pub mod vec_map;
 
-pub use compare::{compare_specs, DiffTally, SpecDiff};
+pub use compare::{compare_specs, DiffTally, SpecDiff, WarningCounts};
 pub use config::{FaultInjection, InferConfig};
 pub use explain::{explain_method, AtomExplanation, Contributor, MethodExplanation};
 pub use global::infer_global;
@@ -58,3 +61,4 @@ pub use memo::{CacheKey, InferCache, KeyHasher, SolvedRecord};
 pub use model::{CallerEvidence, ExtraOrigin, MethodModel, MethodSkeleton, ModelCtx};
 pub use outcome::{render_outcome_table, DegradeReason, InferError, MethodOutcome};
 pub use summary::{MethodSummary, SlotProbs};
+pub use vec_map::VecMap;

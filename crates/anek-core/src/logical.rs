@@ -21,6 +21,7 @@ use factor_graph::{Factor, FactorGraph, VarId};
 use java_syntax::ast::CompilationUnit;
 use spec_lang::{spec_of_method, ApiRegistry, PermissionKind, SpecTarget};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of a logical-mode run.
@@ -87,7 +88,7 @@ pub fn solve_logical(
     let mut pfgs: Vec<(MethodId, Pfg, Vec<SlotVars>, Vec<SlotVars>)> = Vec::new();
 
     // Helper mirrors of slot allocation that also track preferred values.
-    let alloc = |g: &mut FactorGraph, prefer: &mut Vec<bool>, states: &[String]| {
+    let alloc = |g: &mut FactorGraph, prefer: &mut Vec<bool>, states: &Arc<[Arc<str>]>| {
         let sv = SlotVars::alloc(g, states);
         // default preference: pure + ALIVE true, everything else false.
         while prefer.len() < g.num_vars() {
@@ -113,7 +114,7 @@ pub fn solve_logical(
                     .iter()
                     .map(|n| {
                         let st = ctx.states_of(n.type_name.as_deref());
-                        alloc(&mut g, &mut prefer_true, &st)
+                        alloc(&mut g, &mut prefer_true, st)
                     })
                     .collect();
                 let edge_vars: Vec<SlotVars> = pfg
@@ -121,7 +122,7 @@ pub fn solve_logical(
                     .iter()
                     .map(|(a, _)| {
                         let st = ctx.states_of(pfg.nodes[*a].type_name.as_deref());
-                        alloc(&mut g, &mut prefer_true, &st)
+                        alloc(&mut g, &mut prefer_true, st)
                     })
                     .collect();
                 pfgs.push((id, pfg, node_vars, edge_vars));
@@ -145,8 +146,8 @@ pub fn solve_logical(
                     0.0
                 }
             }));
-            if slot.states.len() > 1 {
-                let sv: Vec<VarId> = slot.states.iter().map(|(_, v)| *v).collect();
+            if slot.states().len() > 1 {
+                let sv: Vec<VarId> = slot.states().map(|(_, v)| v).collect();
                 hard.push(Factor::from_fn(sv, |a| {
                     if a.iter().filter(|b| **b).count() == 1 {
                         1.0
@@ -178,9 +179,9 @@ pub fn solve_logical(
                         }
                         1.0
                     }));
-                    for (name, v) in &node_vars[n.id].states {
+                    for (name, v) in node_vars[n.id].states() {
                         if let Some(ev) = edge_vars[i].state(name) {
-                            hard.push(eq_factor(*v, ev));
+                            hard.push(eq_factor(v, ev));
                         }
                     }
                 }
@@ -250,10 +251,9 @@ pub fn solve_logical(
                         matches!(pfg.nodes[pfg.edges[ei].0].kind, PfgNodeKind::CallPost { .. })
                     })
                     .collect();
-                let shared: Vec<String> = node_vars[n.id]
-                    .states
-                    .iter()
-                    .map(|(s, _)| s.clone())
+                let shared: Vec<Arc<str>> = node_vars[n.id]
+                    .states()
+                    .map(|(s, _)| Arc::clone(s))
                     .filter(|s| ins.iter().all(|&ei| edge_vars[ei].state(s).is_some()))
                     .collect();
                 if !shared.is_empty() {
@@ -411,9 +411,9 @@ pub fn solve_logical(
 fn pair_vars(a: &SlotVars, b: &SlotVars) -> Vec<(VarId, VarId)> {
     let mut pairs: Vec<(VarId, VarId)> =
         a.kinds.iter().copied().zip(b.kinds.iter().copied()).collect();
-    for (name, v) in &a.states {
+    for (name, v) in a.states() {
         if let Some(o) = b.state(name) {
-            pairs.push((*v, o));
+            pairs.push((v, o));
         }
     }
     pairs
@@ -440,13 +440,13 @@ fn push_unit_atoms(hard: &mut Vec<Factor>, slot: &SlotVars, atom: &spec_lang::Pe
     // `in ALIVE` is the root of the state hierarchy and constrains nothing;
     // a non-root state forbids every state that does not refine it (flat
     // spaces: everything except the state itself).
-    let state = atom.effective_state().to_string();
+    let state = atom.effective_state();
     if state == spec_lang::ALIVE {
         return;
     }
-    for (name, v) in &slot.states {
-        if *name != state {
-            hard.push(Factor::from_fn(vec![*v], |a| if a[0] { 0.0 } else { 1.0 }));
+    for (name, v) in slot.states() {
+        if **name != *state {
+            hard.push(Factor::from_fn(vec![v], |a| if a[0] { 0.0 } else { 1.0 }));
         }
     }
 }

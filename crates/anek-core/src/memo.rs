@@ -37,14 +37,12 @@
 //! hit/miss counters are deterministic for every `--threads` value.
 
 use crate::config::InferConfig;
-use crate::model::CallerEvidence;
+use crate::model::{CallEvidence, CallerEvidence};
 use crate::summary::{MethodSummary, SlotProbs};
 use analysis::types::MethodId;
 use factor_graph::GuardEvents;
 use java_syntax::ast::CompilationUnit;
-use java_syntax::ExprId;
 use spec_lang::ApiRegistry;
-use std::collections::BTreeMap;
 
 /// Version of the key-derivation scheme. Bumped whenever the hashed input
 /// set, the hash function, or the meaning of any hashed field changes —
@@ -290,7 +288,7 @@ pub struct SolvedRecord {
     /// The method's new probabilistic summary.
     pub summary: MethodSummary,
     /// Observed marginals per callee per call site.
-    pub call_evidence: BTreeMap<MethodId, BTreeMap<ExprId, CallerEvidence>>,
+    pub call_evidence: CallEvidence,
     /// BP sweeps the solve performed.
     pub iterations: usize,
     /// BP message updates the solve performed.

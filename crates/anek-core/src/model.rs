@@ -10,11 +10,13 @@
 use crate::config::InferConfig;
 use crate::constraints::{self, SlotVars};
 use crate::summary::{MethodSummary, SlotProbs};
+use crate::vec_map::VecMap;
 use analysis::pfg::{CallRole, NodeId, Pfg, PfgNodeKind};
 use analysis::types::{Callee, MethodId, ProgramIndex};
 use factor_graph::{CompiledGraph, Factor, FactorGraph, Marginals, Scratch, VarId};
+use java_syntax::ExprId;
 use observe::FactorFamily;
-use spec_lang::{ApiRegistry, MethodSpec, PermissionKind, SpecTarget, StateRegistry};
+use spec_lang::{ApiRegistry, MethodSpec, PermissionKind, SpecTarget, StateRegistry, StateSpace};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -53,14 +55,16 @@ pub struct ModelCtx<'a> {
 }
 
 impl<'a> ModelCtx<'a> {
-    /// The state names a slot of `type_name` ranges over.
-    pub fn states_of(&self, type_name: Option<&str>) -> Vec<String> {
-        match type_name {
-            Some(t) => self.states.states_of(t),
-            None => vec![spec_lang::ALIVE.to_string()],
-        }
+    /// The state names a slot of `type_name` ranges over, shared with the
+    /// registry.
+    pub fn states_of(&self, type_name: Option<&str>) -> &'a Arc<[Arc<str>]> {
+        type_name.map_or(StateSpace::alive_only(), |t| self.states.states_of(t))
     }
 }
+
+/// Caller evidence as a solve reads it out: per program callee, per call
+/// site, the marginals observed there.
+pub type CallEvidence = VecMap<MethodId, VecMap<ExprId, CallerEvidence>>;
 
 /// Evidence one call site contributes about its *callee*'s specification:
 /// the marginals observed at the caller's `CallPre`/`CallPost`/`CallResult`
@@ -71,9 +75,9 @@ impl<'a> ModelCtx<'a> {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CallerEvidence {
     /// Per callee-parameter-name: observed precondition marginals.
-    pub param_pre: BTreeMap<String, SlotProbs>,
+    pub param_pre: VecMap<String, SlotProbs>,
     /// Per callee-parameter-name: observed postcondition marginals.
-    pub param_post: BTreeMap<String, SlotProbs>,
+    pub param_post: VecMap<String, SlotProbs>,
     /// Observed result marginals.
     pub result: Option<SlotProbs>,
 }
@@ -158,11 +162,7 @@ impl MethodModel {
 
     /// Reads, from solved marginals, the evidence each *program* call site
     /// provides about its callee — keyed by callee, one entry per site.
-    pub fn read_call_evidence(
-        &self,
-        ctx: ModelCtx<'_>,
-        marginals: &Marginals,
-    ) -> BTreeMap<MethodId, BTreeMap<java_syntax::ExprId, CallerEvidence>> {
+    pub fn read_call_evidence(&self, ctx: ModelCtx<'_>, marginals: &Marginals) -> CallEvidence {
         read_call_evidence_from(ctx, &self.pfg, &self.node_vars, marginals)
     }
 
@@ -189,7 +189,7 @@ impl MethodModel {
         }
         let nvars = self.graph.num_vars();
         let mut check_slot = |what: &str, i: usize, slot: &SlotVars| {
-            for v in slot.kinds.iter().chain(slot.states.iter().map(|(_, v)| v)) {
+            for v in slot.kinds.iter().copied().chain(slot.states().map(|(_, v)| v)) {
                 if v.0 as usize >= nvars {
                     problems.push(format!(
                         "{what} {i}: slot variable {} out of bounds ({nvars} graph vars)",
@@ -210,43 +210,33 @@ impl MethodModel {
 
     /// Solves the model and reads the method summary off the pre/post/result
     /// nodes (Figure 9's `Solve` + `UPDATESUMMARY` read-out).
-    pub fn solve(&self, ctx: ModelCtx<'_>, cfg: &InferConfig) -> MethodSummary {
+    pub fn solve(&self, cfg: &InferConfig) -> MethodSummary {
         let marginals = self.graph.solve(&cfg.bp);
-        self.read_summary(ctx, &marginals)
+        self.read_summary(&marginals)
     }
 
     /// Extracts the summary from precomputed marginals.
-    pub fn read_summary(&self, ctx: ModelCtx<'_>, marginals: &Marginals) -> MethodSummary {
-        read_summary_from(ctx, &self.pfg, &self.node_vars, marginals)
+    pub fn read_summary(&self, marginals: &Marginals) -> MethodSummary {
+        read_summary_from(&self.pfg, &self.node_vars, marginals)
     }
 }
 
-/// Reads one node's slot marginals into a [`SlotProbs`].
-fn read_slot_from(
-    ctx: ModelCtx<'_>,
-    pfg: &Pfg,
+/// Reads one node's slot marginals into a [`SlotProbs`], keyed by the
+/// slot's shared state names.
+pub(crate) fn read_slot_from(
     node_vars: &[SlotVars],
     marginals: &Marginals,
     node: NodeId,
 ) -> SlotProbs {
     let vars = &node_vars[node];
-    let mut slot = SlotProbs::uniform(ctx.states_of(pfg.nodes[node].type_name.as_deref()));
-    for k in PermissionKind::ALL {
-        slot.set_kind(k, marginals.prob(vars.kind(k)));
+    SlotProbs {
+        kinds: vars.kinds.map(|v| marginals.prob(v)),
+        states: vars.states().map(|(name, v)| (Arc::clone(name), marginals.prob(v))).collect(),
     }
-    for (name, v) in &vars.states {
-        slot.states.insert(name.clone(), marginals.prob(*v));
-    }
-    slot
 }
 
 /// The summary read-out shared by [`MethodModel`] and [`MethodSkeleton`].
-fn read_summary_from(
-    ctx: ModelCtx<'_>,
-    pfg: &Pfg,
-    node_vars: &[SlotVars],
-    marginals: &Marginals,
-) -> MethodSummary {
+fn read_summary_from(pfg: &Pfg, node_vars: &[SlotVars], marginals: &Marginals) -> MethodSummary {
     MethodSummary {
         params: pfg
             .params
@@ -254,66 +244,91 @@ fn read_summary_from(
             .map(|p| {
                 (
                     p.name.clone(),
-                    read_slot_from(ctx, pfg, node_vars, marginals, p.pre),
-                    read_slot_from(ctx, pfg, node_vars, marginals, p.post),
+                    read_slot_from(node_vars, marginals, p.pre),
+                    read_slot_from(node_vars, marginals, p.post),
                 )
             })
             .collect(),
-        result: pfg
-            .result
-            .as_ref()
-            .map(|(_, post)| read_slot_from(ctx, pfg, node_vars, marginals, *post)),
+        result: pfg.result.as_ref().map(|(_, post)| read_slot_from(node_vars, marginals, *post)),
     }
 }
 
+/// What one program call-site node observes about its callee.
+enum Observed<'a> {
+    /// The precondition of the named callee parameter.
+    Pre(&'a str),
+    /// The postcondition of the named callee parameter.
+    Post(&'a str),
+    /// The callee's result.
+    Result,
+}
+
 /// The call-evidence read-out shared by [`MethodModel`] and
-/// [`MethodSkeleton`].
+/// [`MethodSkeleton`]. Of two nodes at one site observing the same
+/// parameter, or the result, the later in PFG order wins.
 fn read_call_evidence_from(
     ctx: ModelCtx<'_>,
     pfg: &Pfg,
     node_vars: &[SlotVars],
     marginals: &Marginals,
-) -> BTreeMap<MethodId, BTreeMap<java_syntax::ExprId, CallerEvidence>> {
-    let mut out: BTreeMap<MethodId, BTreeMap<java_syntax::ExprId, CallerEvidence>> =
-        BTreeMap::new();
-    let param_name = |id: &MethodId, role: CallRole| -> Option<String> {
+) -> CallEvidence {
+    let param_name = |id: &MethodId, role: CallRole| -> Option<&str> {
         match role {
-            CallRole::Receiver => Some("this".to_string()),
+            CallRole::Receiver => Some("this"),
             CallRole::Arg(i) => {
-                ctx.index.method(id).and_then(|m| m.params.get(i)).map(|(n, _)| n.clone())
+                ctx.index.method(id).and_then(|m| m.params.get(i)).map(|(n, _)| n.as_str())
             }
         }
     };
-    for n in &pfg.nodes {
-        match &n.kind {
-            PfgNodeKind::CallPre { callee: Callee::Program(id), role, site } => {
-                if let Some(pname) = param_name(id, *role) {
-                    out.entry(id.clone())
-                        .or_default()
-                        .entry(*site)
-                        .or_default()
-                        .param_pre
-                        .insert(pname, read_slot_from(ctx, pfg, node_vars, marginals, n.id));
+    let mut seen: Vec<(&MethodId, ExprId, Observed<'_>, NodeId)> = pfg
+        .nodes
+        .iter()
+        .filter_map(|n| {
+            let (id, site, observed) = match &n.kind {
+                PfgNodeKind::CallPre { callee: Callee::Program(id), role, site } => {
+                    (id, site, Observed::Pre(param_name(id, *role)?))
                 }
-            }
-            PfgNodeKind::CallPost { callee: Callee::Program(id), role, site } => {
-                if let Some(pname) = param_name(id, *role) {
-                    out.entry(id.clone())
-                        .or_default()
-                        .entry(*site)
-                        .or_default()
-                        .param_post
-                        .insert(pname, read_slot_from(ctx, pfg, node_vars, marginals, n.id));
+                PfgNodeKind::CallPost { callee: Callee::Program(id), role, site } => {
+                    (id, site, Observed::Post(param_name(id, *role)?))
                 }
-            }
-            PfgNodeKind::CallResult { callee: Callee::Program(id), site } => {
-                out.entry(id.clone()).or_default().entry(*site).or_default().result =
-                    Some(read_slot_from(ctx, pfg, node_vars, marginals, n.id));
-            }
-            _ => {}
-        }
-    }
-    out
+                PfgNodeKind::CallResult { callee: Callee::Program(id), site } => {
+                    (id, site, Observed::Result)
+                }
+                _ => return None,
+            };
+            Some((id, *site, observed, n.id))
+        })
+        .collect();
+    // Stable: within a site the nodes stay in PFG order.
+    seen.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+    let read = |node: NodeId| read_slot_from(node_vars, marginals, node);
+    let site_evidence = |nodes: &[(&MethodId, ExprId, Observed<'_>, NodeId)]| CallerEvidence {
+        param_pre: nodes
+            .iter()
+            .filter_map(|(_, _, o, n)| match o {
+                Observed::Pre(name) => Some((name.to_string(), read(*n))),
+                _ => None,
+            })
+            .collect(),
+        param_post: nodes
+            .iter()
+            .filter_map(|(_, _, o, n)| match o {
+                Observed::Post(name) => Some((name.to_string(), read(*n))),
+                _ => None,
+            })
+            .collect(),
+        result: nodes
+            .iter()
+            .rev()
+            .find_map(|(_, _, o, n)| matches!(o, Observed::Result).then(|| read(*n))),
+    };
+    seen.chunk_by(|a, b| a.0 == b.0)
+        .map(|callee| {
+            let sites =
+                callee.chunk_by(|a, b| a.1 == b.1).map(|s| (s[0].1, site_evidence(s))).collect();
+            (callee[0].0.clone(), sites)
+        })
+        .collect()
 }
 
 /// A method's *static* model — everything that never changes between
@@ -423,16 +438,12 @@ impl MethodSkeleton {
     }
 
     /// Reads the method summary off solved marginals.
-    pub fn read_summary(&self, ctx: ModelCtx<'_>, marginals: &Marginals) -> MethodSummary {
-        read_summary_from(ctx, &self.pfg, &self.node_vars, marginals)
+    pub fn read_summary(&self, marginals: &Marginals) -> MethodSummary {
+        read_summary_from(&self.pfg, &self.node_vars, marginals)
     }
 
     /// Reads the per-callee call-site evidence off solved marginals.
-    pub fn read_call_evidence(
-        &self,
-        ctx: ModelCtx<'_>,
-        marginals: &Marginals,
-    ) -> BTreeMap<MethodId, BTreeMap<java_syntax::ExprId, CallerEvidence>> {
+    pub fn read_call_evidence(&self, ctx: ModelCtx<'_>, marginals: &Marginals) -> CallEvidence {
         read_call_evidence_from(ctx, &self.pfg, &self.node_vars, marginals)
     }
 }
@@ -471,12 +482,12 @@ pub(crate) fn emit_skeleton(
     let node_vars: Vec<SlotVars> = pfg
         .nodes
         .iter()
-        .map(|n| SlotVars::alloc(g, &ctx.states_of(n.type_name.as_deref())))
+        .map(|n| SlotVars::alloc(g, ctx.states_of(n.type_name.as_deref())))
         .collect();
     let edge_vars: Vec<SlotVars> = pfg
         .edges
         .iter()
-        .map(|(a, _)| SlotVars::alloc(g, &ctx.states_of(pfg.nodes[*a].type_name.as_deref())))
+        .map(|(a, _)| SlotVars::alloc(g, ctx.states_of(pfg.nodes[*a].type_name.as_deref())))
         .collect();
 
     for slot in node_vars.iter().chain(edge_vars.iter()) {
@@ -566,13 +577,13 @@ pub(crate) fn emit_skeleton(
                 // Only the state half of the Figure 8 priors: a
                 // refinement says nothing about permission kinds.
                 let st = atom.effective_state();
-                for (name, v) in &node_vars[n.id].states {
+                for (name, v) in node_vars[n.id].states() {
                     let refines = match space {
                         Some(sp) => sp.refines(name, st),
-                        None => name == st,
+                        None => **name == *st,
                     };
                     let p = if refines { cfg.p_spec_high } else { cfg.p_spec_low };
-                    constraints::prior(g, *v, p);
+                    constraints::prior(g, v, p);
                 }
                 tag!(g, FactorFamily::BranchRefine);
             }
@@ -770,10 +781,10 @@ fn collect_probs(
             sink(slot.kind(k), p.clamp(0.02, 0.98), origin);
         }
     }
-    for (name, v) in &slot.states {
+    for (name, v) in slot.states() {
         let p = probs.state(name);
         if (p - 0.5).abs() > 1e-6 {
-            sink(*v, p.clamp(0.02, 0.98), origin);
+            sink(v, p.clamp(0.02, 0.98), origin);
         }
     }
 }
@@ -795,7 +806,7 @@ fn install_atom_priors(
     g: &mut FactorGraph,
     slot: &SlotVars,
     atom: &spec_lang::PermAtom,
-    space: Option<&spec_lang::StateSpace>,
+    space: Option<&StateSpace>,
     cfg: &InferConfig,
 ) {
     install_atom_priors_inner(g, slot, atom, space, cfg, false);
@@ -812,7 +823,7 @@ fn install_atom_priors_inner(
     g: &mut FactorGraph,
     slot: &SlotVars,
     atom: &spec_lang::PermAtom,
-    space: Option<&spec_lang::StateSpace>,
+    space: Option<&StateSpace>,
     cfg: &InferConfig,
     lattice_aware: bool,
 ) {
@@ -824,7 +835,7 @@ fn install_atom_priors_inner(
         }
     }
     let state = atom.effective_state();
-    for (name, v) in &slot.states {
+    for (name, v) in slot.states() {
         // Figure 8 literally: the asserted state (including the ALIVE root)
         // gets `B(0.9)`, and every other state — refining or not — gets
         // `B(0.1)`. Refinement tension (e.g. an iterator known to be in
@@ -833,14 +844,14 @@ fn install_atom_priors_inner(
         // uses refinement-aware clauses because exactness would be UNSAT.
         let refines = match space {
             Some(sp) => sp.refines(name, state),
-            None => name == state,
+            None => **name == *state,
         };
-        let p = if name == state || (refines && state != spec_lang::ALIVE) {
+        let p = if **name == *state || (refines && state != spec_lang::ALIVE) {
             cfg.p_spec_high
         } else {
             cfg.p_spec_low
         };
-        constraints::prior(g, *v, p);
+        constraints::prior(g, v, p);
     }
 }
 
@@ -889,7 +900,7 @@ mod tests {
         let pfg = Pfg::build(&index, &api, class, m);
         let spec = spec_of_method(m).unwrap();
         let model = MethodModel::build(ctx, pfg, &spec, m.is_constructor(), &BTreeMap::new(), &cfg);
-        let summary = model.solve(ctx, &cfg);
+        let summary = model.solve(&cfg);
         (model, summary)
     }
 
@@ -970,14 +981,14 @@ mod tests {
         let api = standard_api();
         // Give App the iterator-style state space so the state vars exist.
         let mut states = api.states.clone();
-        states.insert(spec_lang::StateSpace::flat("App", ["HASNEXT", "END"]));
+        states.insert(StateSpace::flat("App", ["HASNEXT", "END"]));
         let ctx = ModelCtx { index: &index, api: &api, states: &states };
         let cfg = InferConfig::default();
         let m = unit.type_named("App").unwrap().method_named("step").unwrap();
         let pfg = Pfg::build(&index, &api, "App", m);
         let spec = spec_of_method(m).unwrap();
         let model = MethodModel::build(ctx, pfg, &spec, false, &BTreeMap::new(), &cfg);
-        let summary = model.solve(ctx, &cfg);
+        let summary = model.solve(&cfg);
         let (pre, post) = summary.param("this").unwrap();
         assert!(pre.kind(PermissionKind::Full) > 0.7);
         assert!(pre.state("HASNEXT") > 0.7);
@@ -1017,7 +1028,7 @@ mod tests {
         let m = unit.type_named("B").unwrap().method_named("caller").unwrap();
         let pfg = Pfg::build(&index, &api, "B", m);
         let model = MethodModel::build(ctx, pfg, &MethodSpec::default(), false, &summaries, &cfg);
-        let summary = model.solve(ctx, &cfg);
+        let summary = model.solve(&cfg);
         let (s_pre, _) = summary.param("s").unwrap();
         assert!(
             s_pre.kind(PermissionKind::Full) > 0.55,

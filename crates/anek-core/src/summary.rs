@@ -5,9 +5,10 @@
 //! variable. Summaries are what make `ANEK-INFER` modular: callers consume
 //! callee summaries as evidence, and re-analysis refines them over time.
 
+use crate::vec_map::VecMap;
 use spec_lang::{MethodSpec, PermAtom, PermClause, PermissionKind, SpecTarget, ALIVE};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Marginals for one object slot (a parameter's pre or post, or the result).
 #[derive(Debug, Clone, PartialEq)]
@@ -15,13 +16,14 @@ pub struct SlotProbs {
     /// `p(kind)` for each of the five kinds, indexed per
     /// [`PermissionKind::ALL`].
     pub kinds: [f64; 5],
-    /// `p(state)` per abstract state of the slot's type.
-    pub states: BTreeMap<String, f64>,
+    /// `p(state)` per abstract state of the slot's type, keyed by the
+    /// state names the type's [`spec_lang::StateSpace`] shares.
+    pub states: VecMap<Arc<str>, f64>,
 }
 
 impl SlotProbs {
     /// An uninformative slot over the given states.
-    pub fn uniform<S: Into<String>>(states: impl IntoIterator<Item = S>) -> SlotProbs {
+    pub fn uniform<S: Into<Arc<str>>>(states: impl IntoIterator<Item = S>) -> SlotProbs {
         SlotProbs { kinds: [0.5; 5], states: states.into_iter().map(|s| (s.into(), 0.5)).collect() }
     }
 
@@ -82,7 +84,7 @@ impl SlotProbs {
     /// `ALIVE`, the root).
     pub fn extract_state(&self, t: f64) -> Option<String> {
         const MARGIN: f64 = 1.2;
-        let mut ranked: Vec<(&String, f64)> = self.states.iter().map(|(s, p)| (s, *p)).collect();
+        let mut ranked: Vec<(&Arc<str>, f64)> = self.states.iter().map(|(s, p)| (s, *p)).collect();
         ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
         let (best, p_best) = ranked.first()?;
         if *p_best <= t {
@@ -93,7 +95,7 @@ impl SlotProbs {
                 return None;
             }
         }
-        Some((*best).clone())
+        Some(best.to_string())
     }
 }
 

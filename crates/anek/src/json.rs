@@ -43,6 +43,18 @@ impl Json {
         }
     }
 
+    /// Moves the field [`Json::get`] finds out of this object, leaving
+    /// `null` in its place.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(fields) => fields
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
     /// This value as a string slice, when it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {

@@ -169,7 +169,7 @@ impl Client {
             self.outbox.push(seq, error_coded(Json::Null, "too_large", &message, &[]));
             return SendStatus::Answered;
         }
-        let request = match json::parse(line) {
+        let mut request = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
                 self.outbox.push(seq, error_response(Json::Null, &format!("bad request: {e}")));
@@ -178,7 +178,9 @@ impl Client {
         };
         let id = request.get("id").cloned().unwrap_or(Json::Null);
         let method = request.get("method").and_then(Json::as_str).unwrap_or("").to_string();
-        let params = request.get("params").cloned().unwrap_or(Json::Obj(Vec::new()));
+        // Moved, not copied: a `load_sources` request's params hold every
+        // source text.
+        let params = request.take("params").unwrap_or(Json::Obj(Vec::new()));
         let session = params.get("session").and_then(Json::as_str).unwrap_or("default").to_string();
         let deadline = params
             .get("deadline_ms")

@@ -115,9 +115,11 @@ impl ServeSession {
             }
         };
         let id = request.get("id").cloned().unwrap_or(Json::Null);
-        let method = request.get("method").and_then(Json::as_str).unwrap_or("").to_string();
-        let params = request.get("params").cloned().unwrap_or(Json::Obj(Vec::new()));
-        self.handle_request(id, &method, &params, &RequestCtx::default())
+        let method = request.get("method").and_then(Json::as_str).unwrap_or("");
+        // Borrowed: a `load_sources` request's params hold every source text.
+        let no_params = Json::Obj(Vec::new());
+        let params = request.get("params").unwrap_or(&no_params);
+        self.handle_request(id, method, params, &RequestCtx::default())
     }
 
     /// Handles one parsed request under an execution context. With the

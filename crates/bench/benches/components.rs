@@ -18,10 +18,10 @@ fn bench_parser(b: &mut Bench) {
     let src = corpus::FIGURE3;
     b.bench_function("parse_figure3", || java_syntax::parse(black_box(src)).unwrap());
     let corpus = corpus::generator::generate(&corpus::PmdConfig::small());
-    b.bench_function("lex_small_corpus", || java_syntax::lex(black_box(&corpus.source)).unwrap());
-    b.bench_function("parse_small_corpus", || {
-        java_syntax::parse(black_box(&corpus.source)).unwrap()
-    });
+    // Every class printed back to Java, as one source.
+    let source: String = corpus.units.iter().map(java_syntax::print_unit).collect();
+    b.bench_function("lex_small_corpus", || java_syntax::lex(black_box(&source)).unwrap());
+    b.bench_function("parse_small_corpus", || java_syntax::parse(black_box(&source)).unwrap());
 }
 
 fn bench_pfg(b: &mut Bench) {

@@ -9,20 +9,23 @@
 //! a check fails: threads 2 must reproduce the canonical run; with
 //! branch-sensitive specs the bit-vector checker must report `CHK001` on
 //! exactly the planted bugs and no `CHK002`; bitstate, PLURAL and the
-//! `PROT001` lint may disagree only where documented; and at paper scale
-//! every deterministic cell must equal `tests/golden/paper_tables.json`.
-//! On a golden difference it names each cell and writes the new golden to
+//! `PROT001` lint may disagree only where documented; at paper scale
+//! every deterministic cell must equal `tests/golden/paper_tables.json`;
+//! and Tables 2 and 4 must have the paper's shape
+//! ([`WarningCounts::broken_claim`], [`DiffTally::broken_claim`]). On a
+//! golden difference it names each cell and writes the new golden to
 //! `paper_tables.json`. It also writes `BENCH_infer.json` (read by
 //! `bench_gate`) and `BENCH_paper.json` (every cell, wall times and peak
 //! RSS, which nothing checks) to the working directory.
 //!
 //! Run: `cargo run --release -p bench --bin paper_tables [-- --small]`
-//! (`--small`: the small corpus, a 120-line Table 3 program, no golden).
+//! (`--small`: the small corpus, a 120-line Table 3 program whose local
+//! inference sweep stops at 400 lines, no golden).
 
 use anek::analysis::{MethodId, Pfg, ProgramIndex};
 use anek::anek_core::{
     compare_specs, infer, solve_logical, DiffTally, InferConfig, InferResult, LogicalOutcome,
-    SpecDiff,
+    SpecDiff, WarningCounts,
 };
 use anek::corpus::{table3_program, Table3Program};
 use anek::json::{self, Json};
@@ -150,8 +153,9 @@ fn main() -> ExitCode {
     let w = &[14, 12, 9, 14];
     rule(&["Method", "Annotations", "Warnings", "Time Taken"], w);
     let (gold, anek_time) = (warnings(&gold_table), fmt_duration(canonical.elapsed));
+    let table2 = WarningCounts { original: warnings(&unannotated), gold, anek };
     for (name, key, ann, warn, time) in [
-        ("Original", "original", 0, warnings(&unannotated), "0"),
+        ("Original", "original", 0, table2.original, "0"),
         ("Gold (hand)", "gold", corpus.gold.len(), gold, "75min (paper)"),
         ("Anek", "anek", anek_annotations, anek, &anek_time),
     ] {
@@ -229,7 +233,10 @@ fn main() -> ExitCode {
          inlined size vs local-inference cost:",
         table3.solves, local.variables, local.equations, local.rank
     );
-    for lines in [200usize, 400, 800, 1600] {
+    // The 1,600-line row is most of the run's peak memory: small scale
+    // stops at 400 lines.
+    let sweep: &[usize] = if scale == Scale::Paper { &[200, 400, 800, 1600] } else { &[200, 400] };
+    for &lines in sweep {
         // The program above is this sweep's row at its own size.
         let li = (lines != size).then(|| local_inference(&table3_program(11, lines)));
         let li = li.as_ref().unwrap_or(&local);
@@ -407,6 +414,8 @@ fn main() -> ExitCode {
     if scale == Scale::Paper {
         check_golden(&mut r);
     }
+    let claims = [table2.broken_claim(corpus.traps.len()), tally.broken_claim()];
+    r.failures.extend(claims.into_iter().flatten().map(|claim| format!("shape claim: {claim}")));
     for failure in &r.failures {
         eprintln!("check failed: {failure}");
     }

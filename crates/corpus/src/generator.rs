@@ -130,8 +130,6 @@ impl Planted {
 pub struct PmdCorpus {
     /// One compilation unit per class.
     pub units: Vec<CompilationUnit>,
-    /// The full concatenated source.
-    pub source: String,
     /// The gold ("Bierhoff") annotation set: method -> hand spec.
     pub gold: BTreeMap<MethodId, MethodSpec>,
     /// Ground truth for every interesting method (for Table 4).
@@ -177,6 +175,24 @@ fn spec(req: &str, ens: &str) -> MethodSpec {
         true_indicates: None,
         false_indicates: None,
     }
+}
+
+/// Parses one generated class per source and counts their non-blank lines
+/// (Table 1's "Lines of Source").
+///
+/// # Panics
+///
+/// Panics when a source does not parse (a generator bug).
+pub(crate) fn parse_classes(sources: &[String]) -> (Vec<CompilationUnit>, usize) {
+    let mut lines = 0;
+    let units = sources
+        .iter()
+        .map(|s| {
+            lines += s.lines().filter(|l| !l.trim().is_empty()).count();
+            parse(s).unwrap_or_else(|e| panic!("generated class does not parse: {e}\n{s}"))
+        })
+        .collect();
+    (units, lines)
 }
 
 /// Generates the corpus for `cfg`.
@@ -475,14 +491,7 @@ pub fn generate(cfg: &PmdConfig) -> PmdCorpus {
     }
 
     // ---- Parse everything and compute stats ----
-    let mut units = Vec::with_capacity(sources.len());
-    let mut source = String::new();
-    for s in &sources {
-        source.push_str(s);
-        source.push('\n');
-        units.push(parse(s).unwrap_or_else(|e| panic!("generated class does not parse: {e}\n{s}")));
-    }
-    let lines = source.lines().filter(|l| !l.trim().is_empty()).count();
+    let (units, lines) = parse_classes(&sources);
     let classes = units.iter().map(|u| u.types.len()).sum();
     let counted_methods: usize = units.iter().map(|u| u.methods().count()).sum();
     let next_calls: usize = units.iter().map(|u| java_syntax::visit::count_calls(u, "next")).sum();
@@ -490,7 +499,6 @@ pub fn generate(cfg: &PmdConfig) -> PmdCorpus {
 
     PmdCorpus {
         units,
-        source,
         gold,
         truth,
         bugs,
@@ -519,10 +527,10 @@ mod tests {
     fn generation_is_deterministic() {
         let a = generate(&PmdConfig::small());
         let b = generate(&PmdConfig::small());
-        assert_eq!(a.source, b.source);
+        assert_eq!(a.units, b.units);
         assert_eq!(a.stats, b.stats);
         let c = generate(&PmdConfig { seed: 8, ..PmdConfig::small() });
-        assert_ne!(a.source, c.source);
+        assert_ne!(a.units, c.units);
     }
 
     #[test]

@@ -32,9 +32,8 @@
 //! Gold specs are emitted per family exactly like the Iterator
 //! generator's "Bierhoff" annotations.
 
-use crate::generator::{CorpusStats, Planted, PmdCorpus};
+use crate::generator::{parse_classes, CorpusStats, Planted, PmdCorpus};
 use analysis::types::MethodId;
-use java_syntax::parse;
 use prng::Rng;
 use spec_lang::protocol::{ProtocolDef, ProtocolRegistry};
 use spec_lang::spec::SpecTarget;
@@ -409,21 +408,13 @@ pub fn generate_mixed(cfg: &MixedConfig) -> PmdCorpus {
         sources.push(s);
     }
 
-    let mut units = Vec::with_capacity(sources.len());
-    let mut source = String::new();
-    for s in &sources {
-        source.push_str(s);
-        source.push('\n');
-        units.push(parse(s).unwrap_or_else(|e| panic!("generated class does not parse: {e}\n{s}")));
-    }
-    let lines = source.lines().filter(|l| !l.trim().is_empty()).count();
+    let (units, lines) = parse_classes(&sources);
     let classes = units.iter().map(|u| u.types.len()).sum();
     let methods: usize = units.iter().map(|u| u.methods().count()).sum();
     let next_calls: usize = units.iter().map(|u| java_syntax::visit::count_calls(u, "next")).sum();
 
     PmdCorpus {
         units,
-        source,
         gold,
         truth,
         bugs,
@@ -667,6 +658,11 @@ mod tests {
     use super::*;
     use java_syntax::ast::CompilationUnit;
 
+    /// Every class of the corpus, printed back to Java.
+    fn printed(corpus: &PmdCorpus) -> String {
+        corpus.units.iter().map(java_syntax::print_unit).collect()
+    }
+
     #[test]
     fn mixed_corpus_generates_and_parses_every_family() {
         let corpus = generate_mixed(&MixedConfig::small());
@@ -683,7 +679,7 @@ mod tests {
     fn generation_is_deterministic() {
         let a = generate_mixed(&MixedConfig::small());
         let b = generate_mixed(&MixedConfig::small());
-        assert_eq!(a.source, b.source);
+        assert_eq!(a.units, b.units);
         assert_eq!(a.stats, b.stats);
     }
 
@@ -732,8 +728,8 @@ mod tests {
     fn single_family_slice_contains_only_that_family() {
         let cfg = MixedConfig { families: vec!["Lock".into()], ..MixedConfig::small() };
         let corpus = generate_mixed(&cfg);
-        assert!(corpus.source.contains("acquire"));
-        assert!(!corpus.source.contains("readLine"));
+        assert!(printed(&corpus).contains("acquire"));
+        assert!(!printed(&corpus).contains("readLine"));
         assert!(corpus.bugs.iter().all(|p| p.family == "Lock"));
     }
 
@@ -769,11 +765,11 @@ mod tests {
     #[test]
     fn profiles_weight_the_workload_mix() {
         let aliasy = generate_mixed(&MixedConfig::aliasing_heavy());
-        assert!(aliasy.source.contains("aliasFile3"));
-        assert!(!aliasy.source.contains("relayFile0"));
+        assert!(printed(&aliasy).contains("aliasFile3"));
+        assert!(!printed(&aliasy).contains("relayFile0"));
         let cally = generate_mixed(&MixedConfig::callback_heavy());
-        assert!(cally.source.contains("relayFile3"));
-        assert!(!cally.source.contains("aliasFile0"));
+        assert!(printed(&cally).contains("relayFile3"));
+        assert!(!printed(&cally).contains("aliasFile0"));
     }
 
     #[test]

@@ -7,24 +7,46 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The distinguished root state every object is always in.
 pub const ALIVE: &str = "ALIVE";
 
 /// The state hierarchy for one reference type: a tree of state names rooted
 /// at [`ALIVE`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct StateSpace {
     /// Type this space belongs to (simple name).
     type_name: String,
     /// child state -> parent state; `ALIVE` has no entry.
     parents: BTreeMap<String, String>,
+    /// [`StateSpace::states`] as shared names, kept in step with `parents`.
+    names: Arc<[Arc<str>]>,
+}
+
+// By hand, to leave out `names`, which `parents` determines: the store's
+// interface fingerprint hashes the API registry's `Debug` form.
+impl fmt::Debug for StateSpace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StateSpace")
+            .field("type_name", &self.type_name)
+            .field("parents", &self.parents)
+            .finish()
+    }
 }
 
 impl StateSpace {
     /// A space containing only `ALIVE` (types without a protocol).
     pub fn trivial(type_name: impl Into<String>) -> StateSpace {
-        StateSpace { type_name: type_name.into(), parents: BTreeMap::new() }
+        let names = Arc::clone(StateSpace::alive_only());
+        StateSpace { type_name: type_name.into(), parents: BTreeMap::new(), names }
+    }
+
+    /// The names of a space containing only `ALIVE`, one list for the whole
+    /// process.
+    pub fn alive_only() -> &'static Arc<[Arc<str>]> {
+        static ALIVE_ONLY: OnceLock<Arc<[Arc<str>]>> = OnceLock::new();
+        ALIVE_ONLY.get_or_init(|| Arc::new([Arc::from(ALIVE)]))
     }
 
     /// Builds a flat space: every given state refines `ALIVE` directly.
@@ -42,9 +64,15 @@ impl StateSpace {
     /// Adds a state refining `parent`. Re-adding an existing state replaces
     /// its parent.
     pub fn add_state(&mut self, state: String, parent: String) {
-        if state != ALIVE {
-            self.parents.insert(state, parent);
+        if state == ALIVE {
+            return;
         }
+        if let Err(i) = self.names[1..].binary_search_by(|n| (**n).cmp(&state)) {
+            let mut names = self.names.to_vec();
+            names.insert(i + 1, Arc::from(state.as_str()));
+            self.names = names.into();
+        }
+        self.parents.insert(state, parent);
     }
 
     /// Parses a comma-separated state declaration as written in `@States`:
@@ -84,9 +112,14 @@ impl StateSpace {
 
     /// All states, `ALIVE` first, then declared states in sorted order.
     pub fn states(&self) -> Vec<&str> {
-        let mut v = vec![ALIVE];
-        v.extend(self.parents.keys().map(String::as_str));
-        v
+        self.names.iter().map(|n| &**n).collect()
+    }
+
+    /// [`StateSpace::states`] as one list of names, shared with every slot
+    /// and summary that ranges over this space, so a model build copies no
+    /// name and no list.
+    pub fn names(&self) -> &Arc<[Arc<str>]> {
+        &self.names
     }
 
     /// Number of states including `ALIVE`.
@@ -161,13 +194,11 @@ impl StateRegistry {
         self.spaces.get(type_name)
     }
 
-    /// The states a variable of `type_name` can inhabit; `[ALIVE]` when the
-    /// type declared no protocol.
-    pub fn states_of(&self, type_name: &str) -> Vec<String> {
-        match self.spaces.get(type_name) {
-            Some(s) => s.states().into_iter().map(str::to_string).collect(),
-            None => vec![ALIVE.to_string()],
-        }
+    /// The states a variable of `type_name` can inhabit, as shared names
+    /// ([`StateSpace::names`]); `[ALIVE]` when the type declared no
+    /// protocol.
+    pub fn states_of(&self, type_name: &str) -> &Arc<[Arc<str>]> {
+        self.spaces.get(type_name).map_or(StateSpace::alive_only(), StateSpace::names)
     }
 
     /// Iterates over all registered spaces.
@@ -222,7 +253,7 @@ mod tests {
         let mut reg = StateRegistry::new();
         reg.insert(iterator_space());
         assert_eq!(reg.states_of("Iterator").len(), 3);
-        assert_eq!(reg.states_of("Row"), vec![ALIVE.to_string()]);
+        assert_eq!(**reg.states_of("Row"), [Arc::from(ALIVE)]);
         assert!(reg.get("Iterator").is_some());
         assert!(reg.get("Row").is_none());
     }

@@ -11,11 +11,11 @@
 
 use analysis::types::MethodId;
 use anek_core::memo::SolvedRecord;
-use anek_core::{CallerEvidence, MethodSummary, SlotProbs};
+use anek_core::{CallerEvidence, MethodSummary, SlotProbs, VecMap};
 use factor_graph::GuardEvents;
 use java_syntax::ast::ExprId;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A decoding failure (any structural problem with a payload).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,14 +200,22 @@ fn dec_slot(d: &mut Dec<'_>) -> Result<SlotProbs, CodecError> {
     for k in &mut kinds {
         *k = d.f64()?;
     }
-    let n = d.len()?;
-    let mut states = BTreeMap::new();
-    for _ in 0..n {
-        let name = d.str()?;
-        let p = d.f64()?;
-        states.insert(name, p);
-    }
+    let states = dec_map(d, |d| Ok((Arc::from(d.str()?), d.f64()?)))?;
     Ok(SlotProbs { kinds, states })
+}
+
+/// Decodes a length-prefixed run of map entries. Entries out of key order
+/// are sorted, and of a repeated key the last wins.
+fn dec_map<K: Ord, V>(
+    d: &mut Dec<'_>,
+    mut entry: impl FnMut(&mut Dec<'_>) -> Result<(K, V), CodecError>,
+) -> Result<VecMap<K, V>, CodecError> {
+    let n = d.len()?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        entries.push(entry(d)?);
+    }
+    Ok(entries.into_iter().collect())
 }
 
 fn enc_opt_slot(e: &mut Enc, slot: &Option<SlotProbs>) {
@@ -260,16 +268,8 @@ fn enc_evidence(e: &mut Enc, ev: &CallerEvidence) {
 }
 
 fn dec_evidence(d: &mut Dec<'_>) -> Result<CallerEvidence, CodecError> {
-    let mut maps = [BTreeMap::new(), BTreeMap::new()];
-    for map in &mut maps {
-        let n = d.len()?;
-        for _ in 0..n {
-            let name = d.str()?;
-            let slot = dec_slot(d)?;
-            map.insert(name, slot);
-        }
-    }
-    let [param_pre, param_post] = maps;
+    let param_pre = dec_map(d, |d| Ok((d.str()?, dec_slot(d)?)))?;
+    let param_post = dec_map(d, |d| Ok((d.str()?, dec_slot(d)?)))?;
     Ok(CallerEvidence { param_pre, param_post, result: dec_opt_slot(d)? })
 }
 
@@ -306,19 +306,10 @@ pub fn enc_solved(e: &mut Enc, s: &SolvedRecord) {
 /// Decodes a committed solve record.
 pub fn dec_solved(d: &mut Dec<'_>) -> Result<SolvedRecord, CodecError> {
     let summary = dec_summary(d)?;
-    let n = d.len()?;
-    let mut call_evidence = BTreeMap::new();
-    for _ in 0..n {
+    let call_evidence = dec_map(d, |d| {
         let callee = dec_method_id(d)?;
-        let sites_n = d.len()?;
-        let mut sites = BTreeMap::new();
-        for _ in 0..sites_n {
-            let site = ExprId(d.u32()?);
-            let ev = dec_evidence(d)?;
-            sites.insert(site, ev);
-        }
-        call_evidence.insert(callee, sites);
-    }
+        Ok((callee, dec_map(d, |d| Ok((ExprId(d.u32()?), dec_evidence(d)?)))?))
+    })?;
     let iterations = d.usize()?;
     let updates = d.usize()?;
     let converged = d.bool()?;

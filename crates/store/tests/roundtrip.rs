@@ -5,12 +5,11 @@
 
 use analysis::types::MethodId;
 use anek_core::memo::{CacheKey, InferCache, SolvedRecord};
-use anek_core::{infer_with_store, CallerEvidence, InferConfig, MethodSummary, SlotProbs};
+use anek_core::{infer_with_store, CallerEvidence, InferConfig, MethodSummary, SlotProbs, VecMap};
 use factor_graph::GuardEvents;
 use java_syntax::ast::ExprId;
 use prng::Rng;
 use spec_lang::standard_api;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Mutex;
 use store::{codec, Store};
@@ -26,10 +25,8 @@ fn rand_slot(rng: &mut Rng) -> SlotProbs {
     for k in &mut kinds {
         *k = rng.gen_f64();
     }
-    let mut states = BTreeMap::new();
-    for i in 0..rng.gen_index(0..4) {
-        states.insert(format!("S{i}"), rng.gen_f64());
-    }
+    let states =
+        (0..rng.gen_index(0..4)).map(|i| (format!("S{i}").into(), rng.gen_f64())).collect();
     SlotProbs { kinds, states }
 }
 
@@ -42,8 +39,8 @@ fn rand_summary(rng: &mut Rng) -> MethodSummary {
 }
 
 fn rand_evidence(rng: &mut Rng) -> CallerEvidence {
-    let mut pre = BTreeMap::new();
-    let mut post = BTreeMap::new();
+    let mut pre = VecMap::default();
+    let mut post = VecMap::default();
     for i in 0..rng.gen_index(0..3) {
         pre.insert(format!("a{i}"), rand_slot(rng));
         post.insert(format!("a{i}"), rand_slot(rng));
@@ -56,9 +53,9 @@ fn rand_evidence(rng: &mut Rng) -> CallerEvidence {
 }
 
 fn rand_solved(rng: &mut Rng) -> SolvedRecord {
-    let mut call_evidence = BTreeMap::new();
+    let mut call_evidence = VecMap::default();
     for i in 0..rng.gen_index(0..3) {
-        let mut sites = BTreeMap::new();
+        let mut sites = VecMap::default();
         for s in 0..rng.gen_index(1..3) {
             sites.insert(ExprId(s as u32 * 7), rand_evidence(rng));
         }
@@ -104,7 +101,7 @@ fn non_finite_floats_survive_bit_exactly() {
     // is the only meaningful contract — and the one determinism needs.
     let mut slot = SlotProbs {
         kinds: [f64::NAN, f64::INFINITY, -0.0, 1.0, f64::MIN_POSITIVE],
-        states: BTreeMap::new(),
+        states: VecMap::default(),
     };
     slot.states.insert("S".into(), f64::NEG_INFINITY);
     let summary = MethodSummary { params: vec![("p".into(), slot.clone(), slot)], result: None };

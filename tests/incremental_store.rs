@@ -4,11 +4,13 @@
 //! program, with and without a store — at `--threads 1` and `--threads 4` —
 //! while re-solving strictly fewer methods.
 
-use anek::anek_core::InferResult;
-use anek::store::Store;
+use anek::anek_core::memo::{hash_bytes, CacheKey, InferCache, SolvedRecord};
+use anek::anek_core::{infer_with_store, InferConfig, InferResult};
+use anek::spec_lang::standard_api;
+use anek::store::{codec, Store};
 use anek::Pipeline;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("anek-incr-{}-{name}", std::process::id()));
@@ -202,4 +204,41 @@ fn interface_edit_invalidates_conservatively() {
     );
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&cold_dir);
+}
+
+/// A cache that answers nothing and keeps, in commit order, each key it is
+/// given followed by the bytes the store would write for the record.
+#[derive(Default)]
+struct Encoded(Mutex<Vec<u8>>);
+
+impl InferCache for Encoded {
+    fn solve_lookup(&self, _key: CacheKey) -> Option<SolvedRecord> {
+        None
+    }
+
+    fn solve_insert(&self, key: CacheKey, record: &SolvedRecord) {
+        let mut bytes = self.0.lock().expect("not poisoned");
+        bytes.extend_from_slice(&key.to_le_bytes());
+        bytes.extend(codec::to_bytes(|e| codec::enc_solved(e, record)));
+    }
+}
+
+/// A store written by an earlier build stays warm only while the keys a run
+/// computes and the bytes its records encode to stay the same. Both are
+/// pinned here for the small corpus drained at one thread: 83 records in
+/// 31,283 bytes, hashed when slot marginals still lived in B-trees. A change
+/// to how summaries or caller evidence are hashed, encoded or ordered fails
+/// this test before it turns every existing store cold.
+#[test]
+fn small_corpus_store_keys_and_records_are_pinned() {
+    let corpus = corpus::generate(&corpus::PmdConfig::small());
+    let config =
+        InferConfig { max_iters: 3 * corpus.stats.methods, threads: 1, ..InferConfig::default() };
+    let encoded = Encoded::default();
+    let result = infer_with_store(&corpus.units, &standard_api(), &config, Some(&encoded));
+    let bytes = encoded.0.into_inner().expect("not poisoned");
+    assert_eq!(
+        (result.memo_misses, bytes.len(), hash_bytes(&bytes)),
+        (83, 31_283, 0xb12f_8c01_76a8_6c5b_71a0_7ba4_8c97_d6ec)
+    );
 }

@@ -183,5 +183,5 @@ fn corpus_generation_is_a_function_of_seed() {
     use anek::corpus::generator::{generate, PmdConfig};
     let a = generate(&PmdConfig::small());
     let b = generate(&PmdConfig::small());
-    assert_eq!(a.source, b.source);
+    assert_eq!(a.units, b.units);
 }
